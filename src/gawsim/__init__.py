@@ -13,9 +13,6 @@ from .analytic import ConcurrenceTerms, closed_form_concurrence_braided, concurr
 from .coefficients import (
     MasterEqCoefficients,
     canonical_coefficients,
-    closed_form_braided,
-    closed_form_nested,
-    closed_form_separate,
     coefficients_for,
     decay_amplitudes,
     general_coefficients,
@@ -66,10 +63,7 @@ __all__ = [
     "build_network",
     "canonical_coefficients",
     "check_dfi",
-    "closed_form_braided",
     "closed_form_concurrence_braided",
-    "closed_form_nested",
-    "closed_form_separate",
     "coefficients_for",
     "concurrence_from_amplitudes",
     "concurrence_terms",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import closed_form_braided
+from .coefficients import canonical_coefficients
 from .dynamics import AmplitudeState, _amplitude_solution
 
 #: Fallback to the amplitude path when |a_term| drops below this.
@@ -145,7 +145,7 @@ def closed_form_concurrence_braided(
         raise ValueError("t must be nonnegative")
     if allow_fallback and uses_ode_fallback(theta):
         states = _amplitude_solution(
-            AmplitudeState(1.0, 0.0), closed_form_braided(gamma, theta), times
+            AmplitudeState(1.0, 0.0), canonical_coefficients("braided", gamma, theta), times
         )
         values = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())
     else:

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analytic, dfi, dynamics, slh
-from .coefficients import canonical_coefficients, general_coefficients
+from .coefficients import ZERO_DECAY_TOL, canonical_coefficients, canonical_sums, general_coefficients
 from .errors import LayoutError, NumericalFailure
 from .model import (
     CanonicalConfig,
@@ -87,7 +87,7 @@ def _fmt(x: float) -> str:
 
 def _header_lines(spec: RunSpec) -> list[str]:
     tolerances = {
-        "coeff_zero_tol": 1e-9,
+        "coeff_zero_tol": ZERO_DECAY_TOL,
         "trace_tol": dynamics.TRACE_TOL,
         "herm_tol": dynamics.HERM_TOL,
         "eig_floor": dynamics.EIG_FLOOR,
@@ -111,7 +111,7 @@ def _write_csv(path: str, spec: RunSpec, columns: list[str], rows, extra_header=
 
 def _write_json(path: str, spec: RunSpec, payload: dict) -> None:
     tolerances = {
-        "coeff_zero_tol": 1e-9,
+        "coeff_zero_tol": ZERO_DECAY_TOL,
         "tol_decay": spec.tol_decay,
         "tol_exchange": spec.tol_exchange,
     }
@@ -198,10 +198,13 @@ def run_coeffs(spec: RunSpec) -> int:
     if spec.out is None:
         raise SpecError("coeffs requires --out")
     if kind == "config":
-        rows = [
-            _coeff_row(theta, canonical_coefficients(source, spec.gamma, theta))
-            for theta in _theta_grid(spec)
-        ]
+        thetas = _theta_grid(spec)
+        shift, v = canonical_sums(source, spec.gamma, thetas)
+        table = np.column_stack([
+            thetas, shift[:, 0, 0], shift[:, 1, 1], shift[:, 0, 1],
+            2.0 * v[:, 0] ** 2, 2.0 * v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1],
+        ])
+        rows = (row.tolist() for row in table)
     else:
         if source.n_atoms != 2:
             raise SpecError("the coefficient table schema covers exactly two atoms")
@@ -483,6 +486,10 @@ def _resolve_workers(flag_value: int | None) -> int:
     return value
 
 
+_FINITE_FLAGS = ("gamma", "theta", "theta_min", "theta_max", "t_max", "dt",
+                 "tol_decay", "tol_exchange", "tol")
+
+
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     scale = math.pi if getattr(args, "theta_over_pi", False) else 1.0
     spec = RunSpec(command=args.command, configuration=getattr(args, "config", None),
@@ -496,6 +503,13 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         value = getattr(args, name, None)
         if value is not None:
             setattr(spec, name, value)
+    # checked after --theta-over-pi scaling, which can overflow a finite value
+    for name in _FINITE_FLAGS:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise SpecError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if spec.gamma <= 0:
+        raise SpecError("gamma must be > 0")
     return spec
 
 
@@ -503,8 +517,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.gamma <= 0:
-            raise SpecError("gamma must be > 0")
         spec = _spec_from_args(args)
         if spec.command == "coeffs":
             return run_coeffs(spec)

@@ -11,22 +11,20 @@ families of coefficients, all evaluated at the resonant wavevector:
 Each is a double sum over connection-point pairs with two phase arguments
 per pair: the direct separation |phi_n - phi_m| and the mirror round trip
 phi_n + phi_m.  Shift and exchange terms carry sin, decay terms carry cos,
-and the sums include the n = m diagonal (which contributes the constant and
-the cos(2*phi) mirror term to G_j).
+and the sums include the n = m diagonal.
 
-Everything is computed in real arithmetic from the sin/cos form; no complex
-intermediates, hence no spurious imaginary residue.  Rates are in units of
-the reference rate, so results scale linearly with gamma.
-
-``general_coefficients`` handles any layout; the ``closed_form_*`` functions
-are the trigonometric polynomials for the three canonical two-atom setups
-and stay well defined at theta = 0, where an explicit layout would have
-coincident points.
+One numpy kernel, ``coefficient_sums``, evaluates them for raw phase
+arrays of shape (..., P), so a whole theta grid is one call.  The mirror
+factors the cos sums, cos|a - b| + cos(a + b) = 2 cos(a) cos(b), so the
+decay matrix is 2 v v^T (symmetric, rank one) with per-atom amplitudes v.
+All arithmetic is real; rates are in units of the reference rate, so
+results scale linearly with gamma.  The wrappers cover validated layouts
+and the three canonical two-atom setups, which stay defined at theta = 0;
+the hand-expanded polynomials for those setups remain only as test oracles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +64,7 @@ class MasterEqCoefficients:
             mat = getattr(self, name)
             if mat.shape != (m, m):
                 raise ValueError(f"{name} must be {m}x{m}, got {mat.shape}")
-            if not np.allclose(mat, mat.T, atol=1e-12, rtol=0):
+            if not (np.abs(mat - mat.T) <= 1e-12).all():
                 raise ValueError(f"{name} matrix must be symmetric")
         for arr in (self.lamb_shifts, self.exchange, self.individual_decay, self.collective_decay):
             arr.setflags(write=False)
@@ -97,24 +95,60 @@ class MasterEqCoefficients:
         return mat
 
 
-def _pair_sums(points_a, points_b, half: bool) -> tuple[float, float]:
-    """Accumulate the sin (shift/exchange) and cos (decay) double sums.
+def _point_weights(rates, owners, n_atoms: int) -> np.ndarray:
+    """(P, M) matrix with sqrt(gamma_n) in the column of the atom owning point n."""
+    return np.sqrt(np.asarray(rates, dtype=float))[:, None] * np.eye(n_atoms)[np.asarray(owners)]
 
-    ``half`` applies the 1/2 prefactor carried by the shift and exchange
-    formulas; decay sums come without it.
+
+def amplitude_sums(phases, rates, owners, n_atoms: int) -> np.ndarray:
+    """The amplitudes v (..., M) of ``coefficient_sums`` alone, at a fraction of its cost."""
+    return np.cos(np.asarray(phases, dtype=float)) @ _point_weights(rates, owners, n_atoms)
+
+
+def coefficient_sums(phases, rates, owners, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the coefficient double sums from raw connection-point phases.
+
+    ``phases`` (..., P) lists the points nearest the mirror first; leading
+    axes batch independent evaluations.  The sign of each separation
+    phi_n - phi_m is taken from that order, so coincident points (theta = 0)
+    are fine and negative theta continues the sums analytically, as the
+    trigonometric polynomials do.  ``rates`` (P,) are the per-point decay
+    rates and ``owners`` (P,) the atom index (0..n_atoms-1) of each point.
+
+    Returns ``shift`` (..., M, M), symmetric, with the Lamb shifts dw_j on
+    the diagonal and the exchange g_jk off it, and the amplitudes
+    v_j = sum_n sqrt(gamma_jn) cos(phi_jn) (..., M); decay is 2 v v^T.
     """
-    sin_sum = 0.0
-    cos_sum = 0.0
-    for pn in points_a:
-        for pm in points_b:
-            w = math.sqrt(pn.gamma * pm.gamma)
-            diff = abs(pn.phase - pm.phase)
-            summ = pn.phase + pm.phase
-            sin_sum += w * (math.sin(diff) + math.sin(summ))
-            cos_sum += w * (math.cos(diff) + math.cos(summ))
-    if half:
-        sin_sum *= 0.5
-    return sin_sum, cos_sum
+    phases = np.asarray(phases, dtype=float)
+    weights = _point_weights(rates, owners, n_atoms)
+    sin, cos = np.sin(phases), np.cos(phases)
+    v = cos @ weights
+    # signed[n, k] = sum over points m of atom k of sign(n - m) sqrt(gamma_m) cos(phi_m)
+    cos_w = cos[..., None] * weights
+    signed = 2.0 * np.cumsum(cos_w, axis=-2) - cos_w - v[..., None, :]
+    # sin|phi_n - phi_m| = sign(n - m) (sin phi_n cos phi_m - cos phi_n sin phi_m) and
+    # sin(phi_n + phi_m) = sin phi_n cos phi_m + cos phi_n sin phi_m: both double
+    # sums are y + y^T, where y collects the sin phi_n cos phi_m halves
+    sin_w = np.swapaxes(sin[..., None] * weights, -1, -2)
+    y = sin_w @ signed + (sin @ weights)[..., :, None] * v[..., None, :]
+    return 0.5 * (y + np.swapaxes(y, -1, -2)), v
+
+
+def _coefficients_from_sums(shift: np.ndarray, v: np.ndarray) -> MasterEqCoefficients:
+    decay = 2.0 * np.outer(v, v)
+    off = ~np.eye(len(v), dtype=bool)
+    return MasterEqCoefficients(
+        lamb_shifts=np.diagonal(shift).copy(),
+        exchange=np.where(off, shift, 0.0),
+        individual_decay=np.diagonal(decay).copy(),
+        collective_decay=np.where(off, decay, 0.0),
+    )
+
+
+def _layout_points(layout: WaveguideLayout) -> tuple:
+    """Kernel arguments (phases, rates, owners, n_atoms) of a layout, nearest the mirror first."""
+    pts = layout.all_points
+    return [p.phase for p in pts], [p.gamma for p in pts], [p.atom_id for p in pts], layout.n_atoms
 
 
 def decay_amplitudes(layout: WaveguideLayout) -> np.ndarray:
@@ -125,99 +159,42 @@ def decay_amplitudes(layout: WaveguideLayout) -> np.ndarray:
     vanish.  Unlike the rates, the amplitudes cross zero linearly, which is
     what the DFI scanner exploits.
     """
-    return np.array(
-        [
-            sum(math.sqrt(p.gamma) * math.cos(p.phase) for p in atom.points)
-            for atom in layout.atoms
-        ]
-    )
-
-
-def canonical_decay_amplitudes(kind, gamma: float, theta: float) -> np.ndarray:
-    """Decay amplitudes of a canonical configuration, defined for all theta."""
-    order = canonical_atom_order(Configuration(kind))
-    v = [0.0, 0.0]
-    for i, atom_id in enumerate(order):
-        v[atom_id] += math.sqrt(gamma) * math.cos((2 * i + 1) * theta / 2)
-    return np.array(v)
+    return amplitude_sums(*_layout_points(layout))
 
 
 def general_coefficients(layout: WaveguideLayout) -> MasterEqCoefficients:
     """Evaluate the coefficient sums for an arbitrary validated layout."""
-    m = layout.n_atoms
-    lamb = np.zeros(m)
-    decay = np.zeros(m)
-    exch = np.zeros((m, m))
-    coll = np.zeros((m, m))
-    for j, atom_j in enumerate(layout.atoms):
-        s, c = _pair_sums(atom_j.points, atom_j.points, half=True)
-        lamb[j] = s
-        decay[j] = c
-        for k in range(j + 1, m):
-            s, c = _pair_sums(atom_j.points, layout.atoms[k].points, half=True)
-            exch[j, k] = exch[k, j] = s
-            coll[j, k] = coll[k, j] = c
-    return MasterEqCoefficients(lamb, exch, decay, coll)
+    return _coefficients_from_sums(*coefficient_sums(*_layout_points(layout)))
 
 
-def _two_atom(gamma, dwa, dwb, gab, ga, gb, gc) -> MasterEqCoefficients:
-    return MasterEqCoefficients(
-        lamb_shifts=gamma * np.array([dwa, dwb]),
-        exchange=gamma * np.array([[0.0, gab], [gab, 0.0]]),
-        individual_decay=gamma * np.array([ga, gb]),
-        collective_decay=gamma * np.array([[0.0, gc], [gc, 0.0]]),
-    )
+_ODD = np.array([1.0, 3.0, 5.0, 7.0])
 
 
-def closed_form_braided(gamma: float, theta: float) -> MasterEqCoefficients:
-    """Coefficients for the braided ordering (a, b, a, b), any real theta."""
-    s, c = math.sin, math.cos
-    t = theta
-    dwa = s(2 * t) + s(3 * t) + 0.5 * s(t) + 0.5 * s(5 * t)
-    dwb = s(2 * t) + s(5 * t) + 0.5 * s(3 * t) + 0.5 * s(7 * t)
-    gab = 0.5 * (3 * s(t) + s(3 * t) + s(2 * t) + 2 * s(4 * t) + s(6 * t))
-    ga = 2 + 2 * c(2 * t) + 2 * c(3 * t) + c(t) + c(5 * t)
-    gb = 2 + 2 * c(2 * t) + 2 * c(5 * t) + c(3 * t) + c(7 * t)
-    gc = 3 * c(t) + c(3 * t) + c(2 * t) + 2 * c(4 * t) + c(6 * t)
-    return _two_atom(gamma, dwa, dwb, gab, ga, gb, gc)
+def _canonical_points(kind, gamma: float, theta) -> tuple:
+    """Kernel arguments of a canonical configuration: points at (2i + 1) * theta / 2."""
+    phases = np.asarray(theta, dtype=float)[..., None] * _ODD / 2
+    return phases, np.full(4, gamma), canonical_atom_order(Configuration(kind)), 2
 
 
-def closed_form_separate(gamma: float, theta: float) -> MasterEqCoefficients:
-    """Coefficients for the separate ordering (a, a, b, b), any real theta."""
-    s, c = math.sin, math.cos
-    t = theta
-    dwa = s(t) + s(2 * t) + 0.5 * s(t) + 0.5 * s(3 * t)
-    dwb = s(t) + s(6 * t) + 0.5 * s(5 * t) + 0.5 * s(7 * t)
-    gab = 0.5 * (s(t) + 2 * s(2 * t) + 2 * s(3 * t) + 2 * s(4 * t) + s(5 * t))
-    ga = 2 + 2 * c(t) + c(t) + c(3 * t) + 2 * c(2 * t)
-    gb = 2 + 2 * c(t) + c(5 * t) + c(7 * t) + 2 * c(6 * t)
-    gc = c(t) + 2 * c(2 * t) + 2 * c(3 * t) + 2 * c(4 * t) + c(5 * t)
-    return _two_atom(gamma, dwa, dwb, gab, ga, gb, gc)
+def canonical_sums(kind, gamma: float, theta) -> tuple[np.ndarray, np.ndarray]:
+    """``coefficient_sums`` of a canonical configuration at one theta or a theta array.
+
+    Results carry theta's shape as leading axes.
+    """
+    return coefficient_sums(*_canonical_points(kind, gamma, theta))
 
 
-def closed_form_nested(gamma: float, theta: float) -> MasterEqCoefficients:
-    """Coefficients for the nested ordering (a, b, b, a), any real theta."""
-    s, c = math.sin, math.cos
-    t = theta
-    dwa = s(3 * t) + s(4 * t) + 0.5 * s(t) + 0.5 * s(7 * t)
-    dwb = s(t) + s(4 * t) + 0.5 * s(3 * t) + 0.5 * s(5 * t)
-    gab = 0.5 * (2 * s(t) + 3 * s(2 * t) + s(3 * t) + s(5 * t) + s(6 * t))
-    ga = 2 + 2 * c(3 * t) + 2 * c(4 * t) + c(t) + c(7 * t)
-    gb = 2 + 2 * c(t) + 2 * c(4 * t) + c(3 * t) + c(5 * t)
-    gc = 2 * c(t) + 3 * c(2 * t) + c(3 * t) + c(5 * t) + c(6 * t)
-    return _two_atom(gamma, dwa, dwb, gab, ga, gb, gc)
+def canonical_decay_amplitudes(kind, gamma: float, theta) -> np.ndarray:
+    """Decay amplitudes of a canonical configuration, defined for all theta.
 
-
-_CLOSED_FORMS = {
-    Configuration.BRAIDED: closed_form_braided,
-    Configuration.SEPARATE: closed_form_separate,
-    Configuration.NESTED: closed_form_nested,
-}
+    Shape (2,) for a scalar theta, theta.shape + (2,) for an array.
+    """
+    return amplitude_sums(*_canonical_points(kind, gamma, theta))
 
 
 def canonical_coefficients(kind, gamma: float, theta: float) -> MasterEqCoefficients:
-    """Closed-form coefficients for a canonical configuration kind."""
-    return _CLOSED_FORMS[Configuration(kind)](gamma, theta)
+    """Coefficients of a canonical configuration at one theta, defined for all theta."""
+    return _coefficients_from_sums(*canonical_sums(kind, gamma, theta))
 
 
 def coefficients_for(config: CanonicalConfig) -> MasterEqCoefficients:

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coefficients import (
     ZERO_DECAY_TOL,
     MasterEqCoefficients,
@@ -65,7 +67,7 @@ def check_dfi(
     tol_exchange: float = DEFAULT_TOL_EXCHANGE,
 ) -> bool:
     """True when all decays are closed and some exchange coupling survives."""
-    if tol_decay <= 0 or tol_exchange <= 0:
+    if not (tol_decay > 0 and tol_exchange > 0):  # also rejects NaN
         raise ValueError("tolerances must be positive")
     return coeffs.max_abs_decay() < tol_decay and coeffs.max_abs_exchange() > tol_exchange
 
@@ -122,33 +124,29 @@ def scan_dfi(
         exchange coupling at each.
     """
     kind = Configuration(kind)
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be finite and > 0")
     if grid < 100:
         raise ValueError("grid must be at least 100 points")
-    if theta_max <= theta_min:
-        raise ValueError("theta_max must exceed theta_min")
+    if not (math.isfinite(theta_min) and math.isfinite(theta_max) and theta_max > theta_min):
+        raise ValueError("theta_max must exceed theta_min, both finite")
     tol_decay = DEFAULT_TOL_DECAY * gamma if tol_decay is None else tol_decay
     tol_exchange = DEFAULT_TOL_EXCHANGE * gamma if tol_exchange is None else tol_exchange
 
-    def objective(theta: float) -> float:
-        v = canonical_decay_amplitudes(kind, gamma, theta)
-        return max(abs(v[0]), abs(v[1]))
+    def objective(theta):
+        return np.abs(canonical_decay_amplitudes(kind, gamma, theta)).max(axis=-1)
 
     step = (theta_max - theta_min) / (grid - 1)
-    thetas = [theta_min + i * step for i in range(grid)]
-    values = [objective(t) for t in thetas]
-
-    brackets = []
-    for i in range(grid):
-        left = values[i - 1] if i > 0 else None
-        right = values[i + 1] if i < grid - 1 else None
-        is_min = (left is None or values[i] <= left) and (right is None or values[i] <= right)
-        if is_min:
-            brackets.append((thetas[max(i - 1, 0)], thetas[min(i + 1, grid - 1)]))
+    thetas = theta_min + np.arange(grid) * step
+    values = objective(thetas)
+    # grid-local minima (ties included); the ends compare against one side
+    left = np.concatenate(([np.inf], values[:-1]))
+    right = np.concatenate((values[1:], [np.inf]))
+    minima = np.flatnonzero((values <= left) & (values <= right))
 
     points = []
-    for lo, hi in brackets:
+    for i in minima:
+        lo, hi = float(thetas[max(i - 1, 0)]), float(thetas[min(i + 1, grid - 1)])
         theta_star = _golden_section(objective, lo, hi)
         coeffs = canonical_coefficients(kind, gamma, theta_star)
         if check_dfi(coeffs, tol_decay, tol_exchange):

@@ -4,11 +4,20 @@ The general braided expansion below was derived by hand from the cascade
 composition (two passes through four points with arbitrary per-point rates
 g1..g4, inter-point phases t1..t3, and mirror round trip th) and is kept
 separate from the library code it checks.
+
+The ``closed_form_*`` polynomials are the hand-expanded coefficients of the
+three canonical two-atom setups, valid for any real theta, and
+``pair_sums`` / ``pair_sum_coefficients`` is the scalar double loop over
+connection-point pairs.  The library evaluates both through one vectorised
+kernel; these stay here as derivations independent of it.
 """
 
 import math
 
-from gawsim.model import ConnectionPoint, GiantAtomSpec, build_custom
+import numpy as np
+
+from gawsim.coefficients import MasterEqCoefficients
+from gawsim.model import Configuration, ConnectionPoint, GiantAtomSpec, build_custom
 
 
 def general_braided_layout(g1, g2, g3, g4, t1, t2, t3, theta, omega=0.0):
@@ -55,3 +64,101 @@ def general_braided_expected(g1, g2, g3, g4, t1, t2, t3, th):
         + math.sqrt(g1 * g4) * (s(t1 + t2 + t3) + s(t1 + t2 + t3 + th))
     )
     return dwa, dwb, gx, ga, gb, gcol
+
+
+def pair_sums(points_a, points_b, half: bool) -> tuple[float, float]:
+    """Accumulate the sin (shift/exchange) and cos (decay) double sums.
+
+    ``half`` applies the 1/2 prefactor carried by the shift and exchange
+    formulas; decay sums come without it.
+    """
+    sin_sum = 0.0
+    cos_sum = 0.0
+    for pn in points_a:
+        for pm in points_b:
+            w = math.sqrt(pn.gamma * pm.gamma)
+            diff = abs(pn.phase - pm.phase)
+            summ = pn.phase + pm.phase
+            sin_sum += w * (math.sin(diff) + math.sin(summ))
+            cos_sum += w * (math.cos(diff) + math.cos(summ))
+    if half:
+        sin_sum *= 0.5
+    return sin_sum, cos_sum
+
+
+def pair_sum_coefficients(layout) -> MasterEqCoefficients:
+    """Coefficients of a layout from the scalar pair loop, atom block by block."""
+    m = layout.n_atoms
+    lamb = np.zeros(m)
+    decay = np.zeros(m)
+    exch = np.zeros((m, m))
+    coll = np.zeros((m, m))
+    for j, atom_j in enumerate(layout.atoms):
+        s, c = pair_sums(atom_j.points, atom_j.points, half=True)
+        lamb[j] = s
+        decay[j] = c
+        for k in range(j + 1, m):
+            s, c = pair_sums(atom_j.points, layout.atoms[k].points, half=True)
+            exch[j, k] = exch[k, j] = s
+            coll[j, k] = coll[k, j] = c
+    return MasterEqCoefficients(lamb, exch, decay, coll)
+
+
+def _two_atom(gamma, dwa, dwb, gab, ga, gb, gc) -> MasterEqCoefficients:
+    return MasterEqCoefficients(
+        lamb_shifts=gamma * np.array([dwa, dwb]),
+        exchange=gamma * np.array([[0.0, gab], [gab, 0.0]]),
+        individual_decay=gamma * np.array([ga, gb]),
+        collective_decay=gamma * np.array([[0.0, gc], [gc, 0.0]]),
+    )
+
+
+def closed_form_braided(gamma: float, theta: float) -> MasterEqCoefficients:
+    """Coefficients for the braided ordering (a, b, a, b), any real theta."""
+    s, c = math.sin, math.cos
+    t = theta
+    dwa = s(2 * t) + s(3 * t) + 0.5 * s(t) + 0.5 * s(5 * t)
+    dwb = s(2 * t) + s(5 * t) + 0.5 * s(3 * t) + 0.5 * s(7 * t)
+    gab = 0.5 * (3 * s(t) + s(3 * t) + s(2 * t) + 2 * s(4 * t) + s(6 * t))
+    ga = 2 + 2 * c(2 * t) + 2 * c(3 * t) + c(t) + c(5 * t)
+    gb = 2 + 2 * c(2 * t) + 2 * c(5 * t) + c(3 * t) + c(7 * t)
+    gc = 3 * c(t) + c(3 * t) + c(2 * t) + 2 * c(4 * t) + c(6 * t)
+    return _two_atom(gamma, dwa, dwb, gab, ga, gb, gc)
+
+
+def closed_form_separate(gamma: float, theta: float) -> MasterEqCoefficients:
+    """Coefficients for the separate ordering (a, a, b, b), any real theta."""
+    s, c = math.sin, math.cos
+    t = theta
+    dwa = s(t) + s(2 * t) + 0.5 * s(t) + 0.5 * s(3 * t)
+    dwb = s(t) + s(6 * t) + 0.5 * s(5 * t) + 0.5 * s(7 * t)
+    gab = 0.5 * (s(t) + 2 * s(2 * t) + 2 * s(3 * t) + 2 * s(4 * t) + s(5 * t))
+    ga = 2 + 2 * c(t) + c(t) + c(3 * t) + 2 * c(2 * t)
+    gb = 2 + 2 * c(t) + c(5 * t) + c(7 * t) + 2 * c(6 * t)
+    gc = c(t) + 2 * c(2 * t) + 2 * c(3 * t) + 2 * c(4 * t) + c(5 * t)
+    return _two_atom(gamma, dwa, dwb, gab, ga, gb, gc)
+
+
+def closed_form_nested(gamma: float, theta: float) -> MasterEqCoefficients:
+    """Coefficients for the nested ordering (a, b, b, a), any real theta."""
+    s, c = math.sin, math.cos
+    t = theta
+    dwa = s(3 * t) + s(4 * t) + 0.5 * s(t) + 0.5 * s(7 * t)
+    dwb = s(t) + s(4 * t) + 0.5 * s(3 * t) + 0.5 * s(5 * t)
+    gab = 0.5 * (2 * s(t) + 3 * s(2 * t) + s(3 * t) + s(5 * t) + s(6 * t))
+    ga = 2 + 2 * c(3 * t) + 2 * c(4 * t) + c(t) + c(7 * t)
+    gb = 2 + 2 * c(t) + 2 * c(4 * t) + c(3 * t) + c(5 * t)
+    gc = 2 * c(t) + 3 * c(2 * t) + c(3 * t) + c(5 * t) + c(6 * t)
+    return _two_atom(gamma, dwa, dwb, gab, ga, gb, gc)
+
+
+_CLOSED_FORMS = {
+    Configuration.BRAIDED: closed_form_braided,
+    Configuration.SEPARATE: closed_form_separate,
+    Configuration.NESTED: closed_form_nested,
+}
+
+
+def closed_form_coefficients(kind, gamma: float, theta: float) -> MasterEqCoefficients:
+    """Hand-expanded coefficients of a canonical configuration kind."""
+    return _CLOSED_FORMS[Configuration(kind)](gamma, theta)

@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from oracles import general_braided_expected, general_braided_layout
+from oracles import closed_form_coefficients, general_braided_expected, general_braided_layout
 
 from gawsim.analytic import closed_form_concurrence_braided, concurrence_terms
 from gawsim.cli import main as cli_main
@@ -160,7 +160,7 @@ def test_criterion_6_dual_derivation_equivalence():
             gamma = float(rng.uniform(0.05, 3.0))
             layout = build_canonical(CanonicalConfig(kind, gamma, theta))
             extracted = extract_coefficients(build_network(layout), layout)
-            closed = canonical_coefficients(kind, gamma, theta)
+            closed = closed_form_coefficients(kind, gamma, theta)
             direct = general_coefficients(layout)
             worst = max(worst, _coeff_diff(extracted, closed), _coeff_diff(extracted, direct),
                         _coeff_diff(closed, direct))

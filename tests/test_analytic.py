@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import closed_form_braided
 
 from gawsim.analytic import (
     closed_form_concurrence_braided,
     concurrence_terms,
     uses_ode_fallback,
 )
-from gawsim.coefficients import closed_form_braided
 from gawsim.dynamics import AmplitudeState, amplitude_trajectory
 
 

@@ -252,6 +252,27 @@ def test_invalid_specs_exit_one(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["coeffs", "--config", "braided", "--gamma", "inf"], "--gamma"),
+    (["dfi-scan", "--config", "nested", "--gamma", "nan"], "--gamma"),
+    (["evolve", "--config", "braided", "--theta", "nan"], "--theta"),
+    (["coeffs", "--config", "braided", "--theta-min", "nan"], "--theta-min"),
+    (["coeffs", "--config", "braided", "--theta-max", "inf"], "--theta-max"),
+    (["coeffs", "--config", "braided", "--theta-over-pi", "--theta-max", "1e308"], "--theta-max"),
+    (["evolve", "--config", "braided", "--theta", "0.5", "--t-max", "nan"], "--t-max"),
+    (["evolve", "--config", "braided", "--theta", "0.5", "--t-max", "inf"], "--t-max"),
+    (["evolve", "--config", "braided", "--theta", "0.5", "--dt", "nan"], "--dt"),
+    (["dfi-scan", "--config", "nested", "--tol-decay", "nan"], "--tol-decay"),
+    (["dfi-scan", "--config", "nested", "--tol-exchange", "inf"], "--tol-exchange"),
+    (["verify-slh", "--config", "braided", "--theta", "0.7", "--tol", "nan"], "--tol"),
+])
+def test_non_finite_flag_exits_one(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(

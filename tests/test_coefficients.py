@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
-
-from gawsim.coefficients import (
-    canonical_coefficients,
-    canonical_decay_amplitudes,
+from oracles import (
     closed_form_braided,
+    closed_form_coefficients,
     closed_form_nested,
     closed_form_separate,
+    pair_sum_coefficients,
+)
+
+from gawsim.cli import main as cli_main
+from gawsim.coefficients import (
+    MasterEqCoefficients,
+    canonical_coefficients,
+    canonical_decay_amplitudes,
+    canonical_sums,
     decay_amplitudes,
     general_coefficients,
 )
@@ -179,3 +186,81 @@ def test_three_atom_general_path():
     np.testing.assert_allclose(c.exchange, c.exchange.T, atol=1e-15)
     np.testing.assert_allclose(c.collective_decay, c.collective_decay.T, atol=1e-15)
     assert np.linalg.eigvalsh(c.decay_matrix()).min() >= -1e-12
+
+
+def _table(shift, v):
+    """Kernel output as (N, 6) rows: dw_a, dw_b, g_ab, G_a, G_b, G_coll."""
+    return np.column_stack([
+        shift[:, 0, 0], shift[:, 1, 1], shift[:, 0, 1],
+        2.0 * v[:, 0] ** 2, 2.0 * v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1],
+    ])
+
+
+def _oracle_row(c):
+    return [c.lamb_shifts[0], c.lamb_shifts[1], c.exchange[0, 1],
+            c.individual_decay[0], c.individual_decay[1], c.collective_decay[0, 1]]
+
+
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_kernel_matches_closed_form_oracles(kind):
+    rng = np.random.default_rng(2718)
+    dfi = [k * math.pi / 4 for k in range(9)]
+    thetas = np.concatenate(([0.0], dfi, rng.uniform(0.0, 40.0, size=1000)))
+    for gamma in (1.0, 0.37):
+        got = _table(*canonical_sums(kind, gamma, thetas))
+        want = np.array([_oracle_row(closed_form_coefficients(kind, gamma, float(t))) for t in thetas])
+        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+def _random_layout(rng, n_atoms):
+    counts = rng.integers(1, 4, size=n_atoms)
+    owners = rng.permutation(np.repeat(np.arange(n_atoms), counts))
+    phases = float(rng.uniform(0.0, 0.5)) + np.cumsum(rng.uniform(0.05, 2.0, size=len(owners)))
+    rates = rng.uniform(0.05, 3.0, size=len(owners))
+    return build_custom([
+        GiantAtomSpec(j, tuple(ConnectionPoint(j, float(phases[i]), float(rates[i]))
+                               for i in np.flatnonzero(owners == j)))
+        for j in range(n_atoms)
+    ])
+
+
+def test_kernel_matches_scalar_pair_sums():
+    rng = np.random.default_rng(4242)
+    for _ in range(60):
+        layout = _random_layout(rng, int(rng.integers(1, 9)))
+        assert_coeffs_close(general_coefficients(layout), pair_sum_coefficients(layout), 1e-12)
+
+
+def test_coeffs_table_rows_match_scalar_coefficients(tmp_path):
+    out = tmp_path / "coeffs.csv"
+    for kind in CONFIGS:
+        assert cli_main(["coeffs", "--config", kind.value, "--gamma", "1.3", "--theta-min", "0",
+                         "--theta-max", "25", "--theta-steps", "301", "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", comments="#", skiprows=4)
+        want = [[t, *_oracle_row(canonical_coefficients(kind, 1.3, t))] for t in data[:, 0]]
+        np.testing.assert_allclose(data, want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_canonical_decay_amplitudes_on_an_array(kind):
+    thetas = np.linspace(-1.0, 13.0, 97)
+    batch = canonical_decay_amplitudes(kind, 0.8, thetas)
+    assert batch.shape == (97, 2)
+    for theta, row in zip(thetas, batch):
+        np.testing.assert_allclose(row, canonical_decay_amplitudes(kind, 0.8, float(theta)), atol=1e-15, rtol=0)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]),
+    np.array([[0.0, np.nan], [np.nan, 0.0]]),
+])
+@pytest.mark.parametrize("field", ["exchange", "collective_decay"])
+def test_symmetry_check_rejects_asymmetric_and_nan(bad, field):
+    args = {"lamb_shifts": np.zeros(2), "exchange": np.zeros((2, 2)),
+            "individual_decay": np.zeros(2), "collective_decay": np.zeros((2, 2))}
+    args[field] = bad
+    with pytest.raises(ValueError, match="symmetric"):
+        MasterEqCoefficients(**args)
+    # an asymmetry within the 1e-12 tolerance is still accepted
+    args[field] = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
+    MasterEqCoefficients(**args)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import closed_form_braided, closed_form_separate
 
-from gawsim.coefficients import canonical_coefficients, closed_form_braided, closed_form_separate
+from gawsim.coefficients import canonical_coefficients
 from gawsim.dfi import check_dfi, scan_dfi
 from gawsim.dynamics import AmplitudeState, evolve_amplitudes
 from gawsim.model import Configuration
@@ -27,6 +28,13 @@ def test_check_dfi_separate_half_pi():
 def test_check_dfi_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         check_dfi(closed_form_braided(1.0, PI / 2), tol_decay=0.0)
+
+
+@pytest.mark.parametrize("bad", [{"gamma": math.nan}, {"gamma": math.inf}, {"theta_max": math.nan},
+                                 {"tol_decay": math.nan}, {"tol_exchange": math.nan}])
+def test_scan_rejects_non_finite_arguments(bad):
+    with pytest.raises(ValueError):
+        scan_dfi("nested", grid=200, **bad)
 
 
 def test_scan_braided_finds_half_and_three_half_pi():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import closed_form_braided
 
-from gawsim.coefficients import MasterEqCoefficients, canonical_coefficients, closed_form_braided
+from gawsim.coefficients import MasterEqCoefficients, canonical_coefficients
 from gawsim.dynamics import (
     AmplitudeState,
     amplitude_trajectory,
