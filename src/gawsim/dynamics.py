@@ -4,17 +4,34 @@ Two routes from coefficients to dynamics:
 
 1.  Full Lindblad master equation on the density matrix,
 
-        drho/dt = -i[H, rho] + sum_j G_j D[sm_j] rho
-                  + sum_{j<k} Gc_jk [ (sm_j rho sp_k - {sp_k sm_j, rho}/2) + h.c. ]
+        drho/dt = -i[H, rho] + sum_jk G_jk (sm_j rho sp_k - {sp_k sm_j, rho}/2)
 
-    integrated with fixed-step classical fourth-order Runge-Kutta.  The
-    generator is linear and time independent, so one RK4 step is the fixed
-    polynomial I + A + A^2/2 + A^3/6 + A^4/24 in A = dt * (superoperator);
-    for small systems the step is applied as a single matrix-vector product,
-    which is arithmetically the same scheme.  Trace and Hermiticity are
-    checked every step, the spectrum every ``positivity_every`` steps
-    (eigendecompositions dominate the cost otherwise; drift between samples
-    is bounded by the per-step checks).
+    with G the real symmetric decay matrix.  Its eigendecomposition
+    G = sum_r lam_r u_r u_r^T turns the M**2 pairwise jump terms into a few
+    collective jump operators L_r = sum_j u_jr sm_j (Lehmberg, PRA 2, 883
+    (1970)):
+
+        drho/dt = K rho + rho K^dag + sum_r lam_r L_r rho L_r^dag,
+        K = -iH - (1/2) sum_r lam_r L_r^dag L_r.
+
+    The mirror makes G rank one (G = 2 v v^T), so mirror layouts have one
+    jump term.  ``_generator`` is the one place that builds K and the jump
+    terms; the right-hand side, the superoperator and the RK4 stepper all
+    take them from there.
+
+    The equation is integrated with fixed-step classical fourth-order
+    Runge-Kutta.  The generator is linear and time independent, so one RK4
+    step is the fixed polynomial S = I + A + A^2/2 + A^3/6 + A^4/24 in
+    A = dt * (superoperator).  Up to M = 4 atoms S is built as a dense
+    matrix on vec(rho), and the powers S, S^2, ..., S^B (B from a fixed
+    1 MiB budget: 256 at M = 2, 16 at M = 3, 1 at M = 4) advance B steps in
+    one stacked product.  From M = 5 on, S would take 16 MiB or more and
+    cost more to build than it saves, so each step applies the four RK4
+    stages to rho in operator form.  Both paths are the same scheme up to
+    roundoff.  Every step is still checked: trace and Hermiticity on every
+    step, the spectrum every ``positivity_every`` steps (eigendecompositions
+    dominate the cost otherwise; drift between samples is bounded by the
+    per-step checks).
 
 2.  The single-excitation sector of two atoms, where removing the jump
     terms leaves a non-Hermitian 2x2 effective Hamiltonian acting on the
@@ -48,8 +65,17 @@ EIG_FLOOR = -1e-8
 NORM_TOL = 1e-9
 
 #: Largest Hilbert-space dimension for which the RK4 step is precompiled
-#: into a dense one-step superoperator (dim**2 x dim**2 matrix).
-_SUPEROP_DIM_CAP = 32
+#: into a dense one-step superoperator (dim**2 x dim**2 matrix); above it
+#: the step is applied in operator form.
+_SUPEROP_DIM_CAP = 16
+
+#: Memory for the precomputed powers of the one-step matrix, and the most
+#: steps one stacked product advances.
+_STEP_POWERS_BYTES = 1 << 20
+_MAX_BLOCK = 256
+
+#: Largest number of fixed RK4 steps ``evolve_lindblad`` takes.
+MAX_RK4_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -112,12 +138,24 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise NumericalFailure(f"density matrix eigenvalue {lo:.3e} below floor")
 
 
-def _check_decay_physical(coeffs: MasterEqCoefficients) -> None:
+def _decay_channels(coeffs: MasterEqCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam_r and eigenvectors U[:, r] of the decay matrix.
+
+    Raises on an eigenvalue below -1e-9 * max(1, max|G|).  Eigenvalues at
+    decomposition round-off, |lam_r| <= M * eps * max|lam|, are dropped; the
+    rest keep their sign, so a tolerated small negative one stays exact.
+    """
     mat = coeffs.decay_matrix()
+    lam, vecs = np.linalg.eigh(mat)
     scale = max(1.0, float(np.abs(mat).max()))
-    lo = float(np.linalg.eigvalsh(mat).min())
-    if lo < -1e-9 * scale:
-        raise NumericalFailure(f"decay matrix eigenvalue {lo:.3e} is negative (unphysical)")
+    if lam[0] < -1e-9 * scale:
+        raise NumericalFailure(f"decay matrix eigenvalue {lam[0]:.3e} is negative (unphysical)")
+    keep = np.abs(lam) > coeffs.n_atoms * np.finfo(float).eps * np.abs(lam).max()
+    return lam[keep], vecs[:, keep]
+
+
+def _check_decay_physical(coeffs: MasterEqCoefficients) -> None:
+    _decay_channels(coeffs)
 
 
 def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
@@ -136,16 +174,33 @@ def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
     return h
 
 
-def _drift_operator(coeffs: MasterEqCoefficients) -> np.ndarray:
-    """K = -iH - (1/2) sum_jk decay_jk sp_k sm_j; rhs = K rho + rho K^dag + jumps."""
+def _generator(coeffs: MasterEqCoefficients):
+    """Drift K and jump terms [(lam_r, L_r, L_r^dag)] of the master equation.
+
+    drho/dt = K rho + rho K^dag + sum_r lam_r L_r rho L_r^dag with
+    L_r = sum_j U_jr sm_j and K = -iH - (1/2) sum_r lam_r L_r^dag L_r, from
+    the eigendecomposition decay_matrix = U diag(lam) U^T.  Raises on an
+    unphysical decay matrix.
+    """
     m = coeffs.n_atoms
+    lam, vecs = _decay_channels(coeffs)
+    lowering = np.array([slh.sigma_minus(j, m) for j in range(m)])
     k_op = -1j * hamiltonian_matrix(coeffs)
-    dec = coeffs.decay_matrix()
-    for j in range(m):
-        for k in range(m):
-            if dec[j, k] != 0.0:
-                k_op -= 0.5 * dec[j, k] * (slh.sigma_plus(k, m) @ slh.sigma_minus(j, m))
-    return k_op
+    jumps = []
+    for r in range(len(lam)):
+        l_op = np.tensordot(vecs[:, r], lowering, axes=1)
+        l_dag = l_op.conj().T
+        k_op -= 0.5 * lam[r] * (l_dag @ l_op)
+        jumps.append((float(lam[r]), l_op, l_dag))
+    return k_op, jumps
+
+
+def _apply_generator(rho: np.ndarray, k_op: np.ndarray, k_dag: np.ndarray, jumps) -> np.ndarray:
+    """drho/dt from the output of ``_generator`` (k_dag = K^dag)."""
+    out = k_op @ rho + rho @ k_dag
+    for lam, l_op, l_dag in jumps:
+        out += lam * (l_op @ rho @ l_dag)
+    return out
 
 
 def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
@@ -154,33 +209,72 @@ def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
     Trace of the result is zero up to roundoff.  Raises on an unphysical
     decay matrix (negative eigenvalue beyond tolerance).
     """
-    _check_decay_physical(coeffs)
+    k_op, jumps = _generator(coeffs)
     m = coeffs.n_atoms
     if rho.shape != (2 ** m, 2 ** m):
         raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
-    k_op = _drift_operator(coeffs)
-    out = k_op @ rho + rho @ k_op.conj().T
-    dec = coeffs.decay_matrix()
-    for j in range(m):
-        for k in range(m):
-            if dec[j, k] != 0.0:
-                out += dec[j, k] * (slh.sigma_minus(j, m) @ rho @ slh.sigma_plus(k, m))
-    return out
+    return _apply_generator(rho, k_op, k_op.conj().T, jumps)
 
 
 def _superoperator(coeffs: MasterEqCoefficients) -> np.ndarray:
     """Matrix of the generator acting on row-major vec(rho)."""
-    m = coeffs.n_atoms
-    dim = 2 ** m
-    eye = np.eye(dim, dtype=complex)
-    k_op = _drift_operator(coeffs)
+    k_op, jumps = _generator(coeffs)
+    eye = np.eye(len(k_op), dtype=complex)
     sup = np.kron(k_op, eye) + np.kron(eye, k_op.conj())
-    dec = coeffs.decay_matrix()
-    for j in range(m):
-        for k in range(m):
-            if dec[j, k] != 0.0:
-                sup += dec[j, k] * np.kron(slh.sigma_minus(j, m), slh.sigma_minus(k, m).conj())
+    for lam, l_op, _ in jumps:
+        sup += lam * np.kron(l_op, l_op.conj())
     return sup
+
+
+def _step_powers(coeffs: MasterEqCoefficients, dt: float, n_steps: int) -> np.ndarray:
+    """Stack S, S^2, ..., S^B of the one-step RK4 matrix S on vec(rho).
+
+    S = I + A + A^2/2 + A^3/6 + A^4/24 with A = dt * superoperator.  B is as
+    many powers as fit in ``_STEP_POWERS_BYTES`` (at least 1, at most
+    ``_MAX_BLOCK`` and ``n_steps``).
+    """
+    a = dt * _superoperator(coeffs)
+    step = np.eye(len(a), dtype=complex) + a
+    power = a
+    for order in range(2, 5):
+        power = power @ a / order
+        step = step + power
+    count = max(1, min(_MAX_BLOCK, _STEP_POWERS_BYTES // step.nbytes, n_steps))
+    powers = np.empty((count, *step.shape), dtype=complex)
+    powers[0] = step
+    for b in range(1, count):
+        np.matmul(powers[b - 1], step, out=powers[b])
+    return powers
+
+
+def _check_states(states: np.ndarray, first: int, positivity_every: int) -> None:
+    """Invariants of the states after steps first, first + 1, ...
+
+    Trace and Hermiticity on every step, the spectrum on steps divisible by
+    ``positivity_every``.  Raises at the earliest failing step, with the
+    checks of one step in the order trace, Hermiticity, spectrum; a NaN
+    residue fails its check.
+    """
+    steps = np.arange(first, first + len(states))
+    tr_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    herm_err = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    tr_ok = tr_err <= TRACE_TOL
+    herm_ok = herm_err <= HERM_TOL
+    lo = np.full(len(states), np.inf)
+    if positivity_every:
+        due = (steps % positivity_every == 0) & tr_ok & herm_ok
+        if due.any():
+            lo[due] = np.linalg.eigvalsh(states[due]).min(axis=1)
+    ok = tr_ok & herm_ok & (lo >= EIG_FLOOR)
+    if ok.all():
+        return
+    n = int(np.argmin(ok))
+    i = int(steps[n])
+    if not tr_ok[n]:
+        raise NumericalFailure(f"trace drifted by {tr_err[n]:.3e} at step {i}")
+    if not herm_ok[n]:
+        raise NumericalFailure(f"Hermiticity residue {herm_err[n]:.3e} at step {i}")
+    raise NumericalFailure(f"eigenvalue {lo[n]:.3e} below floor at step {i}")
 
 
 def recommended_timestep(coeffs: MasterEqCoefficients, gamma: float = 1.0) -> float:
@@ -211,7 +305,8 @@ def evolve_lindblad(
     coeffs : MasterEqCoefficients
         Interaction-picture coefficients; decay matrix must be physical.
     t_max, dt : float
-        Horizon and step, in units of 1/gamma.
+        Horizon and step, in units of 1/gamma.  floor(t_max / dt) may not
+        exceed ``MAX_RK4_STEPS``.
     store_every : int, optional
         Keep every n-th step (plus t = 0 and the final step).  Default
         keeps at most ~2000 interior snapshots.
@@ -227,6 +322,21 @@ def evolve_lindblad(
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
+    # fixed-step grid; never steps past t_max (final time may fall short of
+    # t_max when it is not a multiple of dt)
+    steps_needed = t_max / dt + 1e-9
+    if steps_needed >= MAX_RK4_STEPS + 1:
+        raise ValueError(
+            f"t_max={t_max:g} and dt={dt:g} need {steps_needed:.4g} RK4 steps, "
+            f"more than MAX_RK4_STEPS={MAX_RK4_STEPS}"
+        )
+    n_steps = int(math.floor(steps_needed))
+    if store_every is None:
+        store_every = max(1, n_steps // 2000)
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
     _check_decay_physical(coeffs)
     validate_density_matrix(rho0)
     m = coeffs.n_atoms
@@ -236,72 +346,47 @@ def evolve_lindblad(
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 shape {rho0.shape} does not match {m} atoms")
 
-    # fixed-step grid; never steps past t_max (final time may fall short of
-    # t_max when it is not a multiple of dt)
-    n_steps = int(math.floor(t_max / dt + 1e-9))
-    if store_every is None:
-        store_every = max(1, n_steps // 2000)
-
+    rho = rho0.astype(complex)
     use_superop = dim <= _SUPEROP_DIM_CAP
     if use_superop:
-        a = dt * _superoperator(coeffs)
-        step = np.eye(dim * dim, dtype=complex)
-        power = np.eye(dim * dim, dtype=complex)
-        for order in range(1, 5):
-            power = power @ a / order
-            step = step + power
-        vec = rho0.astype(complex).reshape(-1)
+        powers = _step_powers(coeffs, dt, n_steps)
+        block = len(powers)
+        # one (block * d^2, d^2) matrix-vector product advances a whole block
+        stacked = powers.reshape(block * dim * dim, dim * dim)
     else:
-        k_op = _drift_operator(coeffs)
-        dec = coeffs.decay_matrix()
-        jumps = [
-            (dec[j, k], slh.sigma_minus(j, m), slh.sigma_plus(k, m))
-            for j in range(m)
-            for k in range(m)
-            if dec[j, k] != 0.0
-        ]
+        block = 1
+        k_op, jumps = _generator(coeffs)
+        k_dag = k_op.conj().T
 
         def rhs(r):
-            out = k_op @ r + r @ k_op.conj().T
-            for w, lo, hi in jumps:
-                out += w * (lo @ r @ hi)
-            return out
+            return _apply_generator(r, k_op, k_dag, jumps)
 
-        rho = rho0.astype(complex)
-
-    times = [0.0]
-    stored = [rho0.astype(complex).copy()]
-    for i in range(1, n_steps + 1):
+    times = [np.zeros(1)]
+    stored = [rho[None].copy()]
+    done = 0
+    while done < n_steps:
+        count = min(block, n_steps - done)
         if use_superop:
-            vec = step @ vec
-            rho = vec.reshape(dim, dim)
+            states = (stacked[: count * dim * dim] @ rho.reshape(-1)).reshape(count, dim, dim)
+            rho = states[-1]
         else:
             k1 = rhs(rho)
             k2 = rhs(rho + 0.5 * dt * k1)
             k3 = rhs(rho + 0.5 * dt * k2)
             k4 = rhs(rho + dt * k3)
             rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states = rho[None]
+        _check_states(states, done + 1, positivity_every)
+        steps = np.arange(done + 1, done + count + 1)
+        keep = (steps % store_every == 0) | (steps == n_steps)
+        if keep.any():
+            times.append(steps[keep] * dt)
+            stored.append(states[keep])
+        done += count
 
-        tr_err = abs(np.trace(rho) - 1.0)
-        if tr_err > TRACE_TOL:
-            raise NumericalFailure(f"trace drifted by {tr_err:.3e} at step {i}")
-        herm_err = float(np.abs(rho - rho.conj().T).max())
-        if herm_err > HERM_TOL:
-            raise NumericalFailure(f"Hermiticity residue {herm_err:.3e} at step {i}")
-        if positivity_every and i % positivity_every == 0:
-            lo = float(np.linalg.eigvalsh(rho).min())
-            if lo < EIG_FLOOR:
-                raise NumericalFailure(f"eigenvalue {lo:.3e} below floor at step {i}")
-
-        if i % store_every == 0 or i == n_steps:
-            times.append(i * dt)
-            stored.append(rho.copy())
-
-    states = np.array(stored)
-    conc = None
-    if m == 2:
-        conc = np.array([wootters_concurrence(r) for r in states])
-    return TrajectoryRecord(np.array(times), states, conc, kind="density")
+    states = np.concatenate(stored)
+    conc = _wootters_concurrences(states) if m == 2 else None
+    return TrajectoryRecord(np.concatenate(times), states, conc, kind="density")
 
 
 def effective_hamiltonian(coeffs: MasterEqCoefficients) -> np.ndarray:
@@ -424,3 +509,12 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     lam = np.sqrt(evals)
     lam.sort()
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+
+
+def _wootters_concurrences(states: np.ndarray) -> np.ndarray:
+    """``wootters_concurrence`` of each (4, 4) matrix in a (T, 4, 4) stack."""
+    rho_tilde = states @ _SY_SY @ states.conj() @ _SY_SY
+    evals = np.clip(np.linalg.eigvals(rho_tilde).real, 0.0, None)
+    evals[evals < 1e-12 * evals.max(axis=1, keepdims=True)] = 0.0
+    lam = np.sort(np.sqrt(evals), axis=1)
+    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])

@@ -23,6 +23,7 @@ arbitrary validated layouts (per-point rates and spacings).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,6 +75,9 @@ class ConnectionPoint:
     gamma: float
 
     def __post_init__(self):
+        for name, value in (("phase", self.phase), ("gamma", self.gamma)):
+            if not math.isfinite(value):
+                raise LayoutError(f"connection point {name} must be finite, got {value}")
         if self.phase < 0:
             raise LayoutError(f"connection point phase must be >= 0, got {self.phase}")
         if self.gamma < 0:
@@ -97,6 +101,8 @@ class GiantAtomSpec:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise LayoutError(f"atom {self.atom_id} has no connection points")
+        if not math.isfinite(self.omega):
+            raise LayoutError(f"atom {self.atom_id} omega must be finite, got {self.omega}")
         for p in self.points:
             if p.atom_id != self.atom_id:
                 raise LayoutError(

@@ -5,6 +5,12 @@ composition (two passes through four points with arbitrary per-point rates
 g1..g4, inter-point phases t1..t3, and mirror round trip th) and is kept
 separate from the library code it checks.
 
+``pairwise_lindblad_rhs`` is the master-equation right-hand side written
+term by term over atom pairs (j, k) of the decay matrix, and
+``first_check_failure`` the per-step trace / Hermiticity / spectrum check
+loop; the library builds the generator from the eigendecomposition of the
+decay matrix and checks states a block of steps at a time.
+
 The ``closed_form_*`` polynomials are the hand-expanded coefficients of the
 three canonical two-atom setups, valid for any real theta, and
 ``pair_sums`` / ``pair_sum_coefficients`` is the scalar double loop over
@@ -16,6 +22,7 @@ import math
 
 import numpy as np
 
+from gawsim import dynamics, slh
 from gawsim.coefficients import MasterEqCoefficients
 from gawsim.model import Configuration, ConnectionPoint, GiantAtomSpec, build_custom
 
@@ -162,3 +169,55 @@ _CLOSED_FORMS = {
 def closed_form_coefficients(kind, gamma: float, theta: float) -> MasterEqCoefficients:
     """Hand-expanded coefficients of a canonical configuration kind."""
     return _CLOSED_FORMS[Configuration(kind)](gamma, theta)
+
+
+def pairwise_drift_operator(coeffs: MasterEqCoefficients) -> np.ndarray:
+    """K = -iH - (1/2) sum_jk decay_jk sp_k sm_j; rhs = K rho + rho K^dag + jumps."""
+    m = coeffs.n_atoms
+    k_op = -1j * dynamics.hamiltonian_matrix(coeffs)
+    dec = coeffs.decay_matrix()
+    for j in range(m):
+        for k in range(m):
+            if dec[j, k] != 0.0:
+                k_op -= 0.5 * dec[j, k] * (slh.sigma_plus(k, m) @ slh.sigma_minus(j, m))
+    return k_op
+
+
+def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
+    """Right-hand side drho/dt of the master equation.
+
+    Trace of the result is zero up to roundoff.  Raises on an unphysical
+    decay matrix (negative eigenvalue beyond tolerance).
+    """
+    dynamics._check_decay_physical(coeffs)
+    m = coeffs.n_atoms
+    if rho.shape != (2 ** m, 2 ** m):
+        raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
+    k_op = pairwise_drift_operator(coeffs)
+    out = k_op @ rho + rho @ k_op.conj().T
+    dec = coeffs.decay_matrix()
+    for j in range(m):
+        for k in range(m):
+            if dec[j, k] != 0.0:
+                out += dec[j, k] * (slh.sigma_minus(j, m) @ rho @ slh.sigma_plus(k, m))
+    return out
+
+
+def first_check_failure(states, positivity_every: int):
+    """Message of the first failing per-step check on states[i] = state after step i + 1.
+
+    The tolerances are read from ``gawsim.dynamics`` at call time; None if
+    every check passes.
+    """
+    for i, rho in enumerate(states, start=1):
+        tr_err = abs(np.trace(rho) - 1.0)
+        if tr_err > dynamics.TRACE_TOL:
+            return f"trace drifted by {tr_err:.3e} at step {i}"
+        herm_err = float(np.abs(rho - rho.conj().T).max())
+        if herm_err > dynamics.HERM_TOL:
+            return f"Hermiticity residue {herm_err:.3e} at step {i}"
+        if positivity_every and i % positivity_every == 0:
+            lo = float(np.linalg.eigvalsh(rho).min())
+            if lo < dynamics.EIG_FLOOR:
+                return f"eigenvalue {lo:.3e} below floor at step {i}"
+    return None

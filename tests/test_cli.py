@@ -293,3 +293,28 @@ def test_identical_specs_byte_identical(tmp_path):
     assert main([*args, "--out", str(a)]) == 0
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field,name", [("phi", "phase"), ("gamma", "gamma"), ("omega", "omega")])
+def test_coeffs_layout_non_finite_value_exits_one(tmp_path, capsys, field, name, value):
+    values = {"phi": "0.5", "gamma": "1.0", "omega": "0.0", field: value}
+    layout = tmp_path / "layout.json"
+    layout.write_text(
+        '{"atoms": [{"id": 0, "omega": %(omega)s, "points": [{"phi": %(phi)s, "gamma": 1.0}]},'
+        ' {"id": 1, "points": [{"phi": 1.5, "gamma": %(gamma)s}]}]}' % values
+    )
+    out = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--layout", str(layout), "--out", str(out)]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_lindblad_step_budget_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["evolve", "--config", "braided", "--theta", "0", "--method", "lindblad",
+            "--t-max", "1e9", "--dt", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "t_max" in err and "dt" in err and "MAX_RK4_STEPS" in err
+    assert not out.exists()

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import closed_form_braided
+from oracles import closed_form_braided, first_check_failure, pairwise_lindblad_rhs
 
+import gawsim.dynamics as dyn
 from gawsim.coefficients import MasterEqCoefficients, canonical_coefficients
 from gawsim.dynamics import (
     AmplitudeState,
@@ -329,3 +330,190 @@ def test_lindblad_dense_cap_rejected():
 def test_recommended_timestep_scales_with_rates():
     coeffs = closed_form_braided(1.0, 0.0)  # total decay 16
     assert recommended_timestep(coeffs) == pytest.approx(1e-3 / 16.0)
+
+
+# ------------------------------------------- generator and integration paths
+
+
+def _mirror_coeffs(rng, m):
+    from gawsim.coefficients import general_coefficients
+    from gawsim.model import ConnectionPoint, GiantAtomSpec, build_custom
+
+    n = 2 * m
+    phases = 0.2 + np.cumsum(rng.uniform(0.2, 1.0, n))
+    owner = rng.permutation(np.repeat(np.arange(m), 2))
+    rates = rng.uniform(0.3, 1.0, n)
+    atoms = [
+        GiantAtomSpec(j, tuple(ConnectionPoint(j, float(phases[i]), float(rates[i]))
+                               for i in range(n) if owner[i] == j))
+        for j in range(m)
+    ]
+    return general_coefficients(build_custom(atoms))
+
+
+def _mixed_state(rng, dim):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho)
+
+
+def _coeffs_with_decay(rng, decay):
+    m = len(decay)
+    exch = rng.normal(size=(m, m))
+    exch = exch + exch.T
+    np.fill_diagonal(exch, 0.0)
+    coll = decay.copy()
+    np.fill_diagonal(coll, 0.0)
+    return MasterEqCoefficients(rng.normal(size=m), exch, np.diag(decay).copy(), coll)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_rhs_matches_pairwise_oracle_on_mirror_layouts(m):
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        coeffs = _mirror_coeffs(rng, m)
+        assert len(dyn._generator(coeffs)[1]) == 1  # rank-one decay: one jump term
+        rho = _mixed_state(rng, 2 ** m)
+        np.testing.assert_allclose(
+            lindblad_rhs(rho, coeffs), pairwise_lindblad_rhs(rho, coeffs), atol=1e-12, rtol=0
+        )
+
+
+def test_rhs_matches_pairwise_oracle_full_rank_decay():
+    rng = np.random.default_rng(21)
+    b = rng.normal(size=(3, 3))
+    coeffs = _coeffs_with_decay(rng, b @ b.T)
+    assert len(dyn._generator(coeffs)[1]) == 3
+    for _ in range(3):
+        rho = _mixed_state(rng, 8)
+        np.testing.assert_allclose(
+            lindblad_rhs(rho, coeffs), pairwise_lindblad_rhs(rho, coeffs), atol=1e-12, rtol=0
+        )
+
+
+def test_rhs_keeps_tolerated_negative_decay_eigenvalue():
+    rng = np.random.default_rng(22)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    decay = u @ np.diag([2.0, 1.0, -5e-10]) @ u.T
+    coeffs = _coeffs_with_decay(rng, 0.5 * (decay + decay.T))
+    lams = sorted(lam for lam, _, _ in dyn._generator(coeffs)[1])
+    assert lams[0] == pytest.approx(-5e-10, rel=1e-5)
+    rho = _mixed_state(rng, 8)
+    np.testing.assert_allclose(
+        lindblad_rhs(rho, coeffs), pairwise_lindblad_rhs(rho, coeffs), atol=1e-12, rtol=0
+    )
+
+
+@pytest.mark.parametrize("m,n_steps", [(2, 600), (3, 50), (4, 20)])
+def test_blocked_step_matrix_matches_direct_rk4(monkeypatch, m, n_steps):
+    rng = np.random.default_rng(30 + m)
+    coeffs = _mirror_coeffs(rng, m)
+    rho0 = _mixed_state(rng, 2 ** m)
+    dt = 2e-3
+    blocked = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
+    direct = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
+    assert len(blocked.states) == n_steps + 1
+    np.testing.assert_array_equal(blocked.times, direct.times)
+    np.testing.assert_allclose(blocked.states, direct.states, atol=1e-12, rtol=0)
+
+
+def test_direct_rk4_matches_forced_step_matrix_at_five_atoms(monkeypatch):
+    rng = np.random.default_rng(35)
+    coeffs = _mirror_coeffs(rng, 5)
+    rho0 = _mixed_state(rng, 32)
+    direct = evolve_lindblad(rho0, coeffs, t_max=0.02, dt=2e-3, store_every=1)
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 32)
+    forced = evolve_lindblad(rho0, coeffs, t_max=0.02, dt=2e-3, store_every=1)
+    assert len(direct.states) == 11
+    np.testing.assert_allclose(direct.states, forced.states, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("cap", [dyn._SUPEROP_DIM_CAP, 1])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("tolerances,step", [
+    ({"TRACE_TOL": -1.0}, 1),
+    ({"HERM_TOL": -1.0}, 1),
+    ({"EIG_FLOOR": 1.0}, 7),
+    ({"TRACE_TOL": -1.0, "HERM_TOL": -1.0, "EIG_FLOOR": 1.0}, 1),
+    ({"HERM_TOL": -1.0, "EIG_FLOOR": 1.0}, 1),
+])
+def test_checks_trip_like_the_per_step_loop(monkeypatch, cap, m, tolerances, step):
+    rng = np.random.default_rng(40 + m)
+    coeffs = _mirror_coeffs(rng, m)
+    rho0 = _mixed_state(rng, 2 ** m)
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
+    reference = evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=1, positivity_every=7)
+    for name, value in tolerances.items():
+        monkeypatch.setattr(dyn, name, value)
+    # the tolerances are meant to trip during stepping, not on rho0
+    monkeypatch.setattr(dyn, "validate_density_matrix", lambda rho: None)
+    expected = first_check_failure(reference.states[1:], positivity_every=7)
+    assert expected.endswith(f"at step {step}")
+    with pytest.raises(NumericalFailure) as exc:
+        evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=1, positivity_every=7)
+    assert str(exc.value) == expected
+
+
+def test_batched_concurrence_matches_scalar():
+    rng = np.random.default_rng(50)
+    states = []
+    for rank in (4, 4, 4, 1, 1, 2, 3):
+        for _ in range(20):
+            raw = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = raw @ raw.conj().T
+            states.append(rho / np.trace(rho))
+    states.append(rho_eg())
+    states = np.array(states)
+    scalar = np.array([wootters_concurrence(rho) for rho in states])
+    assert scalar.max() > 0.5 and (scalar == 0).any()
+    np.testing.assert_allclose(dyn._wootters_concurrences(states), scalar, atol=1e-14, rtol=0)
+
+
+def test_lindblad_step_budget(monkeypatch):
+    coeffs = closed_form_braided(1.0, 0.0)
+
+    def never(*args):
+        raise AssertionError("operators built before the step budget was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "_generator", never)
+        patch.setattr(dyn, "_step_powers", never)
+        with pytest.raises(ValueError, match=r"t_max=1e\+09 and dt=1 .*MAX_RK4_STEPS"):
+            evolve_lindblad(rho_eg(), coeffs, t_max=1e9, dt=1.0)
+    monkeypatch.setattr(dyn, "MAX_RK4_STEPS", 100)
+    assert len(evolve_lindblad(rho_eg(), coeffs, t_max=0.1, dt=1e-3, store_every=1).times) == 101
+    with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
+        evolve_lindblad(rho_eg(), coeffs, t_max=0.101, dt=1e-3)
+
+
+@pytest.mark.parametrize("t_max,dt", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
+                                      (1e300, 1e-300)])
+def test_lindblad_rejects_non_finite_or_huge_horizon(t_max, dt):
+    with pytest.raises(ValueError, match="t_max"):
+        evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.5), t_max=t_max, dt=dt)
+
+
+@pytest.mark.parametrize("cap", [dyn._SUPEROP_DIM_CAP, 1])
+def test_lindblad_stores_every_nth_and_final_step(monkeypatch, cap):
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
+    coeffs = closed_form_braided(1.0, 0.7)
+    record = evolve_lindblad(rho_eg(), coeffs, t_max=0.6005, dt=1e-3, store_every=250)
+    np.testing.assert_array_equal(record.times, np.array([0, 250, 500, 600]) * 1e-3)
+    every = evolve_lindblad(rho_eg(), coeffs, t_max=0.6005, dt=1e-3, store_every=1)
+    np.testing.assert_array_equal(record.states, every.states[[0, 250, 500, 600]])
+
+
+def test_lindblad_rejects_store_every_below_one():
+    with pytest.raises(ValueError, match="store_every"):
+        evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.5), t_max=0.1, dt=1e-3, store_every=0)
+
+
+@pytest.mark.parametrize("cap", [dyn._SUPEROP_DIM_CAP, 1])
+def test_lindblad_nan_state_fails_at_first_step(monkeypatch, cap):
+    # a NaN residue compares False against every tolerance; it must still fail
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
+    z = np.zeros((2, 2))
+    coeffs = MasterEqCoefficients(np.array([np.nan, 0.0]), z, np.zeros(2), z.copy())
+    with pytest.raises(NumericalFailure, match="trace drifted by nan at step 1$"):
+        evolve_lindblad(rho_eg(), coeffs, t_max=0.01, dt=1e-3)

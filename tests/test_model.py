@@ -128,3 +128,29 @@ def test_json_malformed_rejected():
         layout_from_json("not json")
     with pytest.raises(LayoutError):
         layout_from_json('{"atoms": [{"id": 0}]}')
+
+
+_NON_FINITE = ("NaN", "Infinity", "-Infinity")
+
+
+def _layout_text(phi="0.5", gamma="1.0", omega="0.0"):
+    return (
+        '{"atoms": [{"id": 0, "omega": %s, "points": [{"phi": %s, "gamma": 1.0}]},'
+        ' {"id": 1, "points": [{"phi": 1.5, "gamma": %s}]}]}' % (omega, phi, gamma)
+    )
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("field,name", [("phi", "phase"), ("gamma", "gamma"), ("omega", "omega")])
+def test_json_non_finite_value_rejected(field, name, value):
+    with pytest.raises(LayoutError, match=f"{name} must be finite"):
+        layout_from_json(_layout_text(**{field: value}))
+
+
+def test_non_finite_point_and_omega_rejected_directly():
+    with pytest.raises(LayoutError, match="phase must be finite"):
+        ConnectionPoint(0, math.nan, 1.0)
+    with pytest.raises(LayoutError, match="gamma must be finite"):
+        ConnectionPoint(0, 0.5, math.inf)
+    with pytest.raises(LayoutError, match="omega must be finite"):
+        GiantAtomSpec(0, (ConnectionPoint(0, 0.5, 1.0),), -math.inf)
