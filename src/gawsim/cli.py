@@ -15,8 +15,7 @@ specification, 2 numerical failure (including a verify-slh mismatch).
 Output files start with '#' comment lines recording the package version,
 the resolved run specification, and the tolerances in force, so a table
 can always be traced back to the exact invocation.  Identical
-specifications produce byte-identical files; sweep cells are computed in
-parallel but merged in grid order.
+specifications produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,6 +41,10 @@ from .model import (
 
 TWO_PI = 2.0 * math.pi
 
+#: Largest theta grid, time grid, DFI scan grid or sweep cell count
+#: (theta x t) accepted; a larger one is rejected before it is built.
+MAX_GRID_POINTS = 10_000_000
+
 
 class SpecError(ValueError):
     """The run specification is inconsistent or incomplete."""
@@ -51,8 +52,7 @@ class SpecError(ValueError):
 
 @dataclass
 class RunSpec:
-    """Resolved parameters of one CLI invocation (worker count excluded:
-    it never affects output bytes)."""
+    """Resolved parameters of one CLI invocation."""
 
     command: str
     configuration: str | None = None
@@ -142,12 +142,18 @@ def _resolve_source(spec: RunSpec):
     return "layout", _load_layout(spec)
 
 
+def _check_size(n: int, flags: str) -> None:
+    if n > MAX_GRID_POINTS:
+        raise SpecError(f"{flags} gives {n} grid points, above the limit of {MAX_GRID_POINTS}")
+
+
 def _theta_grid(spec: RunSpec) -> np.ndarray:
     lo = 0.0 if spec.theta_min is None else spec.theta_min
     hi = TWO_PI if spec.theta_max is None else spec.theta_max
     steps = 400 if spec.theta_steps is None else spec.theta_steps
     if steps < 2:
         raise SpecError("theta range needs at least 2 steps")
+    _check_size(steps, "--theta-steps")
     if hi <= lo:
         raise SpecError("theta-max must exceed theta-min")
     return np.linspace(lo, hi, steps)
@@ -161,10 +167,14 @@ def _time_grid(spec: RunSpec) -> np.ndarray:
         if spec.dt <= 0:
             raise SpecError("dt must be positive")
         n = int(math.floor(t_max / spec.dt + 1e-9))
-        return np.array([k * spec.dt for k in range(n + 1)])
+        if n < 1:
+            raise SpecError(f"--dt {spec.dt} leaves fewer than 2 time points up to t-max {t_max}")
+        _check_size(n + 1, "--dt")
+        return np.arange(n + 1) * spec.dt
     steps = 400 if spec.t_steps is None else spec.t_steps
     if steps < 2:
         raise SpecError("time grid needs at least 2 steps")
+    _check_size(steps, "--t-steps")
     return np.linspace(0.0, t_max, steps)
 
 
@@ -268,11 +278,11 @@ def run_evolve(spec: RunSpec) -> int:
     return 0
 
 
-def _sweep_column(kind_value: str, gamma: float, theta: float, times, method: str) -> list[float]:
-    coeffs = canonical_coefficients(Configuration(kind_value), gamma, theta)
-    times = np.asarray(times)
+def _sweep_column(config: Configuration, gamma: float, theta: float, times: np.ndarray,
+                  method: str) -> np.ndarray:
     if method == "analytic":
-        return list(analytic.closed_form_concurrence_braided(theta, gamma, times))
+        return analytic.closed_form_concurrence_braided(theta, gamma, times)
+    coeffs = canonical_coefficients(config, gamma, theta)
     if method == "lindblad":
         spacing = times[1] - times[0]
         ratio = max(1, int(math.ceil(spacing / dynamics.recommended_timestep(coeffs, gamma))))
@@ -283,17 +293,11 @@ def _sweep_column(kind_value: str, gamma: float, theta: float, times, method: st
             dt=spacing / ratio,
             store_every=ratio,
         )
-        return list(record.concurrence)
-    record = dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0), coeffs, times)
-    return list(record.concurrence)
+        return record.concurrence
+    return dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0), coeffs, times).concurrence
 
 
-def _sweep_chunk(payload) -> list[list[float]]:
-    kind_value, gamma, thetas, times, method = payload
-    return [_sweep_column(kind_value, gamma, theta, times, method) for theta in thetas]
-
-
-def run_sweep(spec: RunSpec, workers: int = 1) -> int:
+def run_sweep(spec: RunSpec) -> int:
     """Write concurrence over a theta x time grid, one row per cell."""
     if spec.out is None:
         raise SpecError("sweep requires --out")
@@ -307,23 +311,8 @@ def run_sweep(spec: RunSpec, workers: int = 1) -> int:
         raise SpecError(f"unknown method {method!r}")
     thetas = _theta_grid(spec)
     times = _time_grid(spec)
-
-    if workers > 1:
-        n_chunks = min(len(thetas), workers * 4)
-        bounds = np.array_split(np.arange(len(thetas)), n_chunks)
-        payloads = [
-            (source.value, spec.gamma, [float(thetas[i]) for i in idx], list(map(float, times)), method)
-            for idx in bounds
-            if len(idx)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_chunk, payloads))
-        columns = [col for chunk in chunks for col in chunk]
-    else:
-        columns = [
-            _sweep_column(source.value, spec.gamma, float(theta), times, method)
-            for theta in thetas
-        ]
+    _check_size(len(thetas) * len(times), "--theta-steps x --t-steps (or --dt)")
+    columns = [_sweep_column(source, spec.gamma, float(theta), times, method) for theta in thetas]
 
     rows = []
     for theta, col in zip(thetas, columns):
@@ -337,12 +326,14 @@ def run_dfi_scan(spec: RunSpec) -> int:
     kind, source = _resolve_source(spec)
     if kind != "config":
         raise SpecError("dfi-scan supports the canonical configurations only")
+    grid = 10_000 if spec.grid is None else spec.grid
+    _check_size(grid, "--grid")
     report = dfi.scan_dfi(
         source,
         gamma=spec.gamma,
         theta_min=0.0 if spec.theta_min is None else spec.theta_min,
         theta_max=TWO_PI if spec.theta_max is None else spec.theta_max,
-        grid=10_000 if spec.grid is None else spec.grid,
+        grid=grid,
         tol_decay=spec.tol_decay,
         tol_exchange=spec.tol_exchange,
     )
@@ -454,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="concurrence over a theta x time grid (CSV)")
     _add_common(p, theta_range=True, times=True, method=True)
-    p.add_argument("--workers", type=int,
-                   help="worker processes (default: CPU count; env GAW_SEED_WORKERS overrides)")
 
     p = sub.add_parser("dfi-scan", help="locate DFI phase shifts (JSON)")
     _add_common(p, theta_range=True)
@@ -468,22 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="max allowed coefficient difference (default 1e-10)")
 
     return parser
-
-
-def _resolve_workers(flag_value: int | None) -> int:
-    env = os.environ.get("GAW_SEED_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise SpecError(f"GAW_SEED_WORKERS must be an integer, got {env!r}") from exc
-    elif flag_value is not None:
-        value = flag_value
-    else:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise SpecError("worker count must be >= 1")
-    return value
 
 
 _FINITE_FLAGS = ("gamma", "theta", "theta_min", "theta_max", "t_max", "dt",
@@ -523,7 +496,7 @@ def main(argv=None) -> int:
         if spec.command == "evolve":
             return run_evolve(spec)
         if spec.command == "sweep":
-            return run_sweep(spec, workers=_resolve_workers(getattr(args, "workers", None)))
+            return run_sweep(spec)
         if spec.command == "dfi-scan":
             return run_dfi_scan(spec)
         if spec.command == "verify-slh":

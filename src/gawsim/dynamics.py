@@ -450,6 +450,9 @@ def _amplitude_solution(
             out[far, idx] = 0.5 * (
                 e_minus * (c0[idx] - n_c0[idx] / s) + e_plus * (c0[idx] + n_c0[idx] / s)
             )
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise NumericalFailure(f"amplitudes are not finite at t = {times[bad][0]:.6g}")
     return out
 
 

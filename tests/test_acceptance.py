@@ -137,7 +137,7 @@ def test_criterion_5_separate_exceeds_half(tmp_path):
             "sweep", "--config", "separate",
             "--theta-min", str(0.45 * PI), "--theta-max", str(0.499 * PI),
             "--theta-steps", "400", "--t-max", "4", "--t-steps", "400",
-            "--workers", "1", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0, f"sweep exit code {rc}"
         values = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()

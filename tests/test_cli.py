@@ -137,22 +137,21 @@ def test_sweep_grid_and_determinism(tmp_path):
     out2 = tmp_path / "s2.csv"
     args = ["sweep", "--config", "braided", "--theta-min", "0.3", "--theta-max", "2.8",
             "--theta-steps", "24", "--t-max", "3", "--t-steps", "40"]
-    assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
-    assert main([*args, "--workers", "3", "--out", str(out2)]) == 0
+    assert main([*args, "--out", str(out1)]) == 0
+    assert main([*args, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     _, columns, data = read_table(out1)
     assert columns == ["theta", "t", "concurrence"]
     assert data.shape == (24 * 40, 3)
 
 
-def test_sweep_env_override_workers(tmp_path, monkeypatch):
+def test_sweep_worker_options_are_gone(tmp_path, monkeypatch):
     out = tmp_path / "s.csv"
-    monkeypatch.setenv("GAW_SEED_WORKERS", "2")
-    assert main(["sweep", "--config", "braided", "--theta-steps", "6", "--t-steps", "10",
-                 "--workers", "1", "--out", str(out)]) == 0
+    args = ["sweep", "--config", "braided", "--theta-steps", "6", "--t-steps", "10", "--out", str(out)]
+    assert main([*args, "--workers", "2"]) == 1
+    assert not out.exists()
     monkeypatch.setenv("GAW_SEED_WORKERS", "zero")
-    assert main(["sweep", "--config", "braided", "--theta-steps", "6", "--t-steps", "10",
-                 "--out", str(out)]) == 1
+    assert main(args) == 0
 
 
 def test_sweep_braided_max_at_dfi(tmp_path):
@@ -160,7 +159,7 @@ def test_sweep_braided_max_at_dfi(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", "braided", "--theta-min", str(math.pi / 2 - 0.01),
                  "--theta-max", str(math.pi / 2 + 0.01), "--theta-steps", "3",
-                 "--t-max", str(math.pi), "--t-steps", "401", "--workers", "1",
+                 "--t-max", str(math.pi), "--t-steps", "401",
                  "--out", str(out)]) == 0
     _, _, data = read_table(out)
     assert data[:, 2].max() == pytest.approx(1.0, abs=1e-6)
@@ -170,7 +169,7 @@ def test_sweep_lindblad_method_matches_effective(tmp_path):
     lind = tmp_path / "lind.csv"
     eff = tmp_path / "eff.csv"
     args = ["sweep", "--config", "braided", "--theta-min", "0.6", "--theta-max", "1.2",
-            "--theta-steps", "3", "--t-max", "1", "--t-steps", "21", "--workers", "1"]
+            "--theta-steps", "3", "--t-max", "1", "--t-steps", "21"]
     assert main([*args, "--method", "lindblad", "--out", str(lind)]) == 0
     assert main([*args, "--method", "effective", "--out", str(eff)]) == 0
     _, _, d_lind = read_table(lind)
@@ -194,7 +193,7 @@ def test_sweep_nested_zero_column_at_pi(tmp_path):
     out = tmp_path / "nested.csv"
     assert main(["sweep", "--config", "nested", "--theta-min", str(math.pi),
                  "--theta-max", str(math.pi + 0.5), "--theta-steps", "2",
-                 "--t-max", "4", "--t-steps", "50", "--workers", "1", "--out", str(out)]) == 0
+                 "--t-max", "4", "--t-steps", "50", "--out", str(out)]) == 0
     _, _, data = read_table(out)
     pi_rows = data[np.abs(data[:, 0] - math.pi) < 1e-12]
     assert np.abs(pi_rows[:, 2]).max() < 1e-12
@@ -317,4 +316,38 @@ def test_evolve_lindblad_step_budget_exits_one(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "t_max" in err and "dt" in err and "MAX_RK4_STEPS" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["effective", "analytic", "lindblad"])
+def test_sweep_dt_grid_with_one_point_exits_one(tmp_path, capsys, method):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", "braided", "--method", method, "--t-max", "1",
+                 "--dt", "2", "--out", str(out)]) == 1
+    assert "--dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dt_grid_matches_multiples_of_dt(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.5", "--t-max", "1",
+                 "--dt", "0.1", "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    assert data[:, 0].tolist() == [k * 0.1 for k in range(11)]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["coeffs", "--config", "braided", "--theta-steps", "10000000000000"], "--theta-steps"),
+    (["evolve", "--config", "braided", "--theta", "0.5", "--t-steps", "10000000000000"], "--t-steps"),
+    (["sweep", "--config", "braided", "--t-steps", "10000000000000"], "--t-steps"),
+    (["evolve", "--config", "braided", "--theta", "0.5", "--dt", "1e-300"], "--dt"),
+    (["sweep", "--config", "braided", "--method", "lindblad", "--dt", "1e-300"], "--dt"),
+    (["dfi-scan", "--config", "braided", "--grid", "10000000000000"], "--grid"),
+    (["sweep", "--config", "braided", "--theta-steps", "5000", "--t-steps", "5000"], "--theta-steps"),
+])
+def test_oversized_grid_exits_one(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "above the limit" in err
     assert not out.exists()

@@ -517,3 +517,13 @@ def test_lindblad_nan_state_fails_at_first_step(monkeypatch, cap):
     coeffs = MasterEqCoefficients(np.array([np.nan, 0.0]), z, np.zeros(2), z.copy())
     with pytest.raises(NumericalFailure, match="trace drifted by nan at step 1$"):
         evolve_lindblad(rho_eg(), coeffs, t_max=0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("lamb,decay", [([np.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [np.inf, 1.0])])
+def test_amplitude_paths_reject_non_finite_result(lamb, decay):
+    z = np.zeros((2, 2))
+    coeffs = MasterEqCoefficients(np.array(lamb), z, np.array(decay), z.copy())
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not finite at t = 0"):
+        amplitude_trajectory(AmplitudeState(1.0, 0.0), coeffs, np.linspace(0.0, 1.0, 5))
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not finite at t = 0.5"):
+        evolve_amplitudes(AmplitudeState(1.0, 0.0), coeffs, 0.5)
