@@ -96,24 +96,6 @@ def concurrence_terms(theta: float) -> ConcurrenceTerms:
     return ConcurrenceTerms(complex(a), complex(b), b1, b2, complex(d), complex(e), complex(f))
 
 
-def _closed_form_values(theta: float, gamma: float, times: np.ndarray) -> np.ndarray:
-    terms = concurrence_terms(theta)
-    c_half = math.cos(theta / 2.0)
-    gt = gamma * times
-    x = math.sqrt(2.0) * terms.b_term * gt * c_half
-    # pull e^{max(Re x, 0)} out of both oscillating factors and fold it into
-    # the envelope: the raw e^{x} overflows for large gamma*t even though
-    # the product is bounded by 1
-    s = np.maximum(np.real(x), 0.0)
-    envelope = np.exp(-0.5 * np.real(gt * (terms.d_term + 2.0 * terms.a_term * c_half)) + 2.0 * s)
-    osc = terms.e_term * (np.exp(np.conj(x) - s) - np.exp(-s))
-    mix = 2.0 * terms.a_term * (np.exp(x - s) + np.exp(-s)) + terms.f_term * (
-        np.exp(x - s) - np.exp(-s)
-    )
-    denom = abs(terms.a_term) ** 2
-    return 0.5 * envelope * np.abs(osc * mix) / denom
-
-
 def closed_form_concurrence_braided(
     theta: float, gamma: float, t, allow_fallback: bool = True
 ) -> float | np.ndarray:
@@ -143,13 +125,26 @@ def closed_form_concurrence_braided(
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")
-    if allow_fallback and uses_ode_fallback(theta):
+    terms = concurrence_terms(theta)
+    if allow_fallback and abs(terms.a_term) < A_FALLBACK_TOL:
         states = _amplitude_solution(
             AmplitudeState(1.0, 0.0), canonical_coefficients("braided", gamma, theta), times
         )
         values = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())
     else:
-        values = _closed_form_values(theta, gamma, times)
+        c_half = math.cos(theta / 2.0)
+        gt = gamma * times
+        x = math.sqrt(2.0) * terms.b_term * gt * c_half
+        # pull e^{max(Re x, 0)} out of both oscillating factors and fold it
+        # into the envelope: the raw e^{x} overflows for large gamma*t even
+        # though the product is bounded by 1
+        s = np.maximum(np.real(x), 0.0)
+        envelope = np.exp(-0.5 * np.real(gt * (terms.d_term + 2.0 * terms.a_term * c_half)) + 2.0 * s)
+        osc = terms.e_term * (np.exp(np.conj(x) - s) - np.exp(-s))
+        mix = 2.0 * terms.a_term * (np.exp(x - s) + np.exp(-s)) + terms.f_term * (
+            np.exp(x - s) - np.exp(-s)
+        )
+        values = 0.5 * envelope * np.abs(osc * mix) / abs(terms.a_term) ** 2
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(values[0])
     return values

@@ -21,6 +21,7 @@ specifications produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -81,10 +82,6 @@ class RunSpec:
         return json.dumps(fields, sort_keys=True)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _header_lines(spec: RunSpec) -> list[str]:
     tolerances = {
         "coeff_zero_tol": ZERO_DECAY_TOL,
@@ -100,13 +97,20 @@ def _header_lines(spec: RunSpec) -> list[str]:
     ]
 
 
-def _write_csv(path: str, spec: RunSpec, columns: list[str], rows, extra_header=()) -> None:
-    lines = _header_lines(spec) + [f"# {line}" for line in extra_header]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(path: str, spec: RunSpec, columns: list[str], *cols, extra_header=()) -> None:
+    """Write equal-length float columns as one CSV table.
+
+    Byte contract: the ``#`` header lines, the comma-joined column names,
+    then one line per row of comma-joined ``"%.17g" % value`` texts, the
+    same text as ``format(value, ".17g")`` (``nan``, ``inf``, ``-0``
+    included).  The body is streamed to the file row by row.
+    """
+    table = np.column_stack(cols)
+    header = _header_lines(spec) + [f"# {line}" for line in extra_header] + [",".join(columns)]
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def _write_json(path: str, spec: RunSpec, payload: dict) -> None:
@@ -179,27 +183,27 @@ def _time_grid(spec: RunSpec) -> np.ndarray:
 
 
 def _initial_amplitudes(spec: RunSpec) -> dynamics.AmplitudeState:
-    try:
-        c_eg = complex(spec.c_eg) if spec.c_eg is not None else 1.0 + 0.0j
-        c_ge = complex(spec.c_ge) if spec.c_ge is not None else 0.0j
-    except ValueError as exc:
-        raise SpecError(f"cannot parse initial amplitude: {exc}") from exc
-    return dynamics.AmplitudeState(c_eg, c_ge)
+    amplitudes = []
+    for flag, text, default in (("--c-eg", spec.c_eg, 1.0 + 0.0j), ("--c-ge", spec.c_ge, 0.0j)):
+        try:
+            value = default if text is None else complex(text)
+        except ValueError as exc:
+            raise SpecError(f"cannot parse initial amplitude {flag}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise SpecError(f"{flag} must be finite, got {text}")
+        amplitudes.append(value)
+    return dynamics.AmplitudeState(*amplitudes)
 
 
-def _coeff_row(theta: float, coeffs) -> tuple:
-    return (
-        theta,
-        coeffs.lamb_shifts[0],
-        coeffs.lamb_shifts[1],
-        coeffs.exchange[0, 1],
-        coeffs.individual_decay[0],
-        coeffs.individual_decay[1],
-        coeffs.collective_decay[0, 1],
-    )
+_COEFF_NAMES = ["domega_a", "domega_b", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll"]
 
 
-_COEFF_COLUMNS = ["theta", "domega_a", "domega_b", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll"]
+def _coeff_vector(coeffs) -> np.ndarray:
+    """The two-atom coefficients in ``_COEFF_NAMES`` order."""
+    return np.array([
+        coeffs.lamb_shifts[0], coeffs.lamb_shifts[1], coeffs.exchange[0, 1],
+        coeffs.individual_decay[0], coeffs.individual_decay[1], coeffs.collective_decay[0, 1],
+    ])
 
 
 def run_coeffs(spec: RunSpec) -> int:
@@ -210,16 +214,13 @@ def run_coeffs(spec: RunSpec) -> int:
     if kind == "config":
         thetas = _theta_grid(spec)
         shift, v = canonical_sums(source, spec.gamma, thetas)
-        table = np.column_stack([
-            thetas, shift[:, 0, 0], shift[:, 1, 1], shift[:, 0, 1],
-            2.0 * v[:, 0] ** 2, 2.0 * v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1],
-        ])
-        rows = (row.tolist() for row in table)
+        cols = (thetas, shift[:, 0, 0], shift[:, 1, 1], shift[:, 0, 1],
+                2.0 * v[:, 0] ** 2, 2.0 * v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1])
     else:
         if source.n_atoms != 2:
             raise SpecError("the coefficient table schema covers exactly two atoms")
-        rows = [_coeff_row(float("nan"), general_coefficients(source))]
-    _write_csv(spec.out, spec, _COEFF_COLUMNS, rows)
+        cols = (math.nan, *_coeff_vector(general_coefficients(source)))
+    _write_csv(spec.out, spec, ["theta", *_COEFF_NAMES], *cols)
     return 0
 
 
@@ -234,47 +235,46 @@ def _coeffs_at(spec: RunSpec):
     return general_coefficients(source), None
 
 
+def _method(spec: RunSpec, config: Configuration | None) -> str:
+    """The evolution method of ``spec``, checked against the configuration."""
+    method = spec.method or "effective"
+    if method not in ("effective", "analytic", "lindblad"):
+        raise SpecError(f"unknown method {method!r}")
+    if method == "analytic" and config != Configuration.BRAIDED:
+        raise SpecError("--method analytic is only defined for --config braided")
+    return method
+
+
 def run_evolve(spec: RunSpec) -> int:
     """Write one trajectory: amplitudes, populations, or closed-form values."""
     if spec.out is None:
         raise SpecError("evolve requires --out")
-    method = spec.method or "effective"
     coeffs, kind = _coeffs_at(spec)
-    if method == "analytic" and kind != Configuration.BRAIDED:
-        raise SpecError("--method analytic is only defined for --config braided")
+    method = _method(spec, kind)
     initial = _initial_amplitudes(spec)
 
     if method == "effective":
-        times = _time_grid(spec)
-        record = dynamics.amplitude_trajectory(initial, coeffs, times)
-        rows = [
-            (t, s[0].real, s[0].imag, s[1].real, s[1].imag, c)
-            for t, s, c in zip(record.times, record.states, record.concurrence)
-        ]
-        _write_csv(spec.out, spec, ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"], rows)
+        record = dynamics.amplitude_trajectory(initial, coeffs, _time_grid(spec))
+        c_eg, c_ge = record.states.T
+        _write_csv(spec.out, spec, ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
+                   record.times, c_eg.real, c_eg.imag, c_ge.real, c_ge.imag, record.concurrence)
     elif method == "analytic":
         times = _time_grid(spec)
         values = analytic.closed_form_concurrence_braided(spec.theta, spec.gamma, times)
         fallback = analytic.uses_ode_fallback(spec.theta)
-        _write_csv(
-            spec.out,
-            spec,
-            ["t", "concurrence"],
-            list(zip(times, values)),
-            extra_header=[f"ode_fallback: {str(fallback).lower()}"],
-        )
-    elif method == "lindblad":
+        _write_csv(spec.out, spec, ["t", "concurrence"], times, values,
+                   extra_header=[f"ode_fallback: {str(fallback).lower()}"])
+    else:
+        if spec.t_steps is not None:
+            raise SpecError("--t-steps does not apply to evolve --method lindblad; "
+                            "give --dt or leave both out for the recommended step")
         t_max = 4.0 if spec.t_max is None else spec.t_max
         dt = spec.dt if spec.dt is not None else dynamics.recommended_timestep(coeffs, spec.gamma)
         rho0 = dynamics.density_from_amplitudes(initial)
         record = dynamics.evolve_lindblad(rho0, coeffs, t_max, dt)
-        rows = [
-            (t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real, c)
-            for t, rho, c in zip(record.times, record.states, record.concurrence)
-        ]
-        _write_csv(spec.out, spec, ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"], rows)
-    else:
-        raise SpecError(f"unknown method {method!r}")
+        populations = np.diagonal(record.states, axis1=1, axis2=2).real
+        _write_csv(spec.out, spec, ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"],
+                   record.times, *populations.T, record.concurrence)
     return 0
 
 
@@ -304,20 +304,13 @@ def run_sweep(spec: RunSpec) -> int:
     kind, source = _resolve_source(spec)
     if kind != "config":
         raise SpecError("sweep ranges over theta and needs a canonical --config")
-    method = spec.method or "effective"
-    if method == "analytic" and source != Configuration.BRAIDED:
-        raise SpecError("--method analytic is only defined for --config braided")
-    if method not in ("effective", "analytic", "lindblad"):
-        raise SpecError(f"unknown method {method!r}")
+    method = _method(spec, source)
     thetas = _theta_grid(spec)
     times = _time_grid(spec)
     _check_size(len(thetas) * len(times), "--theta-steps x --t-steps (or --dt)")
     columns = [_sweep_column(source, spec.gamma, float(theta), times, method) for theta in thetas]
-
-    rows = []
-    for theta, col in zip(thetas, columns):
-        rows.extend((float(theta), float(t), float(c)) for t, c in zip(times, col))
-    _write_csv(spec.out, spec, ["theta", "t", "concurrence"], rows)
+    _write_csv(spec.out, spec, ["theta", "t", "concurrence"],
+               np.repeat(thetas, len(times)), np.tile(times, len(thetas)), np.concatenate(columns))
     return 0
 
 
@@ -352,13 +345,6 @@ def run_dfi_scan(spec: RunSpec) -> int:
     return 0
 
 
-_COEFF_NAMES = ["domega_a", "domega_b", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll"]
-
-
-def _as_vector(coeffs) -> np.ndarray:
-    return np.array(_coeff_row(0.0, coeffs)[1:])
-
-
 def run_verify_slh(spec: RunSpec) -> int:
     """Compare network-composed coefficients against the direct formulas."""
     kind, source = _resolve_source(spec)
@@ -384,13 +370,13 @@ def run_verify_slh(spec: RunSpec) -> int:
             max_diff = max(max_diff, diff)
         if two_atom:
             print(f"{name}: " + "  ".join(
-                f"{n}={_fmt(v)}" for n, v in zip(_COEFF_NAMES, _as_vector(ref))
+                f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(ref))
             ))
     if two_atom:
         print("slh:         " + "  ".join(
-            f"{n}={_fmt(v)}" for n, v in zip(_COEFF_NAMES, _as_vector(extracted))
+            f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(extracted))
         ))
-    print(f"max_abs_diff={_fmt(max_diff)} tol={_fmt(tol)}")
+    print(f"max_abs_diff={max_diff:.17g} tol={tol:.17g}")
     if spec.out is not None:
         _write_json(spec.out, spec, {"max_abs_diff": max_diff, "tol": tol,
                                      "within_tol": bool(max_diff <= tol)})
@@ -422,7 +408,8 @@ def _add_common(p: argparse.ArgumentParser, theta_single=False, theta_range=Fals
     if times:
         p.add_argument("--t-max", type=float, help="time horizon in 1/gamma (default 4)")
         p.add_argument("--dt", type=float, help="time step (default: method-dependent)")
-        p.add_argument("--t-steps", type=int, help="time grid points when --dt absent (default 400)")
+        p.add_argument("--t-steps", type=int,
+                       help="time grid points when --dt absent (default 400; not for evolve lindblad)")
     if method:
         p.add_argument("--method", choices=["lindblad", "effective", "analytic"],
                        default="effective", help="evolution method (default effective)")

@@ -462,8 +462,8 @@ def evolve_amplitudes(
     """Propagate the single-excitation amplitudes to time t (exact)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if initial.norm() > 1.0 + NORM_TOL:
-        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1")
+    if not initial.norm() <= 1.0 + NORM_TOL:
+        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
     _check_decay_physical(coeffs)
     c = _amplitude_solution(initial, coeffs, np.array([t]))[0]
     return AmplitudeState(complex(c[0]), complex(c[1]))
@@ -476,8 +476,8 @@ def amplitude_trajectory(
     times = np.asarray(times, dtype=float)
     if times[0] < 0:
         raise ValueError("times must be nonnegative")
-    if initial.norm() > 1.0 + NORM_TOL:
-        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1")
+    if not initial.norm() <= 1.0 + NORM_TOL:
+        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
     _check_decay_physical(coeffs)
     states = _amplitude_solution(initial, coeffs, times)
     conc = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())

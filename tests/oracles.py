@@ -16,6 +16,10 @@ three canonical two-atom setups, valid for any real theta, and
 ``pair_sums`` / ``pair_sum_coefficients`` is the scalar double loop over
 connection-point pairs.  The library evaluates both through one vectorised
 kernel; these stay here as derivations independent of it.
+
+``per_value_csv`` is the CLI's CSV text built one value at a time with
+``format(float(v), ".17g")``; the library streams rows through one
+``%.17g`` row template.
 """
 
 import math
@@ -221,3 +225,11 @@ def first_check_failure(states, positivity_every: int):
             if lo < dynamics.EIG_FLOOR:
                 return f"eigenvalue {lo:.3e} below floor at step {i}"
     return None
+
+
+def per_value_csv(header_lines, columns, rows) -> str:
+    """CSV text: header lines, column names, then each value of each tuple row."""
+    lines = list(header_lines) + [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"

@@ -6,8 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import per_value_csv
 
-from gawsim.cli import main
+from gawsim import analytic, cli, dynamics
+from gawsim.cli import RunSpec, SpecError, main
+from gawsim.coefficients import canonical_coefficients
 from gawsim.model import build_canonical, CanonicalConfig, layout_to_json
 
 
@@ -351,3 +354,95 @@ def test_oversized_grid_exits_one(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err and "above the limit" in err
     assert not out.exists()
+
+
+def test_write_csv_matches_per_value_oracle(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+               1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(11)
+    normals = rng.standard_normal((3, 200)) * 10.0 ** rng.integers(-300, 300, size=(3, 200))
+    cols = [np.array(special * 3), np.concatenate([special[::-1]] * 3), np.arange(45.0)]
+    cols = [np.concatenate([c, n]) for c, n in zip(cols, normals)]
+    spec = RunSpec(command="coeffs", configuration="braided")
+    out = tmp_path / "table.csv"
+    cli._write_csv(str(out), spec, ["a", "b", "c"], *cols, extra_header=["note: 1"])
+    expected = per_value_csv(cli._header_lines(spec) + ["# note: 1"], ["a", "b", "c"], zip(*cols))
+    assert out.read_bytes() == expected.encode()
+
+
+def _per_row_bodies():
+    """(argv, columns, tuple rows) of three tables, rows built from the library records."""
+    coeffs = canonical_coefficients("nested", 0.8, 1.3)
+    c0 = dynamics.AmplitudeState(0.6 + 0.48j, -0.64j)
+    source = ["--config", "nested", "--gamma", "0.8"]
+    amp = dynamics.amplitude_trajectory(c0, coeffs, np.linspace(0.0, 2.0, 9))
+    lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 0.5, 0.05)
+    initial = ["--theta", "1.3", "--c-eg", "0.6+0.48j", "--c-ge=-0.64j"]
+    thetas, times = np.linspace(0.2, 3.0, 4), np.linspace(0.0, 2.0, 9)
+    sweep = [(theta, t, c) for theta in thetas for t, c in zip(times, dynamics.amplitude_trajectory(
+        dynamics.AmplitudeState(1.0, 0.0), canonical_coefficients("nested", 0.8, theta), times).concurrence)]
+    return [
+        (["evolve", *source, *initial, "--t-max", "2", "--t-steps", "9"],
+         ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
+         [(t, s[0].real, s[0].imag, s[1].real, s[1].imag, c)
+          for t, s, c in zip(amp.times, amp.states, amp.concurrence)]),
+        (["evolve", *source, *initial, "--method", "lindblad", "--t-max", "0.5", "--dt", "0.05"],
+         ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"],
+         [(t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real, c)
+          for t, rho, c in zip(lind.times, lind.states, lind.concurrence)]),
+        (["sweep", *source, "--theta-min", "0.2", "--theta-max", "3", "--theta-steps", "4",
+          "--t-max", "2", "--t-steps", "9"], ["theta", "t", "concurrence"], sweep),
+    ]
+
+
+def test_csv_bodies_match_per_row_oracle(tmp_path):
+    for argv, columns, rows in _per_row_bodies():
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        body = "".join(line for line in out.read_text().splitlines(keepends=True) if line[0] != "#")
+        assert body == per_value_csv([], columns, rows), argv
+
+
+@pytest.mark.parametrize("method", ["effective", "lindblad"])
+@pytest.mark.parametrize("flag", ["--c-eg", "--c-ge"])
+@pytest.mark.parametrize("value", ["nan", "inf", "nan+1j"])
+def test_evolve_non_finite_amplitude_exits_one(tmp_path, capsys, method, flag, value):
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.3", "--method", method,
+                 "--t-max", "1", f"{flag}={value}", "--out", str(out)]) == 1
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["5", "10000000000000"])
+def test_evolve_lindblad_rejects_t_steps(tmp_path, capsys, steps):
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad",
+                 "--t-max", "1", "--t-steps", steps, "--out", str(out)]) == 1
+    assert "--t-steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [cli.run_evolve, cli.run_sweep])
+@pytest.mark.parametrize("config,method,message", [
+    ("nested", "analytic", "--method analytic is only defined for --config braided"),
+    ("braided", "bogus", "unknown method 'bogus'"),
+])
+def test_evolve_and_sweep_share_method_checks(tmp_path, run, config, method, message):
+    out = tmp_path / "x.csv"
+    spec = RunSpec(command="x", configuration=config, theta=0.5, method=method, out=str(out))
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        run(spec)
+    assert not out.exists()
+
+
+def test_analytic_sweep_evaluates_terms_once_per_theta(tmp_path, monkeypatch):
+    calls = []
+    terms = analytic.concurrence_terms
+    monkeypatch.setattr(analytic, "concurrence_terms", lambda theta: calls.append(theta) or terms(theta))
+    analytic.closed_form_concurrence_braided(0.7, 1.0, np.linspace(0.0, 1.0, 4))
+    assert calls == [0.7]
+    calls.clear()
+    assert main(["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "7",
+                 "--t-steps", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 7 == len(set(calls))

@@ -527,3 +527,13 @@ def test_amplitude_paths_reject_non_finite_result(lamb, decay):
         amplitude_trajectory(AmplitudeState(1.0, 0.0), coeffs, np.linspace(0.0, 1.0, 5))
     with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not finite at t = 0.5"):
         evolve_amplitudes(AmplitudeState(1.0, 0.0), coeffs, 0.5)
+
+
+@pytest.mark.parametrize("c_eg", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(np.nan, 1.0)])
+def test_amplitude_paths_reject_non_finite_initial_norm(c_eg):
+    coeffs = canonical_coefficients(Configuration.BRAIDED, 1.0, 0.5)
+    initial = AmplitudeState(c_eg, 0.0)
+    with pytest.raises(ValueError, match="initial amplitude norm"):
+        amplitude_trajectory(initial, coeffs, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="initial amplitude norm"):
+        evolve_amplitudes(initial, coeffs, 0.5)
