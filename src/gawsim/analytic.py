@@ -20,9 +20,9 @@ and, with c = cos(theta/2), x(t) = sqrt(2) * b_term * gamma * t * c:
 Both radicals use the principal branch (argument in (-pi, pi]); the
 observable is invariant under the joint sign flip of (a_term, b_term), and
 the principal branches preserve the a = sqrt(2) b pairing for every real
-theta, so no branch tracking is needed.  |a_term| never drops below ~1.86
-on the real axis; the fallback to the exact amplitude evolution guards the
-removable |a_term| -> 0 hazard anyway.
+theta, so no branch tracking is needed.  |a_term| never drops below 1.86
+on the real axis (a grid bound in the tests), so the division by
+|a_term|^2 is safe for every real theta.
 
 Closed forms for the separate and nested orderings are intentionally not
 provided; those configurations go through ``dynamics``.
@@ -34,12 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .coefficients import canonical_coefficients
-from .dynamics import AmplitudeState, _amplitude_solution
-
-#: Fallback to the amplitude path when |a_term| drops below this.
-A_FALLBACK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -96,9 +90,7 @@ def concurrence_terms(theta: float) -> ConcurrenceTerms:
     return ConcurrenceTerms(complex(a), complex(b), b1, b2, complex(d), complex(e), complex(f))
 
 
-def closed_form_concurrence_braided(
-    theta: float, gamma: float, t, allow_fallback: bool = True
-) -> float | np.ndarray:
+def closed_form_concurrence_braided(theta: float, gamma: float, t) -> float | np.ndarray:
     """Concurrence of two braided atoms started in |eg>, evaluated in closed form.
 
     Parameters
@@ -109,11 +101,6 @@ def closed_form_concurrence_braided(
         Uniform per-point decay rate (> 0).
     t : float or array
         Time(s), >= 0, in units of 1/gamma.
-    allow_fallback : bool
-        Near zeros of the radical denominator the formula is numerically
-        hazardous (removable singularity); when True, such points are
-        routed through the exact amplitude evolution instead.  Use
-        ``uses_ode_fallback`` to detect the switch.
 
     Returns
     -------
@@ -126,30 +113,20 @@ def closed_form_concurrence_braided(
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")
     terms = concurrence_terms(theta)
-    if allow_fallback and abs(terms.a_term) < A_FALLBACK_TOL:
-        states = _amplitude_solution(
-            AmplitudeState(1.0, 0.0), canonical_coefficients("braided", gamma, theta), times
-        )
-        values = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())
-    else:
-        c_half = math.cos(theta / 2.0)
-        gt = gamma * times
-        x = math.sqrt(2.0) * terms.b_term * gt * c_half
-        # pull e^{max(Re x, 0)} out of both oscillating factors and fold it
-        # into the envelope: the raw e^{x} overflows for large gamma*t even
-        # though the product is bounded by 1
-        s = np.maximum(np.real(x), 0.0)
-        envelope = np.exp(-0.5 * np.real(gt * (terms.d_term + 2.0 * terms.a_term * c_half)) + 2.0 * s)
-        osc = terms.e_term * (np.exp(np.conj(x) - s) - np.exp(-s))
-        mix = 2.0 * terms.a_term * (np.exp(x - s) + np.exp(-s)) + terms.f_term * (
-            np.exp(x - s) - np.exp(-s)
-        )
-        values = 0.5 * envelope * np.abs(osc * mix) / abs(terms.a_term) ** 2
+    c_half = math.cos(theta / 2.0)
+    gt = gamma * times
+    x = math.sqrt(2.0) * terms.b_term * gt * c_half
+    # pull e^{max(Re x, 0)} out of both oscillating factors and fold it
+    # into the envelope: the raw e^{x} overflows for large gamma*t even
+    # though the product is bounded by 1
+    s = np.maximum(np.real(x), 0.0)
+    envelope = np.exp(-0.5 * np.real(gt * (terms.d_term + 2.0 * terms.a_term * c_half)) + 2.0 * s)
+    osc = terms.e_term * (np.exp(np.conj(x) - s) - np.exp(-s))
+    mix = 2.0 * terms.a_term * (np.exp(x - s) + np.exp(-s)) + terms.f_term * (
+        np.exp(x - s) - np.exp(-s)
+    )
+    values = 0.5 * envelope * np.abs(osc * mix) / abs(terms.a_term) ** 2
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(values[0])
     return values
 
-
-def uses_ode_fallback(theta: float) -> bool:
-    """True when the closed form would divide by a near-zero radical."""
-    return abs(concurrence_terms(theta).a_term) < A_FALLBACK_TOL

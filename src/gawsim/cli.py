@@ -46,6 +46,9 @@ TWO_PI = 2.0 * math.pi
 #: (theta x t) accepted; a larger one is rejected before it is built.
 MAX_GRID_POINTS = 10_000_000
 
+#: Rows of a CSV table converted to Python values and written at a time.
+_CSV_BLOCK_ROWS = 1 << 16
+
 
 class SpecError(ValueError):
     """The run specification is inconsistent or incomplete."""
@@ -97,20 +100,23 @@ def _header_lines(spec: RunSpec) -> list[str]:
     ]
 
 
-def _write_csv(path: str, spec: RunSpec, columns: list[str], *cols, extra_header=()) -> None:
+def _write_csv(path: str, spec: RunSpec, columns: list[str], *cols) -> None:
     """Write equal-length float columns as one CSV table.
 
     Byte contract: the ``#`` header lines, the comma-joined column names,
     then one line per row of comma-joined ``"%.17g" % value`` texts, the
     same text as ``format(value, ".17g")`` (``nan``, ``inf``, ``-0``
-    included).  The body is streamed to the file row by row.
+    included).  The body is converted and written ``_CSV_BLOCK_ROWS`` rows
+    at a time, so memory beyond the float table stays bounded.
     """
     table = np.column_stack(cols)
-    header = _header_lines(spec) + [f"# {line}" for line in extra_header] + [",".join(columns)]
+    header = _header_lines(spec) + [",".join(columns)]
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.writelines(row % tuple(values) for values in table.tolist())
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.writelines(row % tuple(values) for values in block)
 
 
 def _write_json(path: str, spec: RunSpec, payload: dict) -> None:
@@ -259,11 +265,13 @@ def run_evolve(spec: RunSpec) -> int:
         _write_csv(spec.out, spec, ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
                    record.times, c_eg.real, c_eg.imag, c_ge.real, c_ge.imag, record.concurrence)
     elif method == "analytic":
+        for flag, text in (("--c-eg", spec.c_eg), ("--c-ge", spec.c_ge)):
+            if text is not None:
+                raise SpecError(f"{flag} does not apply to evolve --method analytic, "
+                                "whose closed form starts from |eg>")
         times = _time_grid(spec)
         values = analytic.closed_form_concurrence_braided(spec.theta, spec.gamma, times)
-        fallback = analytic.uses_ode_fallback(spec.theta)
-        _write_csv(spec.out, spec, ["t", "concurrence"], times, values,
-                   extra_header=[f"ode_fallback: {str(fallback).lower()}"])
+        _write_csv(spec.out, spec, ["t", "concurrence"], times, values)
     else:
         if spec.t_steps is not None:
             raise SpecError("--t-steps does not apply to evolve --method lindblad; "
@@ -284,16 +292,9 @@ def _sweep_column(config: Configuration, gamma: float, theta: float, times: np.n
         return analytic.closed_form_concurrence_braided(theta, gamma, times)
     coeffs = canonical_coefficients(config, gamma, theta)
     if method == "lindblad":
-        spacing = times[1] - times[0]
-        ratio = max(1, int(math.ceil(spacing / dynamics.recommended_timestep(coeffs, gamma))))
-        record = dynamics.evolve_lindblad(
-            dynamics.density_from_amplitudes(dynamics.AmplitudeState(1.0, 0.0)),
-            coeffs,
-            t_max=float(times[-1]),
-            dt=spacing / ratio,
-            store_every=ratio,
-        )
-        return record.concurrence
+        rho0 = dynamics.density_from_amplitudes(dynamics.AmplitudeState(1.0, 0.0))
+        return dynamics.evolve_lindblad(rho0, coeffs, t_max=float(times[-1]),
+                                        dt=times[1] - times[0], store_every=1).concurrence
     return dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0), coeffs, times).concurrence
 
 

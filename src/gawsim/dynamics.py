@@ -19,19 +19,18 @@ Two routes from coefficients to dynamics:
     terms; the right-hand side, the superoperator and the RK4 stepper all
     take them from there.
 
-    The equation is integrated with fixed-step classical fourth-order
-    Runge-Kutta.  The generator is linear and time independent, so one RK4
-    step is the fixed polynomial S = I + A + A^2/2 + A^3/6 + A^4/24 in
-    A = dt * (superoperator).  Up to M = 4 atoms S is built as a dense
-    matrix on vec(rho), and the powers S, S^2, ..., S^B (B from a fixed
-    1 MiB budget: 256 at M = 2, 16 at M = 3, 1 at M = 4) advance B steps in
-    one stacked product.  From M = 5 on, S would take 16 MiB or more and
-    cost more to build than it saves, so each step applies the four RK4
-    stages to rho in operator form.  Both paths are the same scheme up to
-    roundoff.  Every step is still checked: trace and Hermiticity on every
-    step, the spectrum every ``positivity_every`` steps (eigendecompositions
-    dominate the cost otherwise; drift between samples is bounded by the
-    per-step checks).
+    The generator does not depend on time.  Up to M = 3 atoms it is built
+    as a dense superoperator L on vec(rho), and each stored interval is
+    advanced exactly by P = exp(Delta t * L), computed by scaling and
+    squaring of a Taylor sum (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)); ``dt`` only sets the grid of row times there.  From M = 4 on
+    the equation is integrated with fixed-step classical fourth-order
+    Runge-Kutta applied to rho in operator form; ``dt`` is its step, and a
+    step outside the scheme's stability disk is rejected up front.  Every
+    stored state is checked for trace, Hermiticity and spectrum; the RK4
+    path also checks trace and Hermiticity on every step and the spectrum
+    every ``positivity_every`` steps (eigendecompositions dominate the cost
+    otherwise; drift between samples is bounded by the per-step checks).
 
 2.  The single-excitation sector of two atoms, where removing the jump
     terms leaves a non-Hermitian 2x2 effective Hamiltonian acting on the
@@ -64,15 +63,14 @@ HERM_TOL = 1e-10
 EIG_FLOOR = -1e-8
 NORM_TOL = 1e-9
 
-#: Largest Hilbert-space dimension for which the RK4 step is precompiled
-#: into a dense one-step superoperator (dim**2 x dim**2 matrix); above it
-#: the step is applied in operator form.
-_SUPEROP_DIM_CAP = 16
+#: Largest Hilbert-space dimension for which the generator is built as a
+#: dense superoperator (dim**2 x dim**2 matrix) and propagated exactly;
+#: above it each RK4 step is applied in operator form.
+_SUPEROP_DIM_CAP = 8
 
-#: Memory for the precomputed powers of the one-step matrix, and the most
-#: steps one stacked product advances.
-_STEP_POWERS_BYTES = 1 << 20
-_MAX_BLOCK = 256
+#: RK4's stability polynomial stays within the unit disk on the whole left
+#: half-disk |z| <= 2.6 (and reaches 1.11 at 2.7).
+_RK4_STABLE_RADIUS = 2.6
 
 #: Largest number of fixed RK4 steps ``evolve_lindblad`` takes.
 MAX_RK4_STEPS = 10_000_000
@@ -226,45 +224,43 @@ def _superoperator(coeffs: MasterEqCoefficients) -> np.ndarray:
     return sup
 
 
-def _step_powers(coeffs: MasterEqCoefficients, dt: float, n_steps: int) -> np.ndarray:
-    """Stack S, S^2, ..., S^B of the one-step RK4 matrix S on vec(rho).
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
-    S = I + A + A^2/2 + A^3/6 + A^4/24 with A = dt * superoperator.  B is as
-    many powers as fit in ``_STEP_POWERS_BYTES`` (at least 1, at most
-    ``_MAX_BLOCK`` and ``n_steps``).
+    a / 2**s has 1-norm <= 1/2, so its Taylor terms fall below roundoff by
+    the 18th; s squarings undo the scaling.  Non-finite in, non-finite out.
     """
-    a = dt * _superoperator(coeffs)
-    step = np.eye(len(a), dtype=complex) + a
-    power = a
-    for order in range(2, 5):
-        power = power @ a / order
-        step = step + power
-    count = max(1, min(_MAX_BLOCK, _STEP_POWERS_BYTES // step.nbytes, n_steps))
-    powers = np.empty((count, *step.shape), dtype=complex)
-    powers[0] = step
-    for b in range(1, count):
-        np.matmul(powers[b - 1], step, out=powers[b])
-    return powers
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(norm)) + 1) if math.isfinite(norm) and norm > 0.5 else 0
+    scaled = a / 2.0 ** squarings
+    out = np.eye(len(a), dtype=complex) + scaled
+    term = scaled
+    for order in range(2, 19):
+        if not np.abs(term).sum(axis=0).max() > np.finfo(float).eps:
+            break
+        term = term @ scaled / order
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
-def _check_states(states: np.ndarray, first: int, positivity_every: int) -> None:
-    """Invariants of the states after steps first, first + 1, ...
+def _check_states(states: np.ndarray, steps: np.ndarray, spectrum) -> None:
+    """Invariants of the states after the given steps.
 
-    Trace and Hermiticity on every step, the spectrum on steps divisible by
-    ``positivity_every``.  Raises at the earliest failing step, with the
-    checks of one step in the order trace, Hermiticity, spectrum; a NaN
-    residue fails its check.
+    Trace and Hermiticity on every state, the spectrum where ``spectrum``
+    (a bool, or one per state) is True.  Raises at the earliest failing
+    state, with the checks of one state in the order trace, Hermiticity,
+    spectrum; a NaN residue fails its check.
     """
-    steps = np.arange(first, first + len(states))
     tr_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
     herm_err = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
     tr_ok = tr_err <= TRACE_TOL
     herm_ok = herm_err <= HERM_TOL
     lo = np.full(len(states), np.inf)
-    if positivity_every:
-        due = (steps % positivity_every == 0) & tr_ok & herm_ok
-        if due.any():
-            lo[due] = np.linalg.eigvalsh(states[due]).min(axis=1)
+    due = np.broadcast_to(spectrum, len(states)) & tr_ok & herm_ok
+    if due.any():
+        lo[due] = np.linalg.eigvalsh(states[due]).min(axis=1)
     ok = tr_ok & herm_ok & (lo >= EIG_FLOOR)
     if ok.all():
         return
@@ -278,7 +274,7 @@ def _check_states(states: np.ndarray, first: int, positivity_every: int) -> None
 
 
 def recommended_timestep(coeffs: MasterEqCoefficients, gamma: float = 1.0) -> float:
-    """Default RK4 step: 1e-3 over the largest rate present."""
+    """Default ``evolve_lindblad`` grid step: 1e-3 over the largest rate present."""
     fastest = max(
         float(np.sum(np.abs(coeffs.individual_decay))),
         coeffs.max_abs_exchange(),
@@ -296,7 +292,12 @@ def evolve_lindblad(
     store_every: int | None = None,
     positivity_every: int = 100,
 ) -> TrajectoryRecord:
-    """Integrate the master equation with fixed-step RK4.
+    """Evolve a density matrix under the master equation on the grid t = k * dt.
+
+    Up to three atoms (dim <= ``_SUPEROP_DIM_CAP``) each stored interval is
+    propagated exactly, so ``dt`` only spaces the rows.  From four atoms on
+    ``dt`` is the fixed RK4 step, and one with dt * (2 |K| + sum_r |lam_r|
+    |L_r|^2) > 2.6 (spectral norms) is rejected before any step.
 
     Parameters
     ----------
@@ -305,13 +306,14 @@ def evolve_lindblad(
     coeffs : MasterEqCoefficients
         Interaction-picture coefficients; decay matrix must be physical.
     t_max, dt : float
-        Horizon and step, in units of 1/gamma.  floor(t_max / dt) may not
-        exceed ``MAX_RK4_STEPS``.
+        Horizon and grid step, in units of 1/gamma.  floor(t_max / dt) may
+        not exceed ``MAX_RK4_STEPS`` on either path.
     store_every : int, optional
         Keep every n-th step (plus t = 0 and the final step).  Default
         keeps at most ~2000 interior snapshots.
     positivity_every : int
-        Spectrum check cadence in steps.
+        Spectrum check cadence in RK4 steps (0 disables it).  Every stored
+        state is checked for trace, Hermiticity and spectrum on both paths.
 
     Returns
     -------
@@ -346,47 +348,45 @@ def evolve_lindblad(
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 shape {rho0.shape} does not match {m} atoms")
 
-    rho = rho0.astype(complex)
-    use_superop = dim <= _SUPEROP_DIM_CAP
-    if use_superop:
-        powers = _step_powers(coeffs, dt, n_steps)
-        block = len(powers)
-        # one (block * d^2, d^2) matrix-vector product advances a whole block
-        stacked = powers.reshape(block * dim * dim, dim * dim)
+    steps = np.unique(np.append(np.arange(0, n_steps + 1, store_every), n_steps))
+    states = np.empty((len(steps), dim, dim), dtype=complex)
+    states[0] = rho0
+    if dim <= _SUPEROP_DIM_CAP:
+        sup = _superoperator(coeffs)
+        gaps = np.diff(steps)
+        propagators = {gap: _expm(gap * dt * sup) for gap in set(gaps)}
+        for i, gap in enumerate(gaps):
+            states[i + 1] = (propagators[gap] @ states[i].reshape(-1)).reshape(dim, dim)
+        _check_states(states[1:], steps[1:], True)
     else:
-        block = 1
         k_op, jumps = _generator(coeffs)
         k_dag = k_op.conj().T
+        # rate bounds the generator's spectral radius; a non-finite generator
+        # has no norm and fails the first step's checks instead
+        if np.isfinite(k_op).all():
+            rate = 2 * np.linalg.norm(k_op, 2) + sum(abs(lam) * np.linalg.norm(l_op, 2) ** 2
+                                                     for lam, l_op, _ in jumps)
+            if dt * rate > _RK4_STABLE_RADIUS:
+                raise ValueError(f"dt={dt:g} is outside the RK4 stability bound dt <= "
+                                 f"{_RK4_STABLE_RADIUS / rate:.6g} for these coefficients")
 
         def rhs(r):
             return _apply_generator(r, k_op, k_dag, jumps)
 
-    times = [np.zeros(1)]
-    stored = [rho[None].copy()]
-    done = 0
-    while done < n_steps:
-        count = min(block, n_steps - done)
-        if use_superop:
-            states = (stacked[: count * dim * dim] @ rho.reshape(-1)).reshape(count, dim, dim)
-            rho = states[-1]
-        else:
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            states = rho[None]
-        _check_states(states, done + 1, positivity_every)
-        steps = np.arange(done + 1, done + count + 1)
-        keep = (steps % store_every == 0) | (steps == n_steps)
-        if keep.any():
-            times.append(steps[keep] * dt)
-            stored.append(states[keep])
-        done += count
+        for i in range(1, len(steps)):
+            rho = states[i - 1]
+            for step in range(steps[i - 1] + 1, steps[i] + 1):
+                k1 = rhs(rho)
+                k2 = rhs(rho + 0.5 * dt * k1)
+                k3 = rhs(rho + 0.5 * dt * k2)
+                k4 = rhs(rho + dt * k3)
+                rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                due = step == steps[i] or bool(positivity_every and step % positivity_every == 0)
+                _check_states(rho[None], [step], due)
+            states[i] = rho
 
-    states = np.concatenate(stored)
     conc = _wootters_concurrences(states) if m == 2 else None
-    return TrajectoryRecord(np.concatenate(times), states, conc, kind="density")
+    return TrajectoryRecord(steps * dt, states, conc, kind="density")
 
 
 def effective_hamiltonian(coeffs: MasterEqCoefficients) -> np.ndarray:

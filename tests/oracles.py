@@ -6,10 +6,12 @@ g1..g4, inter-point phases t1..t3, and mirror round trip th) and is kept
 separate from the library code it checks.
 
 ``pairwise_lindblad_rhs`` is the master-equation right-hand side written
-term by term over atom pairs (j, k) of the decay matrix, and
-``first_check_failure`` the per-step trace / Hermiticity / spectrum check
-loop; the library builds the generator from the eigendecomposition of the
-decay matrix and checks states a block of steps at a time.
+term by term over atom pairs (j, k) of the decay matrix, ``eigen_propagator``
+the exact propagator V e^{Lambda t} V^-1 of a diagonalisable generator, and
+``first_check_failure`` the state-by-state trace / Hermiticity / spectrum
+check loop; the library builds the generator from the eigendecomposition of
+the decay matrix, exponentiates it by scaling and squaring, and checks
+stacks of states at once.
 
 The ``closed_form_*`` polynomials are the hand-expanded coefficients of the
 three canonical two-atom setups, valid for any real theta, and
@@ -207,20 +209,27 @@ def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.n
     return out
 
 
-def first_check_failure(states, positivity_every: int):
-    """Message of the first failing per-step check on states[i] = state after step i + 1.
+def eigen_propagator(generator: np.ndarray, t: float) -> np.ndarray:
+    """exp(t * generator) as V diag(e^{lambda t}) V^-1 from its eigendecomposition."""
+    lam, vecs = np.linalg.eig(generator)
+    return (vecs * np.exp(lam * t)) @ np.linalg.inv(vecs)
 
-    The tolerances are read from ``gawsim.dynamics`` at call time; None if
-    every check passes.
+
+def first_check_failure(states, steps, spectrum_steps):
+    """Message of the first failing check on states[n] = state after step steps[n].
+
+    Trace and Hermiticity on every state, the spectrum on the steps in
+    ``spectrum_steps``.  The tolerances are read from ``gawsim.dynamics`` at
+    call time; None if every check passes.
     """
-    for i, rho in enumerate(states, start=1):
+    for i, rho in zip(steps, states):
         tr_err = abs(np.trace(rho) - 1.0)
         if tr_err > dynamics.TRACE_TOL:
             return f"trace drifted by {tr_err:.3e} at step {i}"
         herm_err = float(np.abs(rho - rho.conj().T).max())
         if herm_err > dynamics.HERM_TOL:
             return f"Hermiticity residue {herm_err:.3e} at step {i}"
-        if positivity_every and i % positivity_every == 0:
+        if i in spectrum_steps:
             lo = float(np.linalg.eigvalsh(rho).min())
             if lo < dynamics.EIG_FLOOR:
                 return f"eigenvalue {lo:.3e} below floor at step {i}"

@@ -196,7 +196,7 @@ def test_criterion_7_closed_form_vs_ode():
         for theta in thetas:
             coeffs = canonical_coefficients("braided", 1.0, float(theta))
             ode = amplitude_trajectory(EG, coeffs, times).concurrence
-            closed = closed_form_concurrence_braided(float(theta), 1.0, times, allow_fallback=False)
+            closed = closed_form_concurrence_braided(float(theta), 1.0, times)
             worst = max(worst, float(np.abs(ode - closed).max()))
         assert worst < 1e-6, f"closed form vs ODE worst error {worst:.2e}"
 

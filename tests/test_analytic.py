@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from oracles import closed_form_braided
 
-from gawsim.analytic import (
-    closed_form_concurrence_braided,
-    concurrence_terms,
-    uses_ode_fallback,
-)
+from gawsim.analytic import closed_form_concurrence_braided, concurrence_terms
 from gawsim.dynamics import AmplitudeState, amplitude_trajectory
 
 
@@ -57,7 +53,16 @@ def test_principal_branches_stay_paired():
 def test_radical_never_vanishes_on_real_axis():
     magnitudes = [abs(concurrence_terms(float(t)).a_term) for t in np.linspace(0, 2 * math.pi, 4001)]
     assert min(magnitudes) > 1.8
-    assert not any(uses_ode_fallback(float(t)) for t in np.linspace(0, 2 * math.pi, 101))
+    # |a_term|^2 = |poly(z)| on |z| = 1.  Between two of n grid points the
+    # arc is at most pi / n, and |poly'| <= sum_k k |c_k| = 1520 there, so
+    # the grid minimum minus 1520 * pi / n bounds |poly| on the whole circle
+    coeffs = [37, -50, 93, -80, 86, -52, 38, -16, 9, -2, 1]
+    lipschitz = sum(k * abs(c) for k, c in enumerate(coeffs))
+    assert lipschitz == 1520
+    n = 10 ** 6
+    grid_min = np.abs(np.polynomial.polynomial.polyval(np.exp(2j * np.pi * np.arange(n) / n), coeffs)).min()
+    assert grid_min > 3.4
+    assert grid_min - lipschitz * math.pi / n > 3.4
 
 
 def test_reduces_to_steady_state_form_at_theta_zero():
@@ -92,7 +97,7 @@ def test_matches_amplitude_path_on_grid():
     for theta in np.linspace(0.02, 2 * math.pi - 0.02, 60):
         coeffs = closed_form_braided(1.0, float(theta))
         ode = amplitude_trajectory(AmplitudeState(1.0, 0.0), coeffs, times).concurrence
-        closed = closed_form_concurrence_braided(float(theta), 1.0, times, allow_fallback=False)
+        closed = closed_form_concurrence_braided(float(theta), 1.0, times)
         worst = max(worst, float(np.abs(ode - closed).max()))
     assert worst < 1e-6
 

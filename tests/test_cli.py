@@ -181,6 +181,40 @@ def test_sweep_lindblad_method_matches_effective(tmp_path):
     np.testing.assert_allclose(d_lind[:, 2], d_eff[:, 2], atol=1e-6, rtol=0)
 
 
+def test_sweep_nested_lindblad_matches_effective_to_roundoff(tmp_path):
+    lind = tmp_path / "lind.csv"
+    eff = tmp_path / "eff.csv"
+    args = ["sweep", "--config", "nested", "--theta-min", "0.4", "--theta-max", "5.9",
+            "--theta-steps", "20", "--t-max", "2", "--t-steps", "100"]
+    assert main([*args, "--method", "lindblad", "--out", str(lind)]) == 0
+    assert main([*args, "--method", "effective", "--out", str(eff)]) == 0
+    _, _, d_lind = read_table(lind)
+    _, _, d_eff = read_table(eff)
+    np.testing.assert_array_equal(d_lind[:, :2], d_eff[:, :2])
+    np.testing.assert_allclose(d_lind[:, 2], d_eff[:, 2], atol=1e-13, rtol=0)
+
+
+def test_evolve_lindblad_large_dt_stays_physical(tmp_path):
+    # one RK4 step of 1 at total decay 16 is unstable; the exact propagator is not
+    out = tmp_path / "lind.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0", "--method", "lindblad",
+                 "--t-max", "50", "--dt", "1", "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    assert len(data) == 51 and np.isfinite(data).all()
+    np.testing.assert_allclose(data[:, 1:5].sum(axis=1), 1.0, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(data[-1, 1:5], [0.0, 0.25, 0.25, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("flags,named", [(["--c-eg", "0.3", "--c-ge", "0.2"], "--c-eg"),
+                                         (["--c-ge", "0.2"], "--c-ge")])
+def test_evolve_analytic_rejects_initial_amplitudes(tmp_path, capsys, flags, named):
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.5", "--method", "analytic",
+                 *flags, "--out", str(out)]) == 1
+    assert f"error: {named} does not apply to evolve --method analytic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_custom_layout(tmp_path):
     layout = build_canonical(CanonicalConfig("braided", 1.0, math.pi / 2))
     path = tmp_path / "layout.json"
@@ -356,7 +390,7 @@ def test_oversized_grid_exits_one(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-def test_write_csv_matches_per_value_oracle(tmp_path):
+def test_write_csv_matches_per_value_oracle(tmp_path, monkeypatch):
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
                1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0]
     rng = np.random.default_rng(11)
@@ -364,10 +398,13 @@ def test_write_csv_matches_per_value_oracle(tmp_path):
     cols = [np.array(special * 3), np.concatenate([special[::-1]] * 3), np.arange(45.0)]
     cols = [np.concatenate([c, n]) for c, n in zip(cols, normals)]
     spec = RunSpec(command="coeffs", configuration="braided")
+    expected = per_value_csv(cli._header_lines(spec), ["a", "b", "c"], zip(*cols))
     out = tmp_path / "table.csv"
-    cli._write_csv(str(out), spec, ["a", "b", "c"], *cols, extra_header=["note: 1"])
-    expected = per_value_csv(cli._header_lines(spec) + ["# note: 1"], ["a", "b", "c"], zip(*cols))
-    assert out.read_bytes() == expected.encode()
+    # 245 rows: the small blocks make rows straddle block boundaries
+    for block_rows in (cli._CSV_BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        cli._write_csv(str(out), spec, ["a", "b", "c"], *cols)
+        assert out.read_bytes() == expected.encode(), block_rows
 
 
 def _per_row_bodies():

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import closed_form_braided, first_check_failure, pairwise_lindblad_rhs
+from oracles import (
+    closed_form_braided,
+    eigen_propagator,
+    first_check_failure,
+    pairwise_lindblad_rhs,
+)
 
 import gawsim.dynamics as dyn
 from gawsim.coefficients import MasterEqCoefficients, canonical_coefficients
@@ -404,21 +409,39 @@ def test_rhs_keeps_tolerated_negative_decay_eigenvalue():
     )
 
 
-@pytest.mark.parametrize("m,n_steps", [(2, 600), (3, 50), (4, 20)])
-def test_blocked_step_matrix_matches_direct_rk4(monkeypatch, m, n_steps):
+def _check_exact_and_rk4_against_eigen_oracle(monkeypatch, m, n_steps):
     rng = np.random.default_rng(30 + m)
     coeffs = _mirror_coeffs(rng, m)
     rho0 = _mixed_state(rng, 2 ** m)
     dt = 2e-3
-    blocked = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 2 ** m)
+    exact = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
-    direct = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
-    assert len(blocked.states) == n_steps + 1
-    np.testing.assert_array_equal(blocked.times, direct.times)
-    np.testing.assert_allclose(blocked.states, direct.states, atol=1e-12, rtol=0)
+    rk4 = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
+    generator = dyn._superoperator(coeffs)
+    oracle = np.array([(eigen_propagator(generator, t) @ rho0.reshape(-1)).reshape(rho0.shape)
+                       for t in exact.times])
+    assert len(exact.states) == n_steps + 1
+    np.testing.assert_array_equal(exact.times, np.arange(n_steps + 1) * dt)
+    np.testing.assert_array_equal(exact.times, rk4.times)
+    np.testing.assert_allclose(exact.states, oracle, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(rk4.states, oracle, atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("m,n_steps", [(2, 600), (3, 50)])
+def test_exact_and_rk4_paths_match_eigen_oracle(monkeypatch, m, n_steps):
+    _check_exact_and_rk4_against_eigen_oracle(monkeypatch, m, n_steps)
+
+
+# M = 4 takes RK4 by default; the superoperator path forced on here is the
+# exact propagator, which replaced the blocked step-matrix powers
+@pytest.mark.parametrize("m,n_steps", [(4, 20)])
+def test_blocked_step_matrix_matches_direct_rk4(monkeypatch, m, n_steps):
+    _check_exact_and_rk4_against_eigen_oracle(monkeypatch, m, n_steps)
 
 
 def test_direct_rk4_matches_forced_step_matrix_at_five_atoms(monkeypatch):
+    # the forced superoperator path is the exact propagator
     rng = np.random.default_rng(35)
     coeffs = _mirror_coeffs(rng, 5)
     rho0 = _mixed_state(rng, 32)
@@ -429,7 +452,10 @@ def test_direct_rk4_matches_forced_step_matrix_at_five_atoms(monkeypatch):
     np.testing.assert_allclose(direct.states, forced.states, atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("cap", [dyn._SUPEROP_DIM_CAP, 1])
+# cap 16 takes M = 2, 3 through the exact propagator, cap 1 through RK4;
+# ``step`` is where the RK4 leg trips (the exact leg has states at the
+# stored steps 10, 20, ... only, and trips at step 10)
+@pytest.mark.parametrize("cap", [16, 1])
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("tolerances,step", [
     ({"TRACE_TOL": -1.0}, 1),
@@ -442,17 +468,47 @@ def test_checks_trip_like_the_per_step_loop(monkeypatch, cap, m, tolerances, ste
     rng = np.random.default_rng(40 + m)
     coeffs = _mirror_coeffs(rng, m)
     rho0 = _mixed_state(rng, 2 ** m)
+    exact = cap >= 2 ** m
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
-    reference = evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=1, positivity_every=7)
+
+    def run(store_every):
+        return evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=store_every,
+                               positivity_every=7)
+
+    # RK4 checks every step, so its reference keeps every step
+    reference = run(10 if exact else 1)
+    steps = np.rint(reference.times[1:] / 2e-3).astype(int)
+    # the spectrum: every stored state, and every 7th RK4 step
+    spectrum = set(steps) if exact else {s for s in steps if s % 7 == 0 or s % 10 == 0}
     for name, value in tolerances.items():
         monkeypatch.setattr(dyn, name, value)
     # the tolerances are meant to trip during stepping, not on rho0
     monkeypatch.setattr(dyn, "validate_density_matrix", lambda rho: None)
-    expected = first_check_failure(reference.states[1:], positivity_every=7)
-    assert expected.endswith(f"at step {step}")
+    expected = first_check_failure(reference.states[1:], steps, spectrum)
+    assert expected.endswith(f"at step {10 if exact else step}")
     with pytest.raises(NumericalFailure) as exc:
-        evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=1, positivity_every=7)
+        run(10)
     assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_rk4_rejects_dt_outside_stability_disk(m):
+    rng = np.random.default_rng(60 + m)
+    coeffs = _mirror_coeffs(rng, m)
+    rho0 = _mixed_state(rng, 2 ** m)
+    with pytest.raises(ValueError, match=r"dt=1 is outside the RK4 stability bound dt <= 0\.\d+ "):
+        evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
+
+
+@pytest.mark.parametrize("store_every,step", [(1, 1), (1000, 40)])
+def test_rk4_checks_spectrum_of_every_stored_state(store_every, step):
+    # dt = 0.1 is inside the stability disk here, but RK4 leaves the
+    # positive cone within 40 steps, before positivity_every = 100 is due
+    coeffs = _mirror_coeffs(np.random.default_rng(62), 4)
+    rho0 = np.zeros((16, 16), dtype=complex)
+    rho0[7, 7] = 1.0  # atom 0 excited
+    with pytest.raises(NumericalFailure, match=f"below floor at step {step}$"):
+        evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
 
 
 def test_batched_concurrence_matches_scalar():
@@ -478,7 +534,7 @@ def test_lindblad_step_budget(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(dyn, "_generator", never)
-        patch.setattr(dyn, "_step_powers", never)
+        patch.setattr(dyn, "_superoperator", never)
         with pytest.raises(ValueError, match=r"t_max=1e\+09 and dt=1 .*MAX_RK4_STEPS"):
             evolve_lindblad(rho_eg(), coeffs, t_max=1e9, dt=1.0)
     monkeypatch.setattr(dyn, "MAX_RK4_STEPS", 100)
@@ -494,14 +550,18 @@ def test_lindblad_rejects_non_finite_or_huge_horizon(t_max, dt):
         evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.5), t_max=t_max, dt=dt)
 
 
-@pytest.mark.parametrize("cap", [dyn._SUPEROP_DIM_CAP, 1])
+@pytest.mark.parametrize("cap", [16, 1])
 def test_lindblad_stores_every_nth_and_final_step(monkeypatch, cap):
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
     coeffs = closed_form_braided(1.0, 0.7)
     record = evolve_lindblad(rho_eg(), coeffs, t_max=0.6005, dt=1e-3, store_every=250)
     np.testing.assert_array_equal(record.times, np.array([0, 250, 500, 600]) * 1e-3)
     every = evolve_lindblad(rho_eg(), coeffs, t_max=0.6005, dt=1e-3, store_every=1)
-    np.testing.assert_array_equal(record.states, every.states[[0, 250, 500, 600]])
+    if cap == 1:  # RK4 takes the same steps whatever it stores
+        np.testing.assert_array_equal(record.states, every.states[[0, 250, 500, 600]])
+    else:  # one propagator per stored interval instead of one per step
+        np.testing.assert_allclose(record.states, every.states[[0, 250, 500, 600]],
+                                   atol=1e-13, rtol=0)
 
 
 def test_lindblad_rejects_store_every_below_one():
@@ -509,7 +569,7 @@ def test_lindblad_rejects_store_every_below_one():
         evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.5), t_max=0.1, dt=1e-3, store_every=0)
 
 
-@pytest.mark.parametrize("cap", [dyn._SUPEROP_DIM_CAP, 1])
+@pytest.mark.parametrize("cap", [16, 1])
 def test_lindblad_nan_state_fails_at_first_step(monkeypatch, cap):
     # a NaN residue compares False against every tolerance; it must still fail
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
