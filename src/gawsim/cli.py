@@ -149,6 +149,11 @@ def _resolve_source(spec: RunSpec):
         raise SpecError("give either --config or --layout, not both")
     if spec.configuration is not None:
         return "config", Configuration(spec.configuration)
+    # the layout file fixes every phase; a theta flag would be recorded, not used
+    for name in ("theta", "theta_min", "theta_max", "theta_steps"):
+        if getattr(spec, name) is not None:
+            raise SpecError(f"--{name.replace('_', '-')} does not apply with --layout, "
+                            "whose file fixes the phases")
     return "layout", _load_layout(spec)
 
 

@@ -19,12 +19,19 @@ Two routes from coefficients to dynamics:
     terms; the right-hand side, the superoperator and the RK4 stepper all
     take them from there.
 
-    The generator does not depend on time.  Up to M = 3 atoms it is built
-    as a dense superoperator L on vec(rho), and each stored interval is
-    advanced exactly by P = exp(Delta t * L), computed by scaling and
-    squaring of a Taylor sum (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)); ``dt`` only sets the grid of row times there.  From M = 4 on
-    the equation is integrated with fixed-step classical fourth-order
+    The generator does not depend on time.  K keeps the excitation number
+    and every L_r lowers it, so rho never leaves the basis states with at
+    most n excitations, n the largest excitation number in the support of
+    rho0 (Lehmberg's reduction).  When that truncated space has dimension
+    D <= 8 (every state with at most one excitation up to M = 6 atoms,
+    D = M + 1, and any state up to M = 3), K and the L_r are restricted to
+    it, the generator is built as a dense D**2 x D**2 superoperator L on
+    vec(rho), and each stored interval is advanced exactly by
+    P = exp(Delta t * L), computed by scaling and squaring of a Taylor sum
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); ``dt`` only sets
+    the grid of row times there, and entries outside the kept block stay
+    exactly zero.  Above D = 8 (two or more excitations from M = 4 on) the
+    equation is integrated with fixed-step classical fourth-order
     Runge-Kutta applied to rho in operator form; ``dt`` is its step, and a
     step outside the scheme's stability disk is rejected up front.  Every
     stored state is checked for trace, Hermiticity and spectrum; the RK4
@@ -63,9 +70,10 @@ HERM_TOL = 1e-10
 EIG_FLOOR = -1e-8
 NORM_TOL = 1e-9
 
-#: Largest Hilbert-space dimension for which the generator is built as a
-#: dense superoperator (dim**2 x dim**2 matrix) and propagated exactly;
-#: above it each RK4 step is applied in operator form.
+#: Largest dimension of the excitation-truncated space that holds rho0 for
+#: which the generator is built as a dense superoperator (D**2 x D**2
+#: matrix) and propagated exactly; above it each RK4 step is applied in
+#: operator form.
 _SUPEROP_DIM_CAP = 8
 
 #: RK4's stability polynomial stays within the unit disk on the whole left
@@ -124,12 +132,17 @@ def density_from_amplitudes(state: AmplitudeState) -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Check trace, Hermiticity and spectral floor; raise on violation."""
+    """Check finiteness, trace, Hermiticity and spectral floor; raise on violation."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        raise NumericalFailure(f"trace deviates from 1 by {abs(np.trace(rho) - 1.0):.3e}")
-    if np.abs(rho - rho.conj().T).max() > HERM_TOL:
+    bad = np.argwhere(~np.isfinite(rho))
+    if len(bad):
+        raise NumericalFailure(f"density matrix has {len(bad)} non-finite entries, the first "
+                               f"at ({bad[0][0]}, {bad[0][1]})")
+    tr_err = abs(np.trace(rho) - 1.0)
+    if not tr_err <= TRACE_TOL:
+        raise NumericalFailure(f"trace deviates from 1 by {tr_err:.3e}")
+    if not np.abs(rho - rho.conj().T).max() <= HERM_TOL:
         raise NumericalFailure("density matrix is not Hermitian")
     lo = float(np.linalg.eigvalsh(rho).min())
     if lo < EIG_FLOOR:
@@ -214,12 +227,25 @@ def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
     return _apply_generator(rho, k_op, k_op.conj().T, jumps)
 
 
-def _superoperator(coeffs: MasterEqCoefficients) -> np.ndarray:
-    """Matrix of the generator acting on row-major vec(rho)."""
+def _excitation_numbers(n_atoms: int) -> np.ndarray:
+    """Number of excited atoms in each basis state of the 2**n_atoms space."""
+    diag = sum(np.diagonal(slh.number_op(j, n_atoms)).real for j in range(n_atoms))
+    return np.rint(diag).astype(int)
+
+
+def _superoperator(coeffs: MasterEqCoefficients, keep=None) -> np.ndarray:
+    """Matrix of the generator acting on row-major vec(rho).
+
+    With ``keep`` (basis-state indices) K and the L_r are first restricted
+    to those states, which is exact when no term leads out of them.
+    """
     k_op, jumps = _generator(coeffs)
+    block = (slice(None), slice(None)) if keep is None else np.ix_(keep, keep)
+    k_op = k_op[block]
     eye = np.eye(len(k_op), dtype=complex)
     sup = np.kron(k_op, eye) + np.kron(eye, k_op.conj())
     for lam, l_op, _ in jumps:
+        l_op = l_op[block]
         sup += lam * np.kron(l_op, l_op.conj())
     return sup
 
@@ -294,8 +320,12 @@ def evolve_lindblad(
 ) -> TrajectoryRecord:
     """Evolve a density matrix under the master equation on the grid t = k * dt.
 
-    Up to three atoms (dim <= ``_SUPEROP_DIM_CAP``) each stored interval is
-    propagated exactly, so ``dt`` only spaces the rows.  From four atoms on
+    rho stays on the basis states with at most n excitations, n the largest
+    excitation number of a state in rho0's support (a row or column with a
+    non-zero entry).  When there are at most ``_SUPEROP_DIM_CAP`` = 8 of
+    them (at most one excitation up to six atoms, anything up to three)
+    each stored interval is propagated exactly on them, so ``dt`` only
+    spaces the rows, and every other entry is exactly zero.  Otherwise
     ``dt`` is the fixed RK4 step, and one with dt * (2 |K| + sum_r |lam_r|
     |L_r|^2) > 2.6 (spectral norms) is rejected before any step.
 
@@ -348,15 +378,23 @@ def evolve_lindblad(
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 shape {rho0.shape} does not match {m} atoms")
 
+    # K keeps the excitation number and every L_r lowers it
+    excitations = _excitation_numbers(m)
+    support = (rho0 != 0).any(axis=0) | (rho0 != 0).any(axis=1)
+    keep = np.flatnonzero(excitations <= excitations[support].max())
+
     steps = np.unique(np.append(np.arange(0, n_steps + 1, store_every), n_steps))
-    states = np.empty((len(steps), dim, dim), dtype=complex)
+    states = np.zeros((len(steps), dim, dim), dtype=complex)
     states[0] = rho0
-    if dim <= _SUPEROP_DIM_CAP:
-        sup = _superoperator(coeffs)
+    if len(keep) <= _SUPEROP_DIM_CAP:
+        sup = _superoperator(coeffs, keep)
         gaps = np.diff(steps)
         propagators = {gap: _expm(gap * dt * sup) for gap in set(gaps)}
+        block = np.ix_(keep, keep)
+        vec = rho0[block].reshape(-1)
         for i, gap in enumerate(gaps):
-            states[i + 1] = (propagators[gap] @ states[i].reshape(-1)).reshape(dim, dim)
+            vec = propagators[gap] @ vec
+            states[i + 1][block] = vec.reshape(len(keep), len(keep))
         _check_states(states[1:], steps[1:], True)
     else:
         k_op, jumps = _generator(coeffs)

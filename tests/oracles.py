@@ -7,10 +7,13 @@ separate from the library code it checks.
 
 ``pairwise_lindblad_rhs`` is the master-equation right-hand side written
 term by term over atom pairs (j, k) of the decay matrix, ``eigen_propagator``
-the exact propagator V e^{Lambda t} V^-1 of a diagonalisable generator, and
-``first_check_failure`` the state-by-state trace / Hermiticity / spectrum
-check loop; the library builds the generator from the eigendecomposition of
-the decay matrix, exponentiates it by scaling and squaring, and checks
+the exact propagator V e^{Lambda t} V^-1 of a diagonalisable generator,
+``single_excitation_states`` the exact master-equation solution for a state
+with at most one excitation, from the M x M effective Hamiltonian alone,
+and ``first_check_failure`` the state-by-state trace / Hermiticity /
+spectrum check loop; the library builds the generator from the
+eigendecomposition of the decay matrix, restricts it to the excitation
+numbers rho0 reaches, exponentiates it by scaling and squaring, and checks
 stacks of states at once.
 
 The ``closed_form_*`` polynomials are the hand-expanded coefficients of the
@@ -213,6 +216,53 @@ def eigen_propagator(generator: np.ndarray, t: float) -> np.ndarray:
     """exp(t * generator) as V diag(e^{lambda t}) V^-1 from its eigendecomposition."""
     lam, vecs = np.linalg.eig(generator)
     return (vecs * np.exp(lam * t)) @ np.linalg.inv(vecs)
+
+
+def single_excitation_propagators(coeffs: MasterEqCoefficients, times) -> np.ndarray:
+    """exp(-i H_eff t) at each time, shape (T, M, M), atom j excited in row j.
+
+    H_eff = diag(dw) + g - (i/2) decay_matrix, exponentiated through its
+    eigendecomposition.  A 2x2 H_eff at an exceptional point, mbar I + N
+    with N @ N = 0, has no eigenbasis; there the series ends after the
+    linear term, exp(-i H_eff t) = e^{-i mbar t} (I - i t N).
+    """
+    exch = coeffs.exchange - np.diag(np.diag(coeffs.exchange))
+    h_eff = np.diag(coeffs.lamb_shifts) + exch - 0.5j * coeffs.decay_matrix()
+    times = np.asarray(times, dtype=float)
+    m = len(h_eff)
+    mbar = np.trace(h_eff) / m
+    nil = h_eff - mbar * np.eye(m)
+    if m == 2 and np.abs(nil @ nil).max() <= 1e-12 * np.abs(nil).max() ** 2:
+        t = times[:, None, None]
+        return np.exp(-1j * mbar * t) * (np.eye(m) - 1j * t * nil)
+    lam, vecs = np.linalg.eig(h_eff)
+    return np.einsum("ij,tj,jk->tik", vecs, np.exp(-1j * np.outer(times, lam)), np.linalg.inv(vecs))
+
+
+def single_excitation_states(rho0: np.ndarray, coeffs: MasterEqCoefficients, times) -> np.ndarray:
+    """Exact density matrices (T, 2**M, 2**M) from rho0 with at most one excitation.
+
+    With U = exp(-i H_eff t) on the one-excitation states (atom j excited:
+    every qubit in state 1 but qubit j, index 2**M - 1 - 2**(M-1-j)) and the
+    ground state |g...g> (index 2**M - 1): rho_11 -> U rho_11 U^dag,
+    rho_1g -> U rho_1g, rho_gg = 1 - tr rho_11, every other entry 0.
+    """
+    m = coeffs.n_atoms
+    dim = 2 ** m
+    one = dim - 1 - 2 ** (m - 1 - np.arange(m))
+    g = dim - 1
+    rest = np.ones(dim, dtype=bool)
+    rest[one] = rest[g] = False
+    assert not rho0[rest].any() and not rho0[:, rest].any(), "rho0 has more than one excitation"
+    u = single_excitation_propagators(coeffs, times)
+    r11 = u @ rho0[np.ix_(one, one)] @ u.conj().swapaxes(1, 2)
+    r1g = u @ rho0[one, g]
+    out = np.zeros((len(u), dim, dim), dtype=complex)
+    out[:, one[:, None], one] = r11
+    out[:, one, g] = r1g
+    out[:, g, one] = r1g.conj()
+    out[:, g, g] = 1.0 - np.trace(r11, axis1=1, axis2=2)
+    return out
 
 
 def first_check_failure(states, steps, spectrum_steps):

@@ -226,6 +226,33 @@ def test_evolve_custom_layout(tmp_path):
     np.testing.assert_allclose(data[:, 5], np.abs(np.sin(2 * data[:, 0])), atol=1e-9)
 
 
+@pytest.mark.parametrize("command,flags,named", [
+    ("evolve", ["--theta", "9"], "--theta"),
+    ("verify-slh", ["--theta", "0.5"], "--theta"),
+    ("coeffs", ["--theta-min", "3"], "--theta-min"),
+    ("coeffs", ["--theta-max", "3"], "--theta-max"),
+    ("coeffs", ["--theta-steps", "5"], "--theta-steps"),
+])
+def test_layout_rejects_theta_flags(tmp_path, capsys, command, flags, named):
+    path = tmp_path / "layout.json"
+    path.write_text(layout_to_json(build_canonical(CanonicalConfig("braided", 1.0, 0.7))))
+    out = tmp_path / "x.out"
+    assert main([command, "--layout", str(path), *flags, "--out", str(out)]) == 1
+    assert f"error: {named} does not apply with --layout" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_layout_lindblad_evolve_keeps_gamma(tmp_path):
+    # --gamma still sets the recommended step of a Lindblad run with a layout
+    path = tmp_path / "layout.json"
+    path.write_text(layout_to_json(build_canonical(CanonicalConfig("braided", 1.0, math.pi / 2))))
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--layout", str(path), "--method", "lindblad", "--gamma", "5",
+                 "--t-max", "0.5", "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    assert data[1, 0] == pytest.approx(1e-3 / 5)
+
+
 def test_sweep_nested_zero_column_at_pi(tmp_path):
     out = tmp_path / "nested.csv"
     assert main(["sweep", "--config", "nested", "--theta-min", str(math.pi),

@@ -7,6 +7,7 @@ from oracles import (
     eigen_propagator,
     first_check_failure,
     pairwise_lindblad_rhs,
+    single_excitation_states,
 )
 
 import gawsim.dynamics as dyn
@@ -294,6 +295,15 @@ def test_invalid_rho0_rejected():
         evolve_lindblad(bad, coeffs, 0.1, 1e-3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_rho0_rejected_by_name(value):
+    # a NaN residue compares False against every tolerance; it must still fail
+    bad = rho_eg()
+    bad[2, 2] = value
+    with pytest.raises(NumericalFailure, match=r"1 non-finite entries, the first at \(2, 2\)"):
+        evolve_lindblad(bad, closed_form_braided(1.0, 1.0), 0.1, 1e-3)
+
+
 def test_three_atom_lindblad_evolution():
     from gawsim.coefficients import general_coefficients
     from gawsim.model import ConnectionPoint, GiantAtomSpec, build_custom
@@ -500,15 +510,116 @@ def test_rk4_rejects_dt_outside_stability_disk(m):
         evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
 
 
-@pytest.mark.parametrize("store_every,step", [(1, 1), (1000, 40)])
-def test_rk4_checks_spectrum_of_every_stored_state(store_every, step):
-    # dt = 0.1 is inside the stability disk here, but RK4 leaves the
-    # positive cone within 40 steps, before positivity_every = 100 is due
+def _spectrum_test_input():
     coeffs = _mirror_coeffs(np.random.default_rng(62), 4)
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[7, 7] = 1.0  # atom 0 excited
+    return rho0, coeffs
+
+
+@pytest.mark.parametrize("store_every,step", [(1, 1), (1000, 40)])
+def test_rk4_checks_spectrum_of_every_stored_state(monkeypatch, store_every, step):
+    # dt = 0.1 is inside the stability disk here, but RK4 leaves the
+    # positive cone within 40 steps, before positivity_every = 100 is due;
+    # the single excitation would take the exact path, so RK4 is forced
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
+    rho0, coeffs = _spectrum_test_input()
     with pytest.raises(NumericalFailure, match=f"below floor at step {step}$"):
         evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
+
+
+@pytest.mark.parametrize("store_every", [1, 1000])
+def test_single_excitation_at_large_dt_takes_exact_path(store_every):
+    rho0, coeffs = _spectrum_test_input()
+    record = evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
+    assert len(record.times) == (41 if store_every == 1 else 2)
+    np.testing.assert_allclose(record.states, single_excitation_states(rho0, coeffs, record.times),
+                               atol=1e-12, rtol=0)
+
+
+# ----------------------------------------- excitation-truncated exact path
+
+
+def _one_excitation_indices(m):
+    return [2 ** m - 1 - 2 ** (m - 1 - j) for j in range(m)] + [2 ** m - 1]
+
+
+def _in_sector_states(rng, m):
+    """A pure state with a ground coherence and a mixed state, both with at most one excitation."""
+    dim, idx = 2 ** m, _one_excitation_indices(m)
+    psi = np.zeros(dim, dtype=complex)
+    psi[idx] = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    psi /= np.linalg.norm(psi)
+    mixed = np.zeros((dim, dim), dtype=complex)
+    mixed[np.ix_(idx, idx)] = _mixed_state(rng, m + 1)
+    return np.outer(psi, psi.conj()), mixed
+
+
+def _random_psd(rng, m):
+    b = rng.normal(size=(m, m))
+    return b @ b.T
+
+
+def _assert_matches_sector_oracle(rho0, coeffs, t_max, dt, store_every):
+    record = evolve_lindblad(rho0, coeffs, t_max=t_max, dt=dt, store_every=store_every)
+    oracle = single_excitation_states(rho0, coeffs, record.times)
+    np.testing.assert_allclose(record.states, oracle, atol=1e-12, rtol=0)
+    outside = np.ones(len(rho0), dtype=bool)
+    outside[_one_excitation_indices(coeffs.n_atoms)] = False
+    assert not record.states[:, outside].any() and not record.states[:, :, outside].any()
+
+
+def _no_rk4(*args):
+    raise AssertionError("an input with at most 8 reachable basis states took the RK4 path")
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_single_excitation_states_match_sector_oracle(monkeypatch, m):
+    rng = np.random.default_rng(70 + m)
+    monkeypatch.setattr(dyn, "_apply_generator", _no_rk4)
+    for coeffs in (_mirror_coeffs(rng, m), _coeffs_with_decay(rng, _random_psd(rng, m))):
+        for rho0 in _in_sector_states(rng, m):
+            _assert_matches_sector_oracle(rho0, coeffs, t_max=1.5, dt=0.01, store_every=7)
+
+
+def test_single_excitation_exact_at_exceptional_point():
+    # H_eff = [[-2i, 1], [1, 0]] = -i I + N with N @ N = 0: one eigenvector
+    z = np.zeros((2, 2))
+    coeffs = MasterEqCoefficients(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                  np.array([4.0, 0.0]), z)
+    h_eff = effective_hamiltonian(coeffs)
+    nil = h_eff + 1j * np.eye(2)
+    assert not (nil @ nil).any() and nil.any()
+    for rho0 in _in_sector_states(np.random.default_rng(80), 2):
+        _assert_matches_sector_oracle(rho0, coeffs, t_max=6.0, dt=0.05, store_every=3)
+
+
+def test_two_excitations_at_three_atoms_match_eigen_oracle(monkeypatch):
+    # |eee> (index 0) is empty, so D = 7 states with at most two excitations
+    rng = np.random.default_rng(81)
+    coeffs = _mirror_coeffs(rng, 3)
+    rho0 = np.zeros((8, 8), dtype=complex)
+    rho0[1:, 1:] = _mixed_state(rng, 7)
+    generator = dyn._superoperator(coeffs)
+    monkeypatch.setattr(dyn, "_apply_generator", _no_rk4)
+    record = evolve_lindblad(rho0, coeffs, t_max=1.0, dt=0.01, store_every=10)
+    oracle = np.array([(eigen_propagator(generator, t) @ rho0.reshape(-1)).reshape(8, 8)
+                       for t in record.times])
+    np.testing.assert_allclose(record.states, oracle, atol=1e-12, rtol=0)
+    assert not record.states[:, 0].any() and not record.states[:, :, 0].any()
+
+
+def test_one_double_excitation_entry_keeps_rk4_at_four_atoms():
+    # one |eegg> population lifts D to 11 > 8, so RK4 and its dt check apply
+    rng = np.random.default_rng(82)
+    coeffs = _mirror_coeffs(rng, 4)
+    rho0 = np.zeros((16, 16), dtype=complex)
+    rho0[15, 15] = 0.9
+    rho0[7, 7] = 0.1 - 1e-6
+    rho0[3, 3] = 1e-6  # |eegg> is basis state 3 (qubits 0, 1 excited)
+    assert dyn._excitation_numbers(4)[3] == 2
+    with pytest.raises(ValueError, match="outside the RK4 stability bound"):
+        evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
 
 
 def test_batched_concurrence_matches_scalar():
