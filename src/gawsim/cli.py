@@ -174,16 +174,34 @@ def _theta_grid(spec: RunSpec) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _time_grid(spec: RunSpec) -> np.ndarray:
+def _horizon(spec: RunSpec) -> float:
     t_max = 4.0 if spec.t_max is None else spec.t_max
     if t_max <= 0:
         raise SpecError("t-max must be positive")
+    return t_max
+
+
+def _step_count(t_max: float, dt: float, given: bool) -> int:
+    """Whole steps of ``dt`` up to ``t_max`` (evolve_lindblad's rule), at least one.
+
+    Too few names --dt when it was ``given``, otherwise --t-max, since the
+    step is then the recommended one.
+    """
+    if dt <= 0:
+        raise SpecError("dt must be positive")
+    n = int(math.floor(t_max / dt + 1e-9))
+    if n < 1:
+        if given:
+            raise SpecError(f"--dt {dt} leaves fewer than 2 time points up to t-max {t_max}")
+        raise SpecError(f"--t-max {t_max} leaves fewer than 2 time points at the recommended "
+                        f"step dt = {dt:g}")
+    return n
+
+
+def _time_grid(spec: RunSpec) -> np.ndarray:
+    t_max = _horizon(spec)
     if spec.dt is not None:
-        if spec.dt <= 0:
-            raise SpecError("dt must be positive")
-        n = int(math.floor(t_max / spec.dt + 1e-9))
-        if n < 1:
-            raise SpecError(f"--dt {spec.dt} leaves fewer than 2 time points up to t-max {t_max}")
+        n = _step_count(t_max, spec.dt, given=True)
         _check_size(n + 1, "--dt")
         return np.arange(n + 1) * spec.dt
     steps = 400 if spec.t_steps is None else spec.t_steps
@@ -281,8 +299,9 @@ def run_evolve(spec: RunSpec) -> int:
         if spec.t_steps is not None:
             raise SpecError("--t-steps does not apply to evolve --method lindblad; "
                             "give --dt or leave both out for the recommended step")
-        t_max = 4.0 if spec.t_max is None else spec.t_max
+        t_max = _horizon(spec)
         dt = spec.dt if spec.dt is not None else dynamics.recommended_timestep(coeffs, spec.gamma)
+        _step_count(t_max, dt, given=spec.dt is not None)
         rho0 = dynamics.density_from_amplitudes(initial)
         record = dynamics.evolve_lindblad(rho0, coeffs, t_max, dt)
         populations = np.diagonal(record.states, axis1=1, axis2=2).real

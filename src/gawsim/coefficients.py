@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LayoutError
 from .model import CanonicalConfig, Configuration, WaveguideLayout, canonical_atom_order
 
 #: Below this (times gamma), a decay coefficient is treated as exactly zero
@@ -118,20 +119,29 @@ def coefficient_sums(phases, rates, owners, n_atoms: int) -> tuple[np.ndarray, n
     Returns ``shift`` (..., M, M), symmetric, with the Lamb shifts dw_j on
     the diagonal and the exchange g_jk off it, and the amplitudes
     v_j = sum_n sqrt(gamma_jn) cos(phi_jn) (..., M); decay is 2 v v^T.
+    Raises ``LayoutError`` naming gamma when a shift, an amplitude or an
+    entry of 2 v v^T is not finite (rates near the float maximum overflow).
     """
     phases = np.asarray(phases, dtype=float)
     weights = _point_weights(rates, owners, n_atoms)
-    sin, cos = np.sin(phases), np.cos(phases)
-    v = cos @ weights
-    # signed[n, k] = sum over points m of atom k of sign(n - m) sqrt(gamma_m) cos(phi_m)
-    cos_w = cos[..., None] * weights
-    signed = 2.0 * np.cumsum(cos_w, axis=-2) - cos_w - v[..., None, :]
-    # sin|phi_n - phi_m| = sign(n - m) (sin phi_n cos phi_m - cos phi_n sin phi_m) and
-    # sin(phi_n + phi_m) = sin phi_n cos phi_m + cos phi_n sin phi_m: both double
-    # sums are y + y^T, where y collects the sin phi_n cos phi_m halves
-    sin_w = np.swapaxes(sin[..., None] * weights, -1, -2)
-    y = sin_w @ signed + (sin @ weights)[..., :, None] * v[..., None, :]
-    return 0.5 * (y + np.swapaxes(y, -1, -2)), v
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin, cos = np.sin(phases), np.cos(phases)
+        v = cos @ weights
+        # signed[n, k] = sum over points m of atom k of sign(n - m) sqrt(gamma_m) cos(phi_m)
+        cos_w = cos[..., None] * weights
+        signed = 2.0 * np.cumsum(cos_w, axis=-2) - cos_w - v[..., None, :]
+        # sin|phi_n - phi_m| = sign(n - m) (sin phi_n cos phi_m - cos phi_n sin phi_m) and
+        # sin(phi_n + phi_m) = sin phi_n cos phi_m + cos phi_n sin phi_m: both double
+        # sums are y + y^T, where y collects the sin phi_n cos phi_m halves
+        sin_w = np.swapaxes(sin[..., None] * weights, -1, -2)
+        y = sin_w @ signed + (sin @ weights)[..., :, None] * v[..., None, :]
+        shift = 0.5 * (y + np.swapaxes(y, -1, -2))
+        # the largest entry of the decay matrix 2 v v^T that callers form
+        peak_decay = 2.0 * np.abs(v).max(initial=0.0) ** 2
+    if not (np.isfinite(shift).all() and np.isfinite(peak_decay)):
+        raise LayoutError(f"coefficients are not finite for decay rates gamma up to "
+                          f"{float(np.max(rates)):g} (phases up to {float(np.abs(phases).max()):g})")
+    return shift, v
 
 
 def _coefficients_from_sums(shift: np.ndarray, v: np.ndarray) -> MasterEqCoefficients:

@@ -24,13 +24,15 @@ Two routes from coefficients to dynamics:
     most n excitations, n the largest excitation number in the support of
     rho0 (Lehmberg's reduction).  When that truncated space has dimension
     D <= 8 (every state with at most one excitation up to M = 6 atoms,
-    D = M + 1, and any state up to M = 3), K and the L_r are restricted to
-    it, the generator is built as a dense D**2 x D**2 superoperator L on
-    vec(rho), and each stored interval is advanced exactly by
+    D = M + 1, and any state up to M = 3), the M lowering operators are
+    restricted to it before any product is formed, so K, the L_r and the
+    dense D**2 x D**2 superoperator L on vec(rho) are built from D x D
+    blocks, and each stored interval is advanced exactly by
     P = exp(Delta t * L), computed by scaling and squaring of a Taylor sum
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); ``dt`` only sets
-    the grid of row times there, and entries outside the kept block stay
-    exactly zero.  Above D = 8 (two or more excitations from M = 4 on) the
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  ``dt`` only sets
+    the grid of row times there; the stored D x D blocks are checked and
+    then placed into the returned 2**M x 2**M states, whose other entries
+    are exactly zero.  Above D = 8 (two or more excitations from M = 4 on) the
     equation is integrated with fixed-step classical fourth-order
     Runge-Kutta applied to rho in operator form; ``dt`` is its step, and a
     step outside the scheme's stability disk is rejected up front.  Every
@@ -45,9 +47,12 @@ Two routes from coefficients to dynamics:
     by eigendecomposition, with a first-order degenerate branch at
     exceptional points where the two complex eigenvalues coincide.
 
-For a state with no double-excitation population the two routes agree: the
-Wootters concurrence of the mixed state reduces to twice the magnitude of
-the single coherence, which is exactly 2 |c_eg c_ge*|.
+For a state with no double-excitation weight the two routes agree: the
+Wootters concurrence of the mixed state reduces to
+2 min(|rho_eg,ge|, sqrt(p_eg p_ge)), which for the pure single-excitation
+block the amplitudes describe is exactly 2 |c_eg c_ge*|.  Density-matrix
+stacks without |ee> weight take that closed form instead of an
+eigenvalue problem.
 
 Basis ordering for two atoms is {|ee>, |eg>, |ge>, |gg>}; times and rates
 are dimensionless (units of the reference rate).
@@ -185,18 +190,35 @@ def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
     return h
 
 
-def _generator(coeffs: MasterEqCoefficients):
+def _generator(coeffs: MasterEqCoefficients, keep=None, channels=None):
     """Drift K and jump terms [(lam_r, L_r, L_r^dag)] of the master equation.
 
     drho/dt = K rho + rho K^dag + sum_r lam_r L_r rho L_r^dag with
     L_r = sum_j U_jr sm_j and K = -iH - (1/2) sum_r lam_r L_r^dag L_r, from
     the eigendecomposition decay_matrix = U diag(lam) U^T.  Raises on an
-    unphysical decay matrix.
+    unphysical decay matrix; ``channels`` passes ``_decay_channels(coeffs)``
+    when the caller already has it.
+
+    ``keep`` (basis-state indices, all by default) restricts the lowering
+    operators before any product is formed.  That is exact when sm_j maps
+    the kept states into themselves, as it does for the states with at
+    most n excitations.  H = sum_k sp_k (sum_j C_jk sm_j), with C the
+    exchange matrix carrying the Lamb shifts on its diagonal, takes M
+    products, where ``hamiltonian_matrix`` takes M(M - 1).
     """
     m = coeffs.n_atoms
-    lam, vecs = _decay_channels(coeffs)
+    lam, vecs = _decay_channels(coeffs) if channels is None else channels
     lowering = np.array([slh.sigma_minus(j, m) for j in range(m)])
-    k_op = -1j * hamiltonian_matrix(coeffs)
+    if keep is not None:
+        lowering = lowering[:, keep][:, :, keep]
+    dim = lowering.shape[1]
+    raising = lowering.conj().swapaxes(1, 2)
+    couplings = coeffs.exchange.copy()
+    np.fill_diagonal(couplings, coeffs.lamb_shifts)
+    # mixed[k] = sum_j C_jk sm_j; the sum over k is one (D, M D) @ (M D, D) product
+    mixed = np.tensordot(couplings.T, lowering, axes=1)
+    h = raising.swapaxes(0, 1).reshape(dim, m * dim) @ mixed.reshape(m * dim, dim)
+    k_op = -1j * h
     jumps = []
     for r in range(len(lam)):
         l_op = np.tensordot(vecs[:, r], lowering, axes=1)
@@ -233,19 +255,16 @@ def _excitation_numbers(n_atoms: int) -> np.ndarray:
     return np.rint(diag).astype(int)
 
 
-def _superoperator(coeffs: MasterEqCoefficients, keep=None) -> np.ndarray:
-    """Matrix of the generator acting on row-major vec(rho).
+def _superoperator(coeffs: MasterEqCoefficients, keep=None, channels=None) -> np.ndarray:
+    """Matrix of the generator acting on row-major vec(rho), on the ``keep`` states.
 
-    With ``keep`` (basis-state indices) K and the L_r are first restricted
-    to those states, which is exact when no term leads out of them.
+    ``keep`` and ``channels`` are passed to ``_generator``; the result is
+    D**2 x D**2 for D kept states.
     """
-    k_op, jumps = _generator(coeffs)
-    block = (slice(None), slice(None)) if keep is None else np.ix_(keep, keep)
-    k_op = k_op[block]
+    k_op, jumps = _generator(coeffs, keep, channels)
     eye = np.eye(len(k_op), dtype=complex)
     sup = np.kron(k_op, eye) + np.kron(eye, k_op.conj())
     for lam, l_op, _ in jumps:
-        l_op = l_op[block]
         sup += lam * np.kron(l_op, l_op.conj())
     return sup
 
@@ -324,8 +343,9 @@ def evolve_lindblad(
     excitation number of a state in rho0's support (a row or column with a
     non-zero entry).  When there are at most ``_SUPEROP_DIM_CAP`` = 8 of
     them (at most one excitation up to six atoms, anything up to three)
-    each stored interval is propagated exactly on them, so ``dt`` only
-    spaces the rows, and every other entry is exactly zero.  Otherwise
+    the operators are built on them alone and each stored interval is
+    propagated exactly, so ``dt`` only spaces the rows; the states are
+    still returned on the 2**M space, with every other entry exactly zero.  Otherwise
     ``dt`` is the fixed RK4 step, and one with dt * (2 |K| + sum_r |lam_r|
     |L_r|^2) > 2.6 (spectral norms) is rejected before any step.
 
@@ -369,7 +389,7 @@ def evolve_lindblad(
         store_every = max(1, n_steps // 2000)
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
-    _check_decay_physical(coeffs)
+    channels = _decay_channels(coeffs)
     validate_density_matrix(rho0)
     m = coeffs.n_atoms
     if m > MAX_ATOMS_DENSE:
@@ -385,19 +405,24 @@ def evolve_lindblad(
 
     steps = np.unique(np.append(np.arange(0, n_steps + 1, store_every), n_steps))
     states = np.zeros((len(steps), dim, dim), dtype=complex)
-    states[0] = rho0
     if len(keep) <= _SUPEROP_DIM_CAP:
-        sup = _superoperator(coeffs, keep)
-        gaps = np.diff(steps)
+        d = len(keep)
+        sup = _superoperator(coeffs, keep, channels)
+        gaps = np.diff(steps).tolist()
         propagators = {gap: _expm(gap * dt * sup) for gap in set(gaps)}
-        block = np.ix_(keep, keep)
-        vec = rho0[block].reshape(-1)
+        vecs = np.empty((len(steps), d * d), dtype=complex)
+        vecs[0] = rho0[np.ix_(keep, keep)].reshape(-1)
+        rows = list(vecs)  # views, cheaper to index in the loop than vecs[i]
         for i, gap in enumerate(gaps):
-            vec = propagators[gap] @ vec
-            states[i + 1][block] = vec.reshape(len(keep), len(keep))
-        _check_states(states[1:], steps[1:], True)
+            np.matmul(propagators[gap], rows[i], out=rows[i + 1])
+        blocks = vecs.reshape(len(steps), d, d)
+        # the entries outside the block are exactly 0: they add nothing to
+        # the trace or the Hermiticity residue, and 0 >= EIG_FLOOR
+        _check_states(blocks[1:], steps[1:], True)
+        states[:, keep[:, None], keep] = blocks
     else:
-        k_op, jumps = _generator(coeffs)
+        states[0] = rho0
+        k_op, jumps = _generator(coeffs, channels=channels)
         k_dag = k_op.conj().T
         # rate bounds the generator's spectral radius; a non-finite generator
         # has no norm and fails the first step's checks instead
@@ -553,7 +578,16 @@ def wootters_concurrence(rho: np.ndarray) -> float:
 
 
 def _wootters_concurrences(states: np.ndarray) -> np.ndarray:
-    """``wootters_concurrence`` of each (4, 4) matrix in a (T, 4, 4) stack."""
+    """``wootters_concurrence`` of each (4, 4) matrix in a (T, 4, 4) stack.
+
+    When no state has weight in the |ee> row or column, rho (sy x sy) rho*
+    (sy x sy) has the eigenvalues (sqrt(p_eg p_ge) +- |rho_eg,ge|)**2, 0, 0,
+    so C = 2 min(|rho_eg,ge|, sqrt(p_eg p_ge)) exactly; other stacks take
+    the eigenvalues numerically.
+    """
+    if not states[:, 0].any() and not states[:, :, 0].any():
+        p_eg_p_ge = np.maximum(states[:, 1, 1].real * states[:, 2, 2].real, 0.0)
+        return 2.0 * np.minimum(np.abs(states[:, 1, 2]), np.sqrt(p_eg_p_ge))
     rho_tilde = states @ _SY_SY @ states.conj() @ _SY_SY
     evals = np.clip(np.linalg.eigvals(rho_tilde).real, 0.0, None)
     evals[evals < 1e-12 * evals.max(axis=1, keepdims=True)] = 0.0

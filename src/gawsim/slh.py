@@ -18,8 +18,10 @@ Operators are dense complex matrices on the full 2**M tensor-product space
 (M <= 6), so checks reduce to numeric equality instead of symbolic
 manipulation.  ``extract_coefficients`` expands the single dissipator
 D[L_tot] over the per-atom lowering operators and projects H_tot onto
-number and exchange operators by Hilbert-Schmidt inner products, returning
-the same coefficient container the direct formulas produce.
+number and exchange operators by Hilbert-Schmidt inner products
+tr(A^dag B), each computed as one ``np.vdot(A, B)`` (no matrix product is
+formed to take a trace), returning the same coefficient container the
+direct formulas produce.
 """
 
 from __future__ import annotations
@@ -195,9 +197,7 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
         raise NumericalFailure(f"non-Hermitian H residue {herm_residue:.3e}")
 
     # collapse amplitudes; Tr[sigma_plus^j sigma_minus^j] = 2**(m-1)
-    alpha = np.array(
-        [np.trace(sigma_plus(j, m) @ triplet.collapse) / 2 ** (m - 1) for j in range(m)]
-    )
+    alpha = np.array([np.vdot(sigma_minus(j, m), triplet.collapse) for j in range(m)]) / 2 ** (m - 1)
     recon = sum(a * sigma_minus(j, m) for j, a in enumerate(alpha))
     if float(np.abs(recon - triplet.collapse).max()) > COMPOSITION_TOL * scale:
         raise NumericalFailure("collapse operator is not a combination of lowering operators")
@@ -214,28 +214,27 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
 
     # diagonal block: solve the Gram system for {I, n_0..n_{m-1}}
     basis = [np.eye(dim, dtype=complex)] + [number_op(j, m) for j in range(m)]
-    gram = np.array([[np.trace(a.conj().T @ b).real for b in basis] for a in basis])
-    rhs = np.array([np.trace(b.conj().T @ triplet.hamiltonian).real for b in basis])
+    gram = np.array([[np.vdot(a, b).real for b in basis] for a in basis])
+    rhs = np.array([np.vdot(b, triplet.hamiltonian).real for b in basis])
     diag_coef = np.linalg.solve(gram, rhs)
     lamb = diag_coef[1:] - np.asarray(layout.omegas)
 
     exch = np.zeros((m, m))
+    pairs = {}
     for j in range(m):
         for k in range(j + 1, m):
-            x = sigma_plus(k, m) @ sigma_minus(j, m) + sigma_plus(j, m) @ sigma_minus(k, m)
-            val = np.trace(x.conj().T @ triplet.hamiltonian) / np.trace(x.conj().T @ x)
-            exch[j, k] = exch[k, j] = val.real
+            x = sigma_plus(k, m) @ sigma_minus(j, m)
+            x = x + x.T  # sp_j sm_k is the transpose of the real sp_k sm_j
+            pairs[j, k] = x
+            exch[j, k] = exch[k, j] = (np.vdot(x, triplet.hamiltonian) / np.vdot(x, x)).real
 
     coeffs = MasterEqCoefficients(lamb, exch, decay, coll)
 
     # everything extracted must reconstruct H_tot exactly (up to roundoff)
     h_rec = sum(diag_coef[1 + j] * number_op(j, m) for j in range(m))
     h_rec = h_rec + diag_coef[0] * np.eye(dim)
-    for j in range(m):
-        for k in range(j + 1, m):
-            h_rec = h_rec + exch[j, k] * (
-                sigma_plus(k, m) @ sigma_minus(j, m) + sigma_plus(j, m) @ sigma_minus(k, m)
-            )
+    for (j, k), x in pairs.items():
+        h_rec = h_rec + exch[j, k] * x
     if float(np.abs(h_rec - triplet.hamiltonian).max()) > COMPOSITION_TOL * scale:
         raise NumericalFailure("H_tot contains terms outside the number/exchange span")
     return coeffs

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -510,3 +511,34 @@ def test_analytic_sweep_evaluates_terms_once_per_theta(tmp_path, monkeypatch):
     assert main(["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "7",
                  "--t-steps", "5", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(calls) == 7 == len(set(calls))
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--t-max", "1", "--dt", "2"], "--dt 2.0 leaves fewer than 2 time points"),
+    (["--t-max", "1e-9"], "--t-max 1e-09 leaves fewer than 2 time points at the recommended step"),
+], ids=["dt", "recommended-step"])
+def test_evolve_lindblad_one_point_grid_exits_one(tmp_path, capsys, flags, named):
+    # the same two-point rule as the effective method's --dt grid
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad",
+                 *flags, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--config", "braided"],
+    ["evolve", "--config", "braided", "--theta", "0.3"],
+    ["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad"],
+    ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "3"],
+    ["dfi-scan", "--config", "nested"],
+    ["verify-slh", "--config", "braided", "--theta", "0.3"],
+], ids=["coeffs", "evolve", "evolve-lindblad", "sweep", "dfi-scan", "verify-slh"])
+def test_overflowing_gamma_exits_one_naming_gamma(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        assert main([*argv, "--gamma", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "coefficients are not finite for decay rates gamma up to 1e+308" in err
+    assert not out.exists()

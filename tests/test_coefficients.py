@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gawsim.coefficients import (
     decay_amplitudes,
     general_coefficients,
 )
+from gawsim.errors import LayoutError
 from gawsim.model import (
     CanonicalConfig,
     Configuration,
@@ -264,3 +266,17 @@ def test_symmetry_check_rejects_asymmetric_and_nan(bad, field):
     # an asymmetry within the 1e-12 tolerance is still accepted
     args[field] = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
     MasterEqCoefficients(**args)
+
+
+def test_kernel_rejects_overflowing_rates():
+    # sqrt(gamma) weights stay finite, but the shifts and 2 v v^T overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LayoutError, match=r"gamma up to 1e\+308"):
+            canonical_sums(Configuration.BRAIDED, 1e308, np.array([0.3, 1.2]))
+        with pytest.raises(LayoutError, match=r"gamma up to 1e\+308"):
+            general_coefficients(build_custom([
+                GiantAtomSpec(0, (ConnectionPoint(0, 0.5, 1e308), ConnectionPoint(0, 1.1, 1e308))),
+            ]))
+        shift, v = canonical_sums(Configuration.BRAIDED, 1e300, 0.3)
+    assert np.isfinite(shift).all() and np.isfinite(2 * v * v).all()

@@ -622,7 +622,7 @@ def test_one_double_excitation_entry_keeps_rk4_at_four_atoms():
         evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
 
 
-def test_batched_concurrence_matches_scalar():
+def test_batched_concurrence_matches_scalar(monkeypatch):
     rng = np.random.default_rng(50)
     states = []
     for rank in (4, 4, 4, 1, 1, 2, 3):
@@ -634,7 +634,26 @@ def test_batched_concurrence_matches_scalar():
     states = np.array(states)
     scalar = np.array([wootters_concurrence(rho) for rho in states])
     assert scalar.max() > 0.5 and (scalar == 0).any()
+    assert states[:, 0].any()  # |ee> weight: the eigenvalues are taken numerically
     np.testing.assert_allclose(dyn._wootters_concurrences(states), scalar, atol=1e-14, rtol=0)
+
+    # no |ee> weight anywhere in the stack: the closed form, no eigenvalues
+    no_ee = []
+    for rank in (1, 2, 3):
+        for _ in range(40):
+            raw = np.zeros((4, rank), dtype=complex)
+            raw[1:] = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+            rho = raw @ raw.conj().T
+            no_ee.append(rho / np.trace(rho))
+    no_ee = np.array(no_ee + [rho_eg()])
+    scalar = np.array([wootters_concurrence(rho) for rho in no_ee])
+    assert scalar.max() > 0.5 and (scalar == 0).any()
+
+    def no_eigvals(*args):
+        raise AssertionError("a stack without |ee> weight took the eigenvalue path")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    np.testing.assert_allclose(dyn._wootters_concurrences(no_ee), scalar, atol=1e-12, rtol=0)
 
 
 def test_lindblad_step_budget(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from oracles import general_braided_expected, general_braided_layout
 
 from gawsim.coefficients import canonical_coefficients, general_coefficients
-from gawsim.errors import LayoutError
+from gawsim.errors import LayoutError, NumericalFailure
 from gawsim.model import (
     CanonicalConfig,
     Configuration,
@@ -19,6 +19,7 @@ from gawsim.slh import (
     build_network,
     extract_coefficients,
     identity_triplet,
+    number_op,
     phase_element,
     point_triplet,
     series_product,
@@ -199,3 +200,48 @@ def test_atom_cap_enforced():
     atoms = [GiantAtomSpec(i, (ConnectionPoint(i, 0.1 + 0.2 * i, 1.0),)) for i in range(7)]
     with pytest.raises(LayoutError):
         build_network(build_custom(atoms))
+
+
+def _layout_of(m):
+    return build_custom([GiantAtomSpec(j, (ConnectionPoint(j, 0.3 + 0.4 * j, 1.0),)) for j in range(m)])
+
+
+def _hand_triplet(m, fault=None):
+    """L = 0.7 sm_0 + 0.4 sm_1, H = n_0 + 0.3 (sp_1 sm_0 + h.c.), with one ``fault``."""
+    hop = sigma_plus(1, m) @ sigma_minus(0, m)
+    scattering = 1.1 if fault == "scattering" else 1.0
+    collapse = 0.7 * sigma_minus(0, m) + (0.4j if fault == "phase" else 0.4) * sigma_minus(1, m)
+    if fault == "raising":
+        collapse = collapse + 0.2 * sigma_plus(0, m)
+    ham = number_op(0, m) + 0.3 * (hop + hop.T)
+    if fault == "hermitian":
+        ham = ham + 1j * hop
+    if fault == "span":
+        ham = ham + sigma_z(0, m) @ sigma_z(1, m)
+    return SLHTriplet(scattering, collapse, ham)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_hand_built_triplet_extracts(m):
+    got = extract_coefficients(_hand_triplet(m), _layout_of(m))
+    np.testing.assert_allclose(got.individual_decay[:2], [0.49, 0.16], atol=1e-15, rtol=0)
+    assert got.collective_decay[0, 1] == pytest.approx(0.28, abs=1e-15)
+    assert got.exchange[0, 1] == pytest.approx(0.3, abs=1e-15)
+    np.testing.assert_allclose(got.lamb_shifts[:2], [1.0, 0.0], atol=1e-15, rtol=0)
+
+
+#: The message of each ``extract_coefficients`` guard, by the fault that trips it.
+_GUARD_MESSAGES = {
+    "scattering": r"\|S\| = 1\.1 is not unimodular",
+    "hermitian": r"non-Hermitian H residue 1\.000e\+00",
+    "raising": "collapse operator is not a combination of lowering operators",
+    "phase": "collapse amplitudes are not collinear in phase",
+    "span": "H_tot contains terms outside the number/exchange span",
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("fault", list(_GUARD_MESSAGES))
+def test_extract_guards_reject_hand_built_triplets(m, fault):
+    with pytest.raises(NumericalFailure, match=_GUARD_MESSAGES[fault]):
+        extract_coefficients(_hand_triplet(m, fault), _layout_of(m))
