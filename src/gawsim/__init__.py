@@ -26,6 +26,7 @@ from .dynamics import (
     effective_hamiltonian,
     evolve_amplitudes,
     evolve_lindblad,
+    evolve_lindblad_many,
     lindblad_rhs,
     wootters_concurrence,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "effective_hamiltonian",
     "evolve_amplitudes",
     "evolve_lindblad",
+    "evolve_lindblad_many",
     "extract_coefficients",
     "general_coefficients",
     "layout_from_json",

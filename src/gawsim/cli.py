@@ -49,6 +49,12 @@ MAX_GRID_POINTS = 10_000_000
 #: Rows of a CSV table converted to Python values and written at a time.
 _CSV_BLOCK_ROWS = 1 << 16
 
+#: Stored rows (theta x t) that ``sweep --method lindblad`` propagates
+#: together, in whole theta columns (at least one).  A 400 x 400 sweep
+#: peaks at 68.6 MB RSS with it, 66.0 MB with one theta at a time, 103 MB
+#: at 2**16 rows and 131 MB with the grid in one block (2-vCPU VM).
+_LINDBLAD_BLOCK_ROWS = 1 << 14
+
 
 class SpecError(ValueError):
     """The run specification is inconsistent or incomplete."""
@@ -310,16 +316,27 @@ def run_evolve(spec: RunSpec) -> int:
     return 0
 
 
-def _sweep_column(config: Configuration, gamma: float, theta: float, times: np.ndarray,
-                  method: str) -> np.ndarray:
+def _sweep_columns(config: Configuration, gamma: float, thetas: np.ndarray, times: np.ndarray,
+                   method: str) -> list[np.ndarray]:
+    """Concurrence over ``times`` at each theta, one array per theta."""
     if method == "analytic":
-        return analytic.closed_form_concurrence_braided(theta, gamma, times)
-    coeffs = canonical_coefficients(config, gamma, theta)
-    if method == "lindblad":
-        rho0 = dynamics.density_from_amplitudes(dynamics.AmplitudeState(1.0, 0.0))
-        return dynamics.evolve_lindblad(rho0, coeffs, t_max=float(times[-1]),
-                                        dt=times[1] - times[0], store_every=1).concurrence
-    return dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0), coeffs, times).concurrence
+        return [analytic.closed_form_concurrence_braided(float(theta), gamma, times)
+                for theta in thetas]
+    initial = dynamics.AmplitudeState(1.0, 0.0)
+    if method == "effective":
+        return [dynamics.amplitude_trajectory(
+                    initial, canonical_coefficients(config, gamma, float(theta)), times).concurrence
+                for theta in thetas]
+    rho0 = dynamics.density_from_amplitudes(initial)
+    per_block = max(1, _LINDBLAD_BLOCK_ROWS // len(times))
+    columns = []
+    for start in range(0, len(thetas), per_block):
+        coeff_sets = [canonical_coefficients(config, gamma, float(theta))
+                      for theta in thetas[start:start + per_block]]
+        # no name holds the records, so a block's states are freed before the next one
+        columns.extend(record.concurrence for record in dynamics.evolve_lindblad_many(
+            rho0, coeff_sets, t_max=float(times[-1]), dt=times[1] - times[0], store_every=1))
+    return columns
 
 
 def run_sweep(spec: RunSpec) -> int:
@@ -333,7 +350,7 @@ def run_sweep(spec: RunSpec) -> int:
     thetas = _theta_grid(spec)
     times = _time_grid(spec)
     _check_size(len(thetas) * len(times), "--theta-steps x --t-steps (or --dt)")
-    columns = [_sweep_column(source, spec.gamma, float(theta), times, method) for theta in thetas]
+    columns = _sweep_columns(source, spec.gamma, thetas, times, method)
     _write_csv(spec.out, spec, ["theta", "t", "concurrence"],
                np.repeat(thetas, len(times)), np.tile(times, len(thetas)), np.concatenate(columns))
     return 0

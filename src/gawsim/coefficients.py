@@ -177,13 +177,25 @@ def general_coefficients(layout: WaveguideLayout) -> MasterEqCoefficients:
     return _coefficients_from_sums(*coefficient_sums(*_layout_points(layout)))
 
 
-_ODD = np.array([1.0, 3.0, 5.0, 7.0])
+#: (2i + 1) / 2 for the four points; theta * 3.5 is (theta * 7) / 2 exactly,
+#: but overflows only where the phase itself does.
+_HALF_ODD = np.array([0.5, 1.5, 2.5, 3.5])
+
+#: Largest |theta| whose phases, up to 3.5 theta, are finite (the next
+#: double up overflows).
+_THETA_LIMIT = np.nextafter(np.finfo(float).max / 3.5, 0.0)
 
 
 def _canonical_points(kind, gamma: float, theta) -> tuple:
-    """Kernel arguments of a canonical configuration: points at (2i + 1) * theta / 2."""
-    phases = np.asarray(theta, dtype=float)[..., None] * _ODD / 2
-    return phases, np.full(4, gamma), canonical_atom_order(Configuration(kind)), 2
+    """Kernel arguments of a canonical configuration: points at (2i + 1) * theta / 2.
+
+    Raises ``LayoutError`` naming theta when a phase would not be finite.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not (np.abs(theta) <= _THETA_LIMIT).all():
+        raise LayoutError(f"theta must keep the connection-point phases (2i + 1) theta / 2 finite, "
+                          f"got theta up to {float(np.abs(theta).max()):g}")
+    return theta[..., None] * _HALF_ODD, np.full(4, gamma), canonical_atom_order(Configuration(kind)), 2
 
 
 def canonical_sums(kind, gamma: float, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,10 @@ Two routes from coefficients to dynamics:
         K = -iH - (1/2) sum_r lam_r L_r^dag L_r.
 
     The mirror makes G rank one (G = 2 v v^T), so mirror layouts have one
-    jump term.  ``_generator`` is the one place that builds K and the jump
-    terms; the right-hand side, the superoperator and the RK4 stepper all
-    take them from there.
+    jump term.  ``_operators`` is the one place that builds K and the jump
+    terms, for a stack of coefficient sets; the superoperators take them
+    from there, and the right-hand side and the RK4 stepper through
+    ``_generator``, its one-set operator form.
 
     The generator does not depend on time.  K keeps the excitation number
     and every L_r lowers it, so rho never leaves the basis states with at
@@ -32,10 +33,16 @@ Two routes from coefficients to dynamics:
     (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  ``dt`` only sets
     the grid of row times there; the stored D x D blocks are checked and
     then placed into the returned 2**M x 2**M states, whose other entries
-    are exactly zero.  Above D = 8 (two or more excitations from M = 4 on) the
-    equation is integrated with fixed-step classical fourth-order
-    Runge-Kutta applied to rho in operator form; ``dt`` is its step, and a
-    step outside the scheme's stability disk is rejected up front.  Every
+    are exactly zero.  ``evolve_lindblad_many`` runs one rho0 under several
+    coefficient sets: on this path it stacks their superoperators
+    (B, D**2, D**2), exponentiates each matrix with its own squaring count,
+    advances all B sets with one matrix product per stored interval and
+    checks the stored states and takes the concurrence in one pass, so a
+    Lindblad sweep propagates a block of theta values together.  Above
+    D = 8 (two or more excitations from M = 4 on) the equation is
+    integrated with fixed-step classical fourth-order Runge-Kutta applied
+    to rho in operator form; ``dt`` is its step, and a step outside the
+    scheme's stability disk is rejected up front.  Every
     stored state is checked for trace, Hermiticity and spectrum; the RK4
     path also checks trace and Hermiticity on every step and the spectrum
     every ``positivity_every`` steps (eigendecompositions dominate the cost
@@ -80,6 +87,9 @@ NORM_TOL = 1e-9
 #: matrix) and propagated exactly; above it each RK4 step is applied in
 #: operator form.
 _SUPEROP_DIM_CAP = 8
+
+#: Double-precision unit roundoff scale, the Taylor and channel cut-offs.
+_EPS = np.finfo(float).eps
 
 #: RK4's stability polynomial stays within the unit disk on the whole left
 #: half-disk |z| <= 2.6 (and reaches 1.11 at 2.7).
@@ -154,24 +164,30 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise NumericalFailure(f"density matrix eigenvalue {lo:.3e} below floor")
 
 
-def _decay_channels(coeffs: MasterEqCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam_r and eigenvectors U[:, r] of the decay matrix.
+def _decay_channels(coeff_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Rates lam (B, R) and eigenvectors U (B, M, R) of each set's decay matrix.
 
-    Raises on an eigenvalue below -1e-9 * max(1, max|G|).  Eigenvalues at
-    decomposition round-off, |lam_r| <= M * eps * max|lam|, are dropped; the
-    rest keep their sign, so a tolerated small negative one stays exact.
+    Raises on an eigenvalue below -1e-9 * max(1, max|G|), at the first such
+    set.  Eigenvalues at decomposition round-off, |lam_r| <= M * eps *
+    max|lam|, are dropped; the rest keep their sign, so a tolerated small
+    negative one stays exact.  The R channels are those some set keeps, in
+    ``eigh`` order; a set that drops one of them has rate 0 there, which
+    adds nothing to its generator.
     """
-    mat = coeffs.decay_matrix()
-    lam, vecs = np.linalg.eigh(mat)
-    scale = max(1.0, float(np.abs(mat).max()))
-    if lam[0] < -1e-9 * scale:
-        raise NumericalFailure(f"decay matrix eigenvalue {lam[0]:.3e} is negative (unphysical)")
-    keep = np.abs(lam) > coeffs.n_atoms * np.finfo(float).eps * np.abs(lam).max()
-    return lam[keep], vecs[:, keep]
+    mats = np.array([c.decay_matrix() for c in coeff_sets])
+    lam, vecs = np.linalg.eigh(mats)
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    unphysical = lam[:, 0] < -1e-9 * scale
+    if unphysical.any():
+        raise NumericalFailure(f"decay matrix eigenvalue {lam[unphysical][0, 0]:.3e} "
+                               "is negative (unphysical)")
+    keep = np.abs(lam) > mats.shape[1] * _EPS * np.abs(lam).max(axis=1, keepdims=True)
+    used = keep.any(axis=0)
+    return np.where(keep, lam, 0.0)[:, used], vecs[:, :, used]
 
 
 def _check_decay_physical(coeffs: MasterEqCoefficients) -> None:
-    _decay_channels(coeffs)
+    _decay_channels([coeffs])
 
 
 def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
@@ -190,42 +206,52 @@ def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
     return h
 
 
-def _generator(coeffs: MasterEqCoefficients, keep=None, channels=None):
-    """Drift K and jump terms [(lam_r, L_r, L_r^dag)] of the master equation.
+def _operators(coeff_sets, keep=None, channels=None):
+    """Drift K (B, D, D), rates lam (B, R) and jump operators L (B, R, D, D) of B sets.
 
     drho/dt = K rho + rho K^dag + sum_r lam_r L_r rho L_r^dag with
     L_r = sum_j U_jr sm_j and K = -iH - (1/2) sum_r lam_r L_r^dag L_r, from
     the eigendecomposition decay_matrix = U diag(lam) U^T.  Raises on an
-    unphysical decay matrix; ``channels`` passes ``_decay_channels(coeffs)``
-    when the caller already has it.
+    unphysical decay matrix; ``channels`` passes ``_decay_channels(coeff_sets)``
+    when the caller already has it.  All sets must have the same M.
 
     ``keep`` (basis-state indices, all by default) restricts the lowering
-    operators before any product is formed.  That is exact when sm_j maps
-    the kept states into themselves, as it does for the states with at
-    most n excitations.  H = sum_k sp_k (sum_j C_jk sm_j), with C the
-    exchange matrix carrying the Lamb shifts on its diagonal, takes M
-    products, where ``hamiltonian_matrix`` takes M(M - 1).
+    operators, which every set shares, before any product is formed.  That
+    is exact when sm_j maps the kept states into themselves, as it does for
+    the states with at most n excitations.  H = sum_k sp_k (sum_j C_jk sm_j),
+    with C the exchange matrix carrying the Lamb shifts on its diagonal,
+    takes M products, where ``hamiltonian_matrix`` takes M(M - 1).
     """
-    m = coeffs.n_atoms
-    lam, vecs = _decay_channels(coeffs) if channels is None else channels
+    m = coeff_sets[0].n_atoms
+    lam, vecs = _decay_channels(coeff_sets) if channels is None else channels
     lowering = np.array([slh.sigma_minus(j, m) for j in range(m)])
     if keep is not None:
         lowering = lowering[:, keep][:, :, keep]
-    dim = lowering.shape[1]
+    n, dim = len(coeff_sets), lowering.shape[1]
+    flat = lowering.reshape(m, dim * dim)
+    couplings = np.array([c.exchange for c in coeff_sets])
+    couplings[:, np.arange(m), np.arange(m)] = [c.lamb_shifts for c in coeff_sets]
+    # mixed[:, k] = sum_j C_jk sm_j; the sum over k is one (D, M D) @ (M D, D) product per set
+    mixed = (couplings.swapaxes(1, 2) @ flat).reshape(n, m * dim, dim)
     raising = lowering.conj().swapaxes(1, 2)
-    couplings = coeffs.exchange.copy()
-    np.fill_diagonal(couplings, coeffs.lamb_shifts)
-    # mixed[k] = sum_j C_jk sm_j; the sum over k is one (D, M D) @ (M D, D) product
-    mixed = np.tensordot(couplings.T, lowering, axes=1)
-    h = raising.swapaxes(0, 1).reshape(dim, m * dim) @ mixed.reshape(m * dim, dim)
-    k_op = -1j * h
-    jumps = []
-    for r in range(len(lam)):
-        l_op = np.tensordot(vecs[:, r], lowering, axes=1)
-        l_dag = l_op.conj().T
-        k_op -= 0.5 * lam[r] * (l_dag @ l_op)
-        jumps.append((float(lam[r]), l_op, l_dag))
-    return k_op, jumps
+    k_op = -1j * (raising.swapaxes(0, 1).reshape(dim, m * dim) @ mixed)
+    jumps = (vecs.swapaxes(1, 2) @ flat).reshape(n, -1, dim, dim)
+    for r in range(jumps.shape[1]):
+        l_op = jumps[:, r]
+        k_op -= 0.5 * lam[:, r, None, None] * (l_op.conj().swapaxes(1, 2) @ l_op)
+    return k_op, lam, jumps
+
+
+def _generator(coeffs: MasterEqCoefficients, channels=None):
+    """K and the jump terms [(lam_r, L_r, L_r^dag)] of one set on the 2**M space.
+
+    The operator form that ``lindblad_rhs`` and the RK4 steps apply;
+    ``channels`` is one set's slice of ``_decay_channels``, whose zero-rate
+    padding is left out here.
+    """
+    k_op, lam, jumps = _operators([coeffs], channels=channels)
+    return k_op[0], [(float(rate), l_op, l_op.conj().T)
+                     for rate, l_op in zip(lam[0], jumps[0]) if rate != 0]
 
 
 def _apply_generator(rho: np.ndarray, k_op: np.ndarray, k_dag: np.ndarray, jumps) -> np.ndarray:
@@ -255,62 +281,78 @@ def _excitation_numbers(n_atoms: int) -> np.ndarray:
     return np.rint(diag).astype(int)
 
 
-def _superoperator(coeffs: MasterEqCoefficients, keep=None, channels=None) -> np.ndarray:
-    """Matrix of the generator acting on row-major vec(rho), on the ``keep`` states.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each pair of D x D matrices of two broadcast stacks."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    dim = prod.shape[-1] * prod.shape[-2]
+    return prod.reshape(prod.shape[:-4] + (dim, dim))
 
-    ``keep`` and ``channels`` are passed to ``_generator``; the result is
-    D**2 x D**2 for D kept states.
-    """
-    k_op, jumps = _generator(coeffs, keep, channels)
-    eye = np.eye(len(k_op), dtype=complex)
-    sup = np.kron(k_op, eye) + np.kron(eye, k_op.conj())
-    for lam, l_op, _ in jumps:
-        sup += lam * np.kron(l_op, l_op.conj())
+
+def _superoperators(k_op: np.ndarray, lam: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """Matrices (B, D**2, D**2) on row-major vec(rho) of ``_operators``' generators."""
+    eye = np.eye(k_op.shape[-1], dtype=complex)
+    sup = _kron(k_op, eye) + _kron(eye, k_op.conj())
+    for r in range(jumps.shape[1]):
+        sup += lam[:, r, None, None] * _kron(jumps[:, r], jumps[:, r].conj())
     return sup
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+def _superoperator(coeffs: MasterEqCoefficients, keep=None) -> np.ndarray:
+    """One set's superoperator on the ``keep`` states (all by default), D**2 x D**2."""
+    return _superoperators(*_operators([coeffs], keep))[0]
 
-    a / 2**s has 1-norm <= 1/2, so its Taylor terms fall below roundoff by
-    the 18th; s squarings undo the scaling.  Non-finite in, non-finite out.
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (B, n, n) stack by scaling and squaring.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).  Each a_b / 2**s_b
+    has 1-norm <= 1/2, so its Taylor terms fall below roundoff by the 18th;
+    each sum stops after its first term of 1-norm below roundoff, and s_b
+    squarings undo the scaling.  Every matrix keeps its own s_b and its own
+    last term, so its result does not depend on the rest of the stack.
+    Non-finite in, non-finite out.
     """
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = max(0, math.ceil(math.log2(norm)) + 1) if math.isfinite(norm) and norm > 0.5 else 0
-    scaled = a / 2.0 ** squarings
-    out = np.eye(len(a), dtype=complex) + scaled
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    # s_b = ceil(log2(norm)) + 1 above 1/2, exactly: norm = mant * 2**expo, 1/2 <= mant < 1
+    mant, expo = np.frexp(norm)
+    squarings = np.where(np.isfinite(norm) & (norm > 0.5), expo - (mant == 0.5) + 1, 0)
+    scaled = a / (2.0 ** squarings)[:, None, None]
+    out = np.eye(a.shape[-1], dtype=complex) + scaled
     term = scaled
+    active = np.ones((len(a), 1, 1), dtype=bool)
     for order in range(2, 19):
-        if not np.abs(term).sum(axis=0).max() > np.finfo(float).eps:
+        active &= np.abs(term).sum(axis=1, keepdims=True).max(axis=2, keepdims=True) > _EPS
+        if not active.any():
             break
         term = term @ scaled / order
-        out += term
-    for _ in range(squarings):
-        out = out @ out
+        np.add(out, term, out=out, where=active)
+    for done in range(squarings.max()):
+        np.copyto(out, out @ out, where=(squarings > done)[:, None, None])
     return out
 
 
-def _check_states(states: np.ndarray, steps: np.ndarray, spectrum) -> None:
-    """Invariants of the states after the given steps.
+def _check_states(states: np.ndarray, steps, spectrum) -> None:
+    """Invariants of the (..., D, D) states after the given steps.
 
-    Trace and Hermiticity on every state, the spectrum where ``spectrum``
-    (a bool, or one per state) is True.  Raises at the earliest failing
-    state, with the checks of one state in the order trace, Hermiticity,
+    ``steps`` and ``spectrum`` broadcast to the leading shape.  Trace and
+    Hermiticity on every state, the spectrum where ``spectrum`` is True.
+    Raises at the first failing state in row-major order of the leading
+    axes, with the checks of one state in the order trace, Hermiticity,
     spectrum; a NaN residue fails its check.
     """
-    tr_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    herm_err = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    herm_err = np.abs(states - states.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr_ok = tr_err <= TRACE_TOL
     herm_ok = herm_err <= HERM_TOL
-    lo = np.full(len(states), np.inf)
-    due = np.broadcast_to(spectrum, len(states)) & tr_ok & herm_ok
+    lo = np.full(tr_err.shape, np.inf)
+    due = np.broadcast_to(spectrum, tr_err.shape) & tr_ok & herm_ok
     if due.any():
-        lo[due] = np.linalg.eigvalsh(states[due]).min(axis=1)
+        lo[due] = np.linalg.eigvalsh(states[due]).min(axis=-1)
     ok = tr_ok & herm_ok & (lo >= EIG_FLOOR)
     if ok.all():
         return
-    n = int(np.argmin(ok))
-    i = int(steps[n])
+    n = np.unravel_index(np.argmin(ok), ok.shape)
+    i = int(np.broadcast_to(steps, ok.shape)[n])
     if not tr_ok[n]:
         raise NumericalFailure(f"trace drifted by {tr_err[n]:.3e} at step {i}")
     if not herm_ok[n]:
@@ -345,9 +387,11 @@ def evolve_lindblad(
     them (at most one excitation up to six atoms, anything up to three)
     the operators are built on them alone and each stored interval is
     propagated exactly, so ``dt`` only spaces the rows; the states are
-    still returned on the 2**M space, with every other entry exactly zero.  Otherwise
-    ``dt`` is the fixed RK4 step, and one with dt * (2 |K| + sum_r |lam_r|
-    |L_r|^2) > 2.6 (spectral norms) is rejected before any step.
+    still returned on the 2**M space, with every other entry exactly zero.
+    Otherwise ``dt`` is the fixed RK4 step, and one with dt * (2 |K| +
+    sum_r |lam_r| |L_r|^2) > 2.6 (spectral norms) is rejected before any
+    step.  This is ``evolve_lindblad_many`` with one set; a Lindblad sweep
+    propagates a block of theta values through that entry together.
 
     Parameters
     ----------
@@ -370,28 +414,43 @@ def evolve_lindblad(
     TrajectoryRecord
         Stored density matrices and (for two atoms) Wootters concurrence.
     """
+    return evolve_lindblad_many(rho0, [coeffs], t_max, dt, store_every, positivity_every)[0]
+
+
+def evolve_lindblad_many(
+    rho0: np.ndarray,
+    coeff_sets,
+    t_max: float,
+    dt: float,
+    store_every: int | None = None,
+    positivity_every: int = 100,
+) -> list[TrajectoryRecord]:
+    """``evolve_lindblad`` from one rho0 under each of several coefficient sets.
+
+    Takes the arguments of ``evolve_lindblad``, with a sequence of
+    coefficient sets of one atom count in place of one set, and returns one
+    record per set; the validation, the checks and the first failure raised
+    are those of calling ``evolve_lindblad`` on each set in turn.  On the
+    exact path the B sets are propagated together: one (B, D**2, D**2)
+    superoperator stack, one ``_expm`` per stored gap, one matrix product
+    per stored interval for all sets, one check and one concurrence pass
+    over the set-major stack of stored states.  RK4 steps each set in turn.
+    The records' states are views into one (B, T, d, d) array.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     if not (math.isfinite(t_max) and math.isfinite(dt)):
         raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
-    # fixed-step grid; never steps past t_max (final time may fall short of
-    # t_max when it is not a multiple of dt)
-    steps_needed = t_max / dt + 1e-9
-    if steps_needed >= MAX_RK4_STEPS + 1:
-        raise ValueError(
-            f"t_max={t_max:g} and dt={dt:g} need {steps_needed:.4g} RK4 steps, "
-            f"more than MAX_RK4_STEPS={MAX_RK4_STEPS}"
-        )
-    n_steps = int(math.floor(steps_needed))
-    if store_every is None:
-        store_every = max(1, n_steps // 2000)
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
-    channels = _decay_channels(coeffs)
+    coeff_sets = list(coeff_sets)
+    if not coeff_sets:
+        raise ValueError("need at least one coefficient set")
+    m = coeff_sets[0].n_atoms
+    if any(c.n_atoms != m for c in coeff_sets):
+        raise ValueError("all coefficient sets must have the same number of atoms")
+    channels = _decay_channels(coeff_sets)
     validate_density_matrix(rho0)
-    m = coeffs.n_atoms
     if m > MAX_ATOMS_DENSE:
         raise ValueError(f"density-matrix evolution accepts at most {MAX_ATOMS_DENSE} atoms, got {m}")
     dim = 2 ** m
@@ -402,54 +461,82 @@ def evolve_lindblad(
     excitations = _excitation_numbers(m)
     support = (rho0 != 0).any(axis=0) | (rho0 != 0).any(axis=1)
     keep = np.flatnonzero(excitations <= excitations[support].max())
+    exact = len(keep) <= _SUPEROP_DIM_CAP
 
-    steps = np.unique(np.append(np.arange(0, n_steps + 1, store_every), n_steps))
-    states = np.zeros((len(steps), dim, dim), dtype=complex)
-    if len(keep) <= _SUPEROP_DIM_CAP:
+    # fixed-step grid; never steps past t_max (final time may fall short of
+    # t_max when it is not a multiple of dt)
+    steps_needed = t_max / dt + 1e-9
+    if steps_needed >= MAX_RK4_STEPS + 1:
+        raise ValueError(
+            f"t_max={t_max:g} and dt={dt:g} need {steps_needed:.4g} "
+            f"{'grid' if exact else 'RK4'} steps, more than MAX_RK4_STEPS={MAX_RK4_STEPS}"
+        )
+    n_steps = int(math.floor(steps_needed))
+    if store_every is None:
+        store_every = max(1, n_steps // 2000)
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
+
+    steps = np.arange(0, n_steps + 1, store_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    n_sets = len(coeff_sets)
+    states = np.zeros((n_sets, len(steps), dim, dim), dtype=complex)
+    if exact:
         d = len(keep)
-        sup = _superoperator(coeffs, keep, channels)
+        sup = _superoperators(*_operators(coeff_sets, keep, channels))
         gaps = np.diff(steps).tolist()
         propagators = {gap: _expm(gap * dt * sup) for gap in set(gaps)}
-        vecs = np.empty((len(steps), d * d), dtype=complex)
-        vecs[0] = rho0[np.ix_(keep, keep)].reshape(-1)
+        vecs = np.empty((len(steps), n_sets, d * d, 1), dtype=complex)
+        vecs[0] = rho0[np.ix_(keep, keep)].reshape(-1, 1)
         rows = list(vecs)  # views, cheaper to index in the loop than vecs[i]
         for i, gap in enumerate(gaps):
             np.matmul(propagators[gap], rows[i], out=rows[i + 1])
-        blocks = vecs.reshape(len(steps), d, d)
+        blocks = vecs.reshape(len(steps), n_sets, d, d).swapaxes(0, 1)
+        # set-major, so the first failure is the one set-by-set calls raise;
         # the entries outside the block are exactly 0: they add nothing to
         # the trace or the Hermiticity residue, and 0 >= EIG_FLOOR
-        _check_states(blocks[1:], steps[1:], True)
-        states[:, keep[:, None], keep] = blocks
+        _check_states(blocks[:, 1:], steps[1:], True)
+        states[:, :, keep[:, None], keep] = blocks
     else:
-        states[0] = rho0
-        k_op, jumps = _generator(coeffs, channels=channels)
-        k_dag = k_op.conj().T
-        # rate bounds the generator's spectral radius; a non-finite generator
-        # has no norm and fails the first step's checks instead
-        if np.isfinite(k_op).all():
-            rate = 2 * np.linalg.norm(k_op, 2) + sum(abs(lam) * np.linalg.norm(l_op, 2) ** 2
-                                                     for lam, l_op, _ in jumps)
-            if dt * rate > _RK4_STABLE_RADIUS:
-                raise ValueError(f"dt={dt:g} is outside the RK4 stability bound dt <= "
-                                 f"{_RK4_STABLE_RADIUS / rate:.6g} for these coefficients")
+        for b, coeffs in enumerate(coeff_sets):
+            one = (channels[0][b:b + 1], channels[1][b:b + 1])
+            _rk4_steps(states[b], rho0, coeffs, one, dt, steps, positivity_every)
 
-        def rhs(r):
-            return _apply_generator(r, k_op, k_dag, jumps)
+    times = steps * dt
+    conc = _wootters_concurrences(states.reshape(-1, dim, dim)).reshape(n_sets, -1) if m == 2 else None
+    return [TrajectoryRecord(times, states[b], None if conc is None else conc[b], kind="density")
+            for b in range(n_sets)]
 
-        for i in range(1, len(steps)):
-            rho = states[i - 1]
-            for step in range(steps[i - 1] + 1, steps[i] + 1):
-                k1 = rhs(rho)
-                k2 = rhs(rho + 0.5 * dt * k1)
-                k3 = rhs(rho + 0.5 * dt * k2)
-                k4 = rhs(rho + dt * k3)
-                rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                due = step == steps[i] or bool(positivity_every and step % positivity_every == 0)
-                _check_states(rho[None], [step], due)
-            states[i] = rho
 
-    conc = _wootters_concurrences(states) if m == 2 else None
-    return TrajectoryRecord(steps * dt, states, conc, kind="density")
+def _rk4_steps(out, rho0, coeffs, channels, dt, steps, positivity_every) -> None:
+    """Fill ``out`` with the states at ``steps`` from fixed RK4 steps of ``dt``."""
+    out[0] = rho0
+    k_op, jumps = _generator(coeffs, channels)
+    k_dag = k_op.conj().T
+    # rate bounds the generator's spectral radius; a non-finite generator
+    # has no norm and fails the first step's checks instead
+    if np.isfinite(k_op).all():
+        rate = 2 * np.linalg.norm(k_op, 2) + sum(abs(lam) * np.linalg.norm(l_op, 2) ** 2
+                                                 for lam, l_op, _ in jumps)
+        if dt * rate > _RK4_STABLE_RADIUS:
+            raise ValueError(f"dt={dt:g} is outside the RK4 stability bound dt <= "
+                             f"{_RK4_STABLE_RADIUS / rate:.6g} for these coefficients")
+
+    def rhs(r):
+        return _apply_generator(r, k_op, k_dag, jumps)
+
+    for i in range(1, len(steps)):
+        rho = out[i - 1]
+        for step in range(steps[i - 1] + 1, steps[i] + 1):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            due = step == steps[i] or bool(positivity_every and step % positivity_every == 0)
+            _check_states(rho[None], [step], due)
+        out[i] = rho
 
 
 def effective_hamiltonian(coeffs: MasterEqCoefficients) -> np.ndarray:

@@ -4,7 +4,9 @@ An independent derivation of the master-equation coefficients.  Each
 connection point is a single-port component with unit scattering, collapse
 operator sqrt(gamma/2) * sigma_minus, and (on the first right-moving pass
 through an atom) the bare Hamiltonian omega * sigma_z / 2.  Propagation
-between neighbouring points is a pure phase component (e^{i*dphi}, 0, 0).
+between neighbouring points is a pure phase component (e^{i*dphi}, 0, 0);
+``build_network`` folds each one into the scattering of the pass after it,
+since point << (e^{i*dphi}, 0, 0) << G equals (e^{i*dphi}, L, H) << G.
 
 The vacuum input enters from the open end travelling toward the mirror, so
 the cascade visits the left-moving copies of the points in descending
@@ -26,7 +28,7 @@ direct formulas produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -140,6 +142,9 @@ def build_network(layout: WaveguideLayout) -> SLHTriplet:
     The chain runs: left-moving point components in descending phase with
     propagation phases between neighbours, the mirror round trip
     e^{i*2*phi_min}, then the right-moving components in ascending phase.
+    Each phase is folded into the scattering of the pass that follows it
+    (the composed S, L and H are those of the chain with separate
+    ``phase_element`` components, up to rounding).
     The bare omega * sigma_z / 2 term attaches at each atom's first
     right-moving point; after moving to the interaction picture the choice
     of pass is irrelevant (covered by tests).
@@ -147,29 +152,28 @@ def build_network(layout: WaveguideLayout) -> SLHTriplet:
     m = layout.n_atoms
     if m > MAX_ATOMS_DENSE:
         raise LayoutError(f"dense network paths accept at most {MAX_ATOMS_DENSE} atoms, got {m}")
-    dim = 2 ** m
     pts = layout.all_points
     omegas = layout.omegas
 
-    chain: list[SLHTriplet] = []
-    for i in range(len(pts) - 1, -1, -1):
-        chain.append(point_triplet(pts[i], m))
-        if i > 0:
-            chain.append(phase_element(pts[i].phase - pts[i - 1].phase, dim))
-    chain.append(phase_element(2.0 * pts[0].phase, dim))
+    phis = [p.phase for p in pts]
+    # (pass, propagation phase since the previous pass, omega): a phase only
+    # rotates what reaches the next component, (e^{i dphi}, L, H) << G equals
+    # point << (e^{i dphi}, 0, 0) << G, so each pass carries the phase before
+    # it as its scattering and the chain holds no phase elements
+    passes = [(pts[i], phis[i + 1] - phis[i] if i + 1 < len(pts) else 0.0, 0.0)
+              for i in range(len(pts) - 1, -1, -1)]
     carried: set[int] = set()
     for i, p in enumerate(pts):
         omega = 0.0
         if p.atom_id not in carried:
             carried.add(p.atom_id)
             omega = omegas[p.atom_id]
-        chain.append(point_triplet(p, m, omega))
-        if i < len(pts) - 1:
-            chain.append(phase_element(pts[i + 1].phase - p.phase, dim))
+        passes.append((p, phis[i] - phis[i - 1] if i else 2.0 * phis[0], omega))
 
-    total = chain[0]
-    for component in chain[1:]:
-        total = series_product(component, total)
+    total = None
+    for p, dphi, omega in passes:
+        component = replace(point_triplet(p, m, omega), scattering=np.exp(1j * dphi))
+        total = component if total is None else series_product(component, total)
     return total
 
 

@@ -542,3 +542,42 @@ def test_overflowing_gamma_exits_one_naming_gamma(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "coefficients are not finite for decay rates gamma up to 1e+308" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "braided", "--theta", "1e308"],
+    ["coeffs", "--config", "braided", "--theta-max", "1.7e308"],
+    ["sweep", "--config", "braided", "--theta-max", "1.7e308", "--theta-steps", "3", "--t-steps", "3"],
+], ids=["evolve", "coeffs", "sweep"])
+def test_overflowing_theta_exits_one_naming_theta(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "theta must keep the connection-point phases (2i + 1) theta / 2 finite" in err
+    assert "gamma" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block_rows", ["theta", 7, "grid"])
+def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block_rows):
+    # 9 theta x 3 t: blocks of one theta, of two (7 rows) and of the whole grid
+    argv = ["sweep", "--config", "braided", "--method", "lindblad", "--theta-min", "-1",
+            "--theta-max", "4", "--theta-steps", "9", "--t-steps", "3"]
+    reference = tmp_path / "reference.csv"
+    assert main([*argv, "--out", str(reference)]) == 0
+    rows = {"theta": 3, 7: 7, "grid": 27}[block_rows]
+    monkeypatch.setattr(cli, "_LINDBLAD_BLOCK_ROWS", rows)
+    calls = []
+    many = dynamics.evolve_lindblad_many
+
+    def counted(rho0, sets, *args, **kwargs):
+        calls.append(len(sets))
+        return many(rho0, sets, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve_lindblad_many", counted)
+    out = tmp_path / "blocked.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert calls == {"theta": [1] * 9, 7: [2, 2, 2, 2, 1], "grid": [9]}[block_rows]
+    assert out.read_bytes() == reference.read_bytes()

@@ -13,7 +13,9 @@ from oracles import (
 
 from gawsim.cli import main as cli_main
 from gawsim.coefficients import (
+    _THETA_LIMIT,
     MasterEqCoefficients,
+    _canonical_points,
     canonical_coefficients,
     canonical_decay_amplitudes,
     canonical_sums,
@@ -280,3 +282,13 @@ def test_kernel_rejects_overflowing_rates():
             ]))
         shift, v = canonical_sums(Configuration.BRAIDED, 1e300, 0.3)
     assert np.isfinite(shift).all() and np.isfinite(2 * v * v).all()
+
+
+def test_canonical_theta_limit_is_where_phases_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phases = _canonical_points("braided", 1.0, _THETA_LIMIT)[0]
+        assert np.isfinite(phases).all()
+        for theta in (np.nextafter(_THETA_LIMIT, np.inf), -np.inf, np.nan):
+            with pytest.raises(LayoutError, match="theta must keep the connection-point phases"):
+                canonical_coefficients("nested", 1.0, np.array([0.5, theta]))

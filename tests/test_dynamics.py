@@ -663,8 +663,8 @@ def test_lindblad_step_budget(monkeypatch):
         raise AssertionError("operators built before the step budget was checked")
 
     with monkeypatch.context() as patch:
-        patch.setattr(dyn, "_generator", never)
-        patch.setattr(dyn, "_superoperator", never)
+        for name in ("_generator", "_superoperator", "_operators", "_superoperators"):
+            patch.setattr(dyn, name, never)
         with pytest.raises(ValueError, match=r"t_max=1e\+09 and dt=1 .*MAX_RK4_STEPS"):
             evolve_lindblad(rho_eg(), coeffs, t_max=1e9, dt=1.0)
     monkeypatch.setattr(dyn, "MAX_RK4_STEPS", 100)
@@ -727,3 +727,87 @@ def test_amplitude_paths_reject_non_finite_initial_norm(c_eg):
         amplitude_trajectory(initial, coeffs, np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError, match="initial amplitude norm"):
         evolve_amplitudes(initial, coeffs, 0.5)
+
+
+# ------------------------------------------------ several coefficient sets
+
+
+# theta = 0, multiples of pi/4 (DFI points of the braided and nested
+# configurations, where the decay rates fall to round-off) and negative theta
+_BATCH_THETAS = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi, -math.pi / 4, -0.3, 0.7, 2.1]
+
+
+@pytest.mark.parametrize("config", list(Configuration))
+def test_many_sets_match_one_call_per_set(config):
+    sets = [canonical_coefficients(config, 1.0, theta) for theta in _BATCH_THETAS]
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[1:, 1:] = _mixed_state(np.random.default_rng(90), 3)
+    for start in (rho_eg(), rho0):
+        batch = dyn.evolve_lindblad_many(start, sets, t_max=2.0, dt=0.01, store_every=3)
+        assert len(batch) == len(sets)
+        for coeffs, record in zip(sets, batch):
+            single = evolve_lindblad(start, coeffs, t_max=2.0, dt=0.01, store_every=3)
+            np.testing.assert_array_equal(record.times, single.times)
+            np.testing.assert_allclose(record.states, single.states, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(record.concurrence, single.concurrence, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("cap", [16, 1])
+def test_many_sets_match_one_call_per_set_at_three_atoms(monkeypatch, cap):
+    # cap 16 propagates the B sets together, cap 1 steps each with RK4
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
+    rng = np.random.default_rng(92)
+    sets = [_mirror_coeffs(rng, 3), _coeffs_with_decay(rng, _random_psd(rng, 3)), _mirror_coeffs(rng, 3)]
+    # the rank-one sets have rate 0 in two of the full-rank set's three channels
+    rates = dyn._decay_channels(sets)[0]
+    assert rates.shape == (3, 3) and (rates[[0, 2]] == 0).sum() == 4 and rates[1].all()
+    rho0 = _mixed_state(rng, 8)
+    batch = dyn.evolve_lindblad_many(rho0, sets, t_max=0.1, dt=2e-3, store_every=10)
+    for coeffs, record in zip(sets, batch):
+        single = evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=10)
+        assert record.concurrence is None
+        np.testing.assert_allclose(record.states, single.states, atol=1e-12, rtol=0)
+
+
+def test_many_sets_raise_the_failure_of_the_first_failing_set(monkeypatch):
+    # with the floor at 0.075 the first set trips at step 9, the second at
+    # step 1: the batch raises what calling set by set raises first
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[1:, 1:] = _mixed_state(np.random.default_rng(91), 3)
+    sets = [canonical_coefficients("braided", 1.0, 1.2), canonical_coefficients("separate", 1.0, 1.1)]
+    monkeypatch.setattr(dyn, "validate_density_matrix", lambda rho: None)
+    monkeypatch.setattr(dyn, "EIG_FLOOR", 0.075)
+    messages = []
+    for coeffs in sets:
+        with pytest.raises(NumericalFailure) as exc:
+            evolve_lindblad(rho0, coeffs, t_max=1.0, dt=0.05, store_every=1)
+        messages.append(str(exc.value))
+    assert messages[0].endswith("at step 9") and messages[1].endswith("at step 1")
+    with pytest.raises(NumericalFailure) as exc:
+        dyn.evolve_lindblad_many(rho0, sets, t_max=1.0, dt=0.05, store_every=1)
+    assert str(exc.value) == messages[0]
+
+
+def test_many_sets_report_the_first_unphysical_decay_matrix():
+    def with_negative_eigenvalue(value):
+        return MasterEqCoefficients(np.zeros(2), np.zeros((2, 2)), np.array([value, 1.0]),
+                                    np.zeros((2, 2)))
+
+    sets = [closed_form_braided(1.0, 0.5), with_negative_eigenvalue(-1.0), with_negative_eigenvalue(-2.0)]
+    with pytest.raises(NumericalFailure, match=r"eigenvalue -1\.000e\+00 is negative"):
+        dyn.evolve_lindblad_many(rho_eg(), sets, t_max=0.1, dt=0.01)
+
+
+def test_many_sets_need_sets_of_one_atom_count():
+    with pytest.raises(ValueError, match="at least one coefficient set"):
+        dyn.evolve_lindblad_many(rho_eg(), [], t_max=0.1, dt=0.01)
+    three = _mirror_coeffs(np.random.default_rng(93), 3)
+    with pytest.raises(ValueError, match="same number of atoms"):
+        dyn.evolve_lindblad_many(rho_eg(), [closed_form_braided(1.0, 0.5), three], t_max=0.1, dt=0.01)
+
+
+@pytest.mark.parametrize("cap,path", [(16, "grid"), (1, "RK4")])
+def test_step_budget_message_names_the_steps_taken(monkeypatch, cap, path):
+    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
+    with pytest.raises(ValueError, match=rf"need 1e\+09 {path} steps, more than MAX_RK4_STEPS"):
+        evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.0), t_max=1e9, dt=1.0)

@@ -245,3 +245,38 @@ _GUARD_MESSAGES = {
 def test_extract_guards_reject_hand_built_triplets(m, fault):
     with pytest.raises(NumericalFailure, match=_GUARD_MESSAGES[fault]):
         extract_coefficients(_hand_triplet(m, fault), _layout_of(m))
+
+
+def _unfolded_network(layout):
+    """``build_network``'s chain with every propagation phase as its own component."""
+    m, dim, pts = layout.n_atoms, 2 ** layout.n_atoms, layout.all_points
+    chain = []
+    for i in range(len(pts) - 1, -1, -1):
+        chain.append(point_triplet(pts[i], m))
+        if i > 0:
+            chain.append(phase_element(pts[i].phase - pts[i - 1].phase, dim))
+    chain.append(phase_element(2.0 * pts[0].phase, dim))
+    carried = set()
+    for i, p in enumerate(pts):
+        chain.append(point_triplet(p, m, 0.0 if p.atom_id in carried else layout.omegas[p.atom_id]))
+        carried.add(p.atom_id)
+        if i < len(pts) - 1:
+            chain.append(phase_element(pts[i + 1].phase - p.phase, dim))
+    total = chain[0]
+    for component in chain[1:]:
+        total = series_product(component, total)
+    return total
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_folded_phases_match_unfolded_chain(m):
+    rng = np.random.default_rng(100 + m)
+    n = 2 * m
+    phases = np.cumsum(rng.uniform(0.1, 1.0, n))
+    owner = rng.permutation(np.repeat(np.arange(m), 2))
+    layout = build_custom([
+        GiantAtomSpec(j, tuple(ConnectionPoint(j, float(phases[i]), float(rng.uniform(0.3, 1.5)))
+                               for i in range(n) if owner[i] == j), omega=float(rng.normal()))
+        for j in range(m)
+    ])
+    assert triplets_close(build_network(layout), _unfolded_network(layout))
