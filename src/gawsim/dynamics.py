@@ -16,37 +16,27 @@ Two routes from coefficients to dynamics:
 
     The mirror makes G rank one (G = 2 v v^T), so mirror layouts have one
     jump term.  ``_operators`` is the one place that builds K and the jump
-    terms, for a stack of coefficient sets; the superoperators take them
-    from there, and the right-hand side and the RK4 stepper through
-    ``_generator``, its one-set operator form.
+    terms, for a stack of coefficient sets; the superoperators and the
+    operator form ``_apply_generator`` (behind ``lindblad_rhs`` and the
+    Taylor action) take them from there.
 
     The generator does not depend on time.  K keeps the excitation number
-    and every L_r lowers it, so rho never leaves the basis states with at
+    and every L_r lowers it, so rho never leaves the D basis states with at
     most n excitations, n the largest excitation number in the support of
-    rho0 (Lehmberg's reduction).  When that truncated space has dimension
-    D <= 8 (every state with at most one excitation up to M = 6 atoms,
-    D = M + 1, and any state up to M = 3), the M lowering operators are
-    restricted to it before any product is formed, so K, the L_r and the
-    dense D**2 x D**2 superoperator L on vec(rho) are built from D x D
-    blocks, and each stored interval is advanced exactly by
-    P = exp(Delta t * L), computed by scaling and squaring of a Taylor sum
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  ``dt`` only sets
-    the grid of row times there; the stored D x D blocks are checked and
-    then placed into the returned 2**M x 2**M states, whose other entries
-    are exactly zero.  ``evolve_lindblad_many`` runs one rho0 under several
-    coefficient sets: on this path it stacks their superoperators
-    (B, D**2, D**2), exponentiates each matrix with its own squaring count,
-    advances all B sets with one matrix product per stored interval and
-    checks the stored states and takes the concurrence in one pass, so a
-    Lindblad sweep propagates a block of theta values together.  Above
-    D = 8 (two or more excitations from M = 4 on) the equation is
-    integrated with fixed-step classical fourth-order Runge-Kutta applied
-    to rho in operator form; ``dt`` is its step, and a step outside the
-    scheme's stability disk is rejected up front.  Every
-    stored state is checked for trace, Hermiticity and spectrum; the RK4
-    path also checks trace and Hermiticity on every step and the spectrum
-    every ``positivity_every`` steps (eigendecompositions dominate the cost
-    otherwise; drift between samples is bounded by the per-step checks).
+    rho0 (Lehmberg's reduction).  The lowering operators are restricted to
+    them before any product is formed, and each stored interval Delta t is
+    propagated exactly on the D x D block.  Up to D = 8 (at most one
+    excitation up to M = 6, anything up to M = 3) the dense D**2 x D**2
+    superoperator L is exponentiated once per distinct interval by scaling
+    and squaring of a Taylor sum (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)).  Above, exp(Delta t * L) acts on rho in operator form as
+    a Taylor sum on substeps h with h * |L|_1 <= 1 (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)), cut by the same roundoff rule.
+    ``dt`` only sets the row times.  The stored blocks are checked for
+    trace, Hermiticity and spectrum, then placed into 2**M x 2**M states
+    whose other entries are exactly zero.  ``evolve_lindblad_many``
+    advances several coefficient sets from one rho0 together, so a
+    Lindblad sweep propagates a block of theta values at once.
 
 2.  The single-excitation sector of two atoms, where removing the jump
     terms leaves a non-Hermitian 2x2 effective Hamiltonian acting on the
@@ -84,19 +74,20 @@ NORM_TOL = 1e-9
 
 #: Largest dimension of the excitation-truncated space that holds rho0 for
 #: which the generator is built as a dense superoperator (D**2 x D**2
-#: matrix) and propagated exactly; above it each RK4 step is applied in
-#: operator form.
+#: matrix) and exponentiated; above it the generator acts in operator form.
 _SUPEROP_DIM_CAP = 8
 
 #: Double-precision unit roundoff scale, the Taylor and channel cut-offs.
 _EPS = np.finfo(float).eps
 
-#: RK4's stability polynomial stays within the unit disk on the whole left
-#: half-disk |z| <= 2.6 (and reaches 1.11 at 2.7).
-_RK4_STABLE_RADIUS = 2.6
+#: Largest number of grid steps of ``dt``, and of Taylor substeps, that
+#: ``evolve_lindblad`` spans.
+MAX_GRID_STEPS = 10_000_000
 
-#: Largest number of fixed RK4 steps ``evolve_lindblad`` takes.
-MAX_RK4_STEPS = 10_000_000
+#: Last Taylor order of one substep.  With h * bound <= 1 the j-th term is
+#: at most |rho|_1 / j!, below the stopping rule by j = 20 for any density
+#: matrix on D <= 64 states; the cap only ends a non-finite sum.
+_MAX_TAYLOR_ORDER = 30
 
 
 @dataclass(frozen=True)
@@ -186,10 +177,6 @@ def _decay_channels(coeff_sets) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, lam, 0.0)[:, used], vecs[:, :, used]
 
 
-def _check_decay_physical(coeffs: MasterEqCoefficients) -> None:
-    _decay_channels([coeffs])
-
-
 def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
     """Coherent (Lamb shift + exchange) Hamiltonian on the 2**M space."""
     m = coeffs.n_atoms
@@ -242,23 +229,13 @@ def _operators(coeff_sets, keep=None, channels=None):
     return k_op, lam, jumps
 
 
-def _generator(coeffs: MasterEqCoefficients, channels=None):
-    """K and the jump terms [(lam_r, L_r, L_r^dag)] of one set on the 2**M space.
-
-    The operator form that ``lindblad_rhs`` and the RK4 steps apply;
-    ``channels`` is one set's slice of ``_decay_channels``, whose zero-rate
-    padding is left out here.
-    """
-    k_op, lam, jumps = _operators([coeffs], channels=channels)
-    return k_op[0], [(float(rate), l_op, l_op.conj().T)
-                     for rate, l_op in zip(lam[0], jumps[0]) if rate != 0]
-
-
-def _apply_generator(rho: np.ndarray, k_op: np.ndarray, k_dag: np.ndarray, jumps) -> np.ndarray:
-    """drho/dt from the output of ``_generator`` (k_dag = K^dag)."""
-    out = k_op @ rho + rho @ k_dag
-    for lam, l_op, l_dag in jumps:
-        out += lam * (l_op @ rho @ l_dag)
+def _apply_generator(rho: np.ndarray, k_op: np.ndarray, lam: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """drho/dt of each matrix of a (B, D, D) stack under ``_operators``' B generators."""
+    out = k_op @ rho
+    out += rho @ k_op.conj().swapaxes(1, 2)
+    for r in range(jumps.shape[1]):
+        l_op = jumps[:, r]
+        out += lam[:, r, None, None] * (l_op @ rho @ l_op.conj().swapaxes(1, 2))
     return out
 
 
@@ -268,11 +245,11 @@ def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
     Trace of the result is zero up to roundoff.  Raises on an unphysical
     decay matrix (negative eigenvalue beyond tolerance).
     """
-    k_op, jumps = _generator(coeffs)
+    ops = _operators([coeffs])
     m = coeffs.n_atoms
     if rho.shape != (2 ** m, 2 ** m):
         raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
-    return _apply_generator(rho, k_op, k_op.conj().T, jumps)
+    return _apply_generator(rho[None], *ops)[0]
 
 
 def _excitation_numbers(n_atoms: int) -> np.ndarray:
@@ -331,21 +308,55 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_states(states: np.ndarray, steps, spectrum) -> None:
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Induced 1-norm (largest column sum) of each matrix of a (..., n, n) stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _generator_rates(k_op: np.ndarray, lam: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """Bound (B,) on the 1-norm of each of ``_operators``' generators acting on rho.
+
+    |K rho + rho K^dag|_1 <= (|K|_1 + |K|_inf) |rho|_1 and
+    |L rho L^dag|_1 <= |L|_1 |L|_inf |rho|_1, with |A|_inf = |A^T|_1.
+    """
+    rate = _norm1(k_op) + _norm1(k_op.swapaxes(1, 2))
+    return rate + (np.abs(lam) * _norm1(jumps) * _norm1(jumps.swapaxes(2, 3))).sum(axis=1)
+
+
+def _taylor_action(rho: np.ndarray, ops, h: np.ndarray) -> np.ndarray:
+    """exp(h_b G_b) rho_b for each matrix of a (B, D, D) stack, G_b from ``ops``.
+
+    ``ops`` is ``_operators``' output and h (B,) the substep of each set.
+    Each sum stops after its first term of 1-norm below eps times the
+    sum's, the rule of ``_expm``; a NaN term stops it at once.  h_b = 0
+    leaves rho_b unchanged.
+    """
+    out = rho.copy()
+    term = rho
+    active = np.ones((len(rho), 1, 1), dtype=bool)
+    for order in range(1, _MAX_TAYLOR_ORDER + 1):
+        term = _apply_generator(term, *ops) * (h / order)[:, None, None]
+        np.add(out, term, out=out, where=active)
+        active &= (_norm1(term) >= _EPS * _norm1(out))[:, None, None]
+        if not active.any():
+            break
+    return out
+
+
+def _check_states(states: np.ndarray, steps) -> None:
     """Invariants of the (..., D, D) states after the given steps.
 
-    ``steps`` and ``spectrum`` broadcast to the leading shape.  Trace and
-    Hermiticity on every state, the spectrum where ``spectrum`` is True.
-    Raises at the first failing state in row-major order of the leading
-    axes, with the checks of one state in the order trace, Hermiticity,
-    spectrum; a NaN residue fails its check.
+    ``steps`` broadcasts to the leading shape.  Trace, Hermiticity and
+    spectrum of every state.  Raises at the first failing state in
+    row-major order of the leading axes, with the checks of one state in
+    the order trace, Hermiticity, spectrum; a NaN residue fails its check.
     """
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     herm_err = np.abs(states - states.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr_ok = tr_err <= TRACE_TOL
     herm_ok = herm_err <= HERM_TOL
     lo = np.full(tr_err.shape, np.inf)
-    due = np.broadcast_to(spectrum, tr_err.shape) & tr_ok & herm_ok
+    due = tr_ok & herm_ok
     if due.any():
         lo[due] = np.linalg.eigvalsh(states[due]).min(axis=-1)
     ok = tr_ok & herm_ok & (lo >= EIG_FLOOR)
@@ -377,21 +388,17 @@ def evolve_lindblad(
     t_max: float,
     dt: float,
     store_every: int | None = None,
-    positivity_every: int = 100,
 ) -> TrajectoryRecord:
     """Evolve a density matrix under the master equation on the grid t = k * dt.
 
-    rho stays on the basis states with at most n excitations, n the largest
-    excitation number of a state in rho0's support (a row or column with a
-    non-zero entry).  When there are at most ``_SUPEROP_DIM_CAP`` = 8 of
-    them (at most one excitation up to six atoms, anything up to three)
-    the operators are built on them alone and each stored interval is
-    propagated exactly, so ``dt`` only spaces the rows; the states are
-    still returned on the 2**M space, with every other entry exactly zero.
-    Otherwise ``dt`` is the fixed RK4 step, and one with dt * (2 |K| +
-    sum_r |lam_r| |L_r|^2) > 2.6 (spectral norms) is rejected before any
-    step.  This is ``evolve_lindblad_many`` with one set; a Lindblad sweep
-    propagates a block of theta values through that entry together.
+    rho stays on the D basis states with at most n excitations, n the
+    largest excitation number of a state in rho0's support (a row or column
+    with a non-zero entry).  The operators are built on those states alone
+    and every stored interval is propagated exactly, by a dense exponential
+    of the generator when D <= ``_SUPEROP_DIM_CAP`` = 8, by its Taylor
+    action on rho above, so ``dt`` only spaces the rows.  The 2**M x 2**M
+    states are exactly zero outside the D states.  This is
+    ``evolve_lindblad_many`` with one set.
 
     Parameters
     ----------
@@ -401,20 +408,19 @@ def evolve_lindblad(
         Interaction-picture coefficients; decay matrix must be physical.
     t_max, dt : float
         Horizon and grid step, in units of 1/gamma.  floor(t_max / dt) may
-        not exceed ``MAX_RK4_STEPS`` on either path.
+        not exceed ``MAX_GRID_STEPS``, and neither may the Taylor action's
+        substeps, about t_max times the generator's rate.
     store_every : int, optional
         Keep every n-th step (plus t = 0 and the final step).  Default
-        keeps at most ~2000 interior snapshots.
-    positivity_every : int
-        Spectrum check cadence in RK4 steps (0 disables it).  Every stored
-        state is checked for trace, Hermiticity and spectrum on both paths.
+        keeps at most ~2000 interior snapshots.  Every stored state is
+        checked for trace, Hermiticity and spectrum.
 
     Returns
     -------
     TrajectoryRecord
         Stored density matrices and (for two atoms) Wootters concurrence.
     """
-    return evolve_lindblad_many(rho0, [coeffs], t_max, dt, store_every, positivity_every)[0]
+    return evolve_lindblad_many(rho0, [coeffs], t_max, dt, store_every)[0]
 
 
 def evolve_lindblad_many(
@@ -423,19 +429,18 @@ def evolve_lindblad_many(
     t_max: float,
     dt: float,
     store_every: int | None = None,
-    positivity_every: int = 100,
 ) -> list[TrajectoryRecord]:
     """``evolve_lindblad`` from one rho0 under each of several coefficient sets.
 
     Takes the arguments of ``evolve_lindblad``, with a sequence of
     coefficient sets of one atom count in place of one set, and returns one
     record per set; the validation, the checks and the first failure raised
-    are those of calling ``evolve_lindblad`` on each set in turn.  On the
-    exact path the B sets are propagated together: one (B, D**2, D**2)
-    superoperator stack, one ``_expm`` per stored gap, one matrix product
-    per stored interval for all sets, one check and one concurrence pass
-    over the set-major stack of stored states.  RK4 steps each set in turn.
-    The records' states are views into one (B, T, d, d) array.
+    are those of calling ``evolve_lindblad`` on each set in turn.  The B
+    sets advance together on the kept blocks: up to D = 8 by one ``_expm``
+    of the (B, D**2, D**2) superoperator stack per distinct stored gap and
+    one matrix product per interval, above by ``_taylor_steps``.  One check
+    and one concurrence pass run over the set-major stack of stored states,
+    and the records' states are views into one (B, T, d, d) array.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -461,16 +466,13 @@ def evolve_lindblad_many(
     excitations = _excitation_numbers(m)
     support = (rho0 != 0).any(axis=0) | (rho0 != 0).any(axis=1)
     keep = np.flatnonzero(excitations <= excitations[support].max())
-    exact = len(keep) <= _SUPEROP_DIM_CAP
 
     # fixed-step grid; never steps past t_max (final time may fall short of
     # t_max when it is not a multiple of dt)
     steps_needed = t_max / dt + 1e-9
-    if steps_needed >= MAX_RK4_STEPS + 1:
-        raise ValueError(
-            f"t_max={t_max:g} and dt={dt:g} need {steps_needed:.4g} "
-            f"{'grid' if exact else 'RK4'} steps, more than MAX_RK4_STEPS={MAX_RK4_STEPS}"
-        )
+    if steps_needed >= MAX_GRID_STEPS + 1:
+        raise ValueError(f"t_max={t_max:g} and dt={dt:g} need {steps_needed:.4g} grid steps, "
+                         f"more than MAX_GRID_STEPS={MAX_GRID_STEPS}")
     n_steps = int(math.floor(steps_needed))
     if store_every is None:
         store_every = max(1, n_steps // 2000)
@@ -480,28 +482,26 @@ def evolve_lindblad_many(
     steps = np.arange(0, n_steps + 1, store_every)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
-    n_sets = len(coeff_sets)
-    states = np.zeros((n_sets, len(steps), dim, dim), dtype=complex)
-    if exact:
-        d = len(keep)
-        sup = _superoperators(*_operators(coeff_sets, keep, channels))
-        gaps = np.diff(steps).tolist()
+    n_sets, d = len(coeff_sets), len(keep)
+    ops = _operators(coeff_sets, keep, channels)
+    gaps = np.diff(steps).tolist()
+    vecs = np.empty((len(steps), n_sets, d * d, 1), dtype=complex)
+    vecs[0] = rho0[np.ix_(keep, keep)].reshape(-1, 1)
+    if d <= _SUPEROP_DIM_CAP:
+        sup = _superoperators(*ops)
         propagators = {gap: _expm(gap * dt * sup) for gap in set(gaps)}
-        vecs = np.empty((len(steps), n_sets, d * d, 1), dtype=complex)
-        vecs[0] = rho0[np.ix_(keep, keep)].reshape(-1, 1)
         rows = list(vecs)  # views, cheaper to index in the loop than vecs[i]
         for i, gap in enumerate(gaps):
             np.matmul(propagators[gap], rows[i], out=rows[i + 1])
-        blocks = vecs.reshape(len(steps), n_sets, d, d).swapaxes(0, 1)
-        # set-major, so the first failure is the one set-by-set calls raise;
-        # the entries outside the block are exactly 0: they add nothing to
-        # the trace or the Hermiticity residue, and 0 >= EIG_FLOOR
-        _check_states(blocks[:, 1:], steps[1:], True)
-        states[:, :, keep[:, None], keep] = blocks
     else:
-        for b, coeffs in enumerate(coeff_sets):
-            one = (channels[0][b:b + 1], channels[1][b:b + 1])
-            _rk4_steps(states[b], rho0, coeffs, one, dt, steps, positivity_every)
+        _taylor_steps(vecs.reshape(len(steps), n_sets, d, d), ops, dt, gaps, t_max)
+    blocks = vecs.reshape(len(steps), n_sets, d, d).swapaxes(0, 1)
+    # set-major, so the first failure is the one set-by-set calls raise;
+    # the entries outside the block are exactly 0: they add nothing to
+    # the trace or the Hermiticity residue, and 0 >= EIG_FLOOR
+    _check_states(blocks[:, 1:], steps[1:])
+    states = np.zeros((n_sets, len(steps), dim, dim), dtype=complex)
+    states[:, :, keep[:, None], keep] = blocks
 
     times = steps * dt
     conc = _wootters_concurrences(states.reshape(-1, dim, dim)).reshape(n_sets, -1) if m == 2 else None
@@ -509,34 +509,29 @@ def evolve_lindblad_many(
             for b in range(n_sets)]
 
 
-def _rk4_steps(out, rho0, coeffs, channels, dt, steps, positivity_every) -> None:
-    """Fill ``out`` with the states at ``steps`` from fixed RK4 steps of ``dt``."""
-    out[0] = rho0
-    k_op, jumps = _generator(coeffs, channels)
-    k_dag = k_op.conj().T
-    # rate bounds the generator's spectral radius; a non-finite generator
-    # has no norm and fails the first step's checks instead
-    if np.isfinite(k_op).all():
-        rate = 2 * np.linalg.norm(k_op, 2) + sum(abs(lam) * np.linalg.norm(l_op, 2) ** 2
-                                                 for lam, l_op, _ in jumps)
-        if dt * rate > _RK4_STABLE_RADIUS:
-            raise ValueError(f"dt={dt:g} is outside the RK4 stability bound dt <= "
-                             f"{_RK4_STABLE_RADIUS / rate:.6g} for these coefficients")
+def _taylor_steps(rows: np.ndarray, ops, dt: float, gaps, t_max: float) -> None:
+    """Fill rows[1:] of a (T, B, D, D) stack from rows[0] by ``_taylor_action``.
 
-    def rhs(r):
-        return _apply_generator(r, k_op, k_dag, jumps)
-
-    for i in range(1, len(steps)):
-        rho = out[i - 1]
-        for step in range(steps[i - 1] + 1, steps[i] + 1):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            due = step == steps[i] or bool(positivity_every and step % positivity_every == 0)
-            _check_states(rho[None], [step], due)
-        out[i] = rho
+    Interval i spans gaps[i] * dt.  Set b crosses it in s_b substeps of
+    h_b * rate_b <= 1; a set with a non-finite rate takes one, so its NaN
+    reaches the stored-state checks.  Raises before any substep when the
+    intervals need more than ``MAX_GRID_STEPS`` substeps in all.
+    """
+    rate = _generator_rates(*ops)
+    with np.errstate(over="ignore"):
+        counts = {gap: np.where(np.isfinite(rate), np.maximum(np.ceil(gap * dt * rate), 1.0), 1.0)
+                  for gap in set(gaps)}
+    total = sum(counts[gap].max() for gap in gaps)
+    if total > MAX_GRID_STEPS:
+        raise ValueError(f"t_max={t_max:g} at generator rate {rate[np.isfinite(rate)].max():.4g} "
+                         f"needs {total:.4g} Taylor substeps, more than MAX_GRID_STEPS={MAX_GRID_STEPS}")
+    for i, gap in enumerate(gaps):
+        count = counts[gap]
+        rho = rows[i]
+        # a set that has crossed the interval takes substeps of h = 0
+        for sub in range(int(count.max())):
+            rho = _taylor_action(rho, ops, np.where(sub < count, gap * dt / count, 0.0))
+        rows[i + 1] = rho
 
 
 def effective_hamiltonian(coeffs: MasterEqCoefficients) -> np.ndarray:
@@ -610,25 +605,25 @@ def evolve_amplitudes(
     initial: AmplitudeState, coeffs: MasterEqCoefficients, t: float
 ) -> AmplitudeState:
     """Propagate the single-excitation amplitudes to time t (exact)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if not initial.norm() <= 1.0 + NORM_TOL:
-        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
-    _check_decay_physical(coeffs)
-    c = _amplitude_solution(initial, coeffs, np.array([t]))[0]
+    c = amplitude_trajectory(initial, coeffs, [t]).states[0]
     return AmplitudeState(complex(c[0]), complex(c[1]))
 
 
 def amplitude_trajectory(
     initial: AmplitudeState, coeffs: MasterEqCoefficients, times
 ) -> TrajectoryRecord:
-    """Exact amplitude time series with concurrence at each time."""
+    """Exact amplitude time series with concurrence at each time.
+
+    ``times`` is a non-empty 1-D increasing sequence starting at t >= 0.
+    """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not len(times):
+        raise ValueError(f"times must be a non-empty 1-D sequence, got shape {times.shape}")
     if times[0] < 0:
         raise ValueError("times must be nonnegative")
     if not initial.norm() <= 1.0 + NORM_TOL:
         raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
-    _check_decay_physical(coeffs)
+    _decay_channels([coeffs])  # raises on an unphysical decay matrix
     states = _amplitude_solution(initial, coeffs, times)
     conc = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())
     return TrajectoryRecord(times, states, conc, kind="amplitudes")

@@ -6,15 +6,16 @@ g1..g4, inter-point phases t1..t3, and mirror round trip th) and is kept
 separate from the library code it checks.
 
 ``pairwise_lindblad_rhs`` is the master-equation right-hand side written
-term by term over atom pairs (j, k) of the decay matrix, ``eigen_propagator``
-the exact propagator V e^{Lambda t} V^-1 of a diagonalisable generator,
+term by term over atom pairs (j, k) of the decay matrix, ``eigen_states``
+the exact solution V e^{Lambda t} V^-1 vec(rho0) under a diagonalisable
+generator,
 ``single_excitation_states`` the exact master-equation solution for a state
 with at most one excitation, from the M x M effective Hamiltonian alone,
 and ``first_check_failure`` the state-by-state trace / Hermiticity /
 spectrum check loop; the library builds the generator from the
 eigendecomposition of the decay matrix, restricts it to the excitation
-numbers rho0 reaches, exponentiates it by scaling and squaring, and checks
-stacks of states at once.
+numbers rho0 reaches, exponentiates it by scaling and squaring or applies
+its Taylor action, and checks stacks of states at once.
 
 The ``closed_form_*`` polynomials are the hand-expanded coefficients of the
 three canonical two-atom setups, valid for any real theta, and
@@ -198,7 +199,7 @@ def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.n
     Trace of the result is zero up to roundoff.  Raises on an unphysical
     decay matrix (negative eigenvalue beyond tolerance).
     """
-    dynamics._check_decay_physical(coeffs)
+    dynamics._decay_channels([coeffs])
     m = coeffs.n_atoms
     if rho.shape != (2 ** m, 2 ** m):
         raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
@@ -212,10 +213,14 @@ def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.n
     return out
 
 
-def eigen_propagator(generator: np.ndarray, t: float) -> np.ndarray:
-    """exp(t * generator) as V diag(e^{lambda t}) V^-1 from its eigendecomposition."""
+def eigen_states(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
+    """States (T, d, d) exp(t * generator) vec(rho0) = V diag(e^{lambda t}) V^-1 vec(rho0).
+
+    One eigendecomposition of the generator serves every time.
+    """
     lam, vecs = np.linalg.eig(generator)
-    return (vecs * np.exp(lam * t)) @ np.linalg.inv(vecs)
+    coef = np.linalg.solve(vecs, rho0.reshape(-1))
+    return ((vecs * np.exp(np.outer(times, lam))[:, None, :]) @ coef).reshape(-1, *rho0.shape)
 
 
 def single_excitation_propagators(coeffs: MasterEqCoefficients, times) -> np.ndarray:
@@ -265,12 +270,12 @@ def single_excitation_states(rho0: np.ndarray, coeffs: MasterEqCoefficients, tim
     return out
 
 
-def first_check_failure(states, steps, spectrum_steps):
+def first_check_failure(states, steps):
     """Message of the first failing check on states[n] = state after step steps[n].
 
-    Trace and Hermiticity on every state, the spectrum on the steps in
-    ``spectrum_steps``.  The tolerances are read from ``gawsim.dynamics`` at
-    call time; None if every check passes.
+    Trace, Hermiticity and spectrum of every state, in that order.  The
+    tolerances are read from ``gawsim.dynamics`` at call time; None if
+    every check passes.
     """
     for i, rho in zip(steps, states):
         tr_err = abs(np.trace(rho) - 1.0)
@@ -279,10 +284,9 @@ def first_check_failure(states, steps, spectrum_steps):
         herm_err = float(np.abs(rho - rho.conj().T).max())
         if herm_err > dynamics.HERM_TOL:
             return f"Hermiticity residue {herm_err:.3e} at step {i}"
-        if i in spectrum_steps:
-            lo = float(np.linalg.eigvalsh(rho).min())
-            if lo < dynamics.EIG_FLOOR:
-                return f"eigenvalue {lo:.3e} below floor at step {i}"
+        lo = float(np.linalg.eigvalsh(rho).min())
+        if lo < dynamics.EIG_FLOOR:
+            return f"eigenvalue {lo:.3e} below floor at step {i}"
     return None
 
 

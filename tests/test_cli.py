@@ -196,7 +196,7 @@ def test_sweep_nested_lindblad_matches_effective_to_roundoff(tmp_path):
 
 
 def test_evolve_lindblad_large_dt_stays_physical(tmp_path):
-    # one RK4 step of 1 at total decay 16 is unstable; the exact propagator is not
+    # a step of 1 at total decay 16 would break an explicit scheme; the exact propagator has no step limit
     out = tmp_path / "lind.csv"
     assert main(["evolve", "--config", "braided", "--theta", "0", "--method", "lindblad",
                  "--t-max", "50", "--dt", "1", "--out", str(out)]) == 0
@@ -380,7 +380,7 @@ def test_evolve_lindblad_step_budget_exits_one(tmp_path, capsys):
             "--t-max", "1e9", "--dt", "1", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "t_max" in err and "dt" in err and "MAX_RK4_STEPS" in err
+    assert "t_max" in err and "dt" in err and "MAX_GRID_STEPS" in err
     assert not out.exists()
 
 

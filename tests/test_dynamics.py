@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from oracles import (
     closed_form_braided,
-    eigen_propagator,
+    eigen_states,
     first_check_failure,
     pairwise_lindblad_rhs,
     single_excitation_states,
@@ -387,7 +388,7 @@ def test_rhs_matches_pairwise_oracle_on_mirror_layouts(m):
     rng = np.random.default_rng(100 + m)
     for _ in range(3):
         coeffs = _mirror_coeffs(rng, m)
-        assert len(dyn._generator(coeffs)[1]) == 1  # rank-one decay: one jump term
+        assert dyn._operators([coeffs])[2].shape[1] == 1  # rank-one decay: one jump term
         rho = _mixed_state(rng, 2 ** m)
         np.testing.assert_allclose(
             lindblad_rhs(rho, coeffs), pairwise_lindblad_rhs(rho, coeffs), atol=1e-12, rtol=0
@@ -398,7 +399,7 @@ def test_rhs_matches_pairwise_oracle_full_rank_decay():
     rng = np.random.default_rng(21)
     b = rng.normal(size=(3, 3))
     coeffs = _coeffs_with_decay(rng, b @ b.T)
-    assert len(dyn._generator(coeffs)[1]) == 3
+    assert dyn._operators([coeffs])[2].shape[1] == 3
     for _ in range(3):
         rho = _mixed_state(rng, 8)
         np.testing.assert_allclose(
@@ -411,7 +412,7 @@ def test_rhs_keeps_tolerated_negative_decay_eigenvalue():
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     decay = u @ np.diag([2.0, 1.0, -5e-10]) @ u.T
     coeffs = _coeffs_with_decay(rng, 0.5 * (decay + decay.T))
-    lams = sorted(lam for lam, _, _ in dyn._generator(coeffs)[1])
+    lams = sorted(dyn._operators([coeffs])[1][0])
     assert lams[0] == pytest.approx(-5e-10, rel=1e-5)
     rho = _mixed_state(rng, 8)
     np.testing.assert_allclose(
@@ -419,39 +420,37 @@ def test_rhs_keeps_tolerated_negative_decay_eigenvalue():
     )
 
 
-def _check_exact_and_rk4_against_eigen_oracle(monkeypatch, m, n_steps):
+def _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps):
+    # cap 2**M forces the dense exponential, cap 1 the Taylor action
     rng = np.random.default_rng(30 + m)
     coeffs = _mirror_coeffs(rng, m)
     rho0 = _mixed_state(rng, 2 ** m)
     dt = 2e-3
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 2 ** m)
-    exact = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
+    dense = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
-    rk4 = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
-    generator = dyn._superoperator(coeffs)
-    oracle = np.array([(eigen_propagator(generator, t) @ rho0.reshape(-1)).reshape(rho0.shape)
-                       for t in exact.times])
-    assert len(exact.states) == n_steps + 1
-    np.testing.assert_array_equal(exact.times, np.arange(n_steps + 1) * dt)
-    np.testing.assert_array_equal(exact.times, rk4.times)
-    np.testing.assert_allclose(exact.states, oracle, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(rk4.states, oracle, atol=1e-10, rtol=0)
+    taylor = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
+    oracle = eigen_states(dyn._superoperator(coeffs), rho0, dense.times)
+    assert len(dense.states) == n_steps + 1
+    np.testing.assert_array_equal(dense.times, np.arange(n_steps + 1) * dt)
+    np.testing.assert_array_equal(dense.times, taylor.times)
+    np.testing.assert_allclose(dense.states, oracle, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(taylor.states, oracle, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("m,n_steps", [(2, 600), (3, 50)])
 def test_exact_and_rk4_paths_match_eigen_oracle(monkeypatch, m, n_steps):
-    _check_exact_and_rk4_against_eigen_oracle(monkeypatch, m, n_steps)
+    _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps)
 
 
-# M = 4 takes RK4 by default; the superoperator path forced on here is the
-# exact propagator, which replaced the blocked step-matrix powers
+# M = 4 takes the Taylor action by default; the dense exponential is forced on
 @pytest.mark.parametrize("m,n_steps", [(4, 20)])
 def test_blocked_step_matrix_matches_direct_rk4(monkeypatch, m, n_steps):
-    _check_exact_and_rk4_against_eigen_oracle(monkeypatch, m, n_steps)
+    _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps)
 
 
 def test_direct_rk4_matches_forced_step_matrix_at_five_atoms(monkeypatch):
-    # the forced superoperator path is the exact propagator
+    # the default Taylor action against the forced dense exponential
     rng = np.random.default_rng(35)
     coeffs = _mirror_coeffs(rng, 5)
     rho0 = _mixed_state(rng, 32)
@@ -462,9 +461,9 @@ def test_direct_rk4_matches_forced_step_matrix_at_five_atoms(monkeypatch):
     np.testing.assert_allclose(direct.states, forced.states, atol=1e-12, rtol=0)
 
 
-# cap 16 takes M = 2, 3 through the exact propagator, cap 1 through RK4;
-# ``step`` is where the RK4 leg trips (the exact leg has states at the
-# stored steps 10, 20, ... only, and trips at step 10)
+# cap 16 takes M = 2, 3 through the dense exponential, cap 1 through the
+# Taylor action; ``step`` is the stride of stored rows, and every stored
+# state is checked, so the checks trip at the first stored step
 @pytest.mark.parametrize("cap", [16, 1])
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("tolerances,step", [
@@ -478,36 +477,22 @@ def test_checks_trip_like_the_per_step_loop(monkeypatch, cap, m, tolerances, ste
     rng = np.random.default_rng(40 + m)
     coeffs = _mirror_coeffs(rng, m)
     rho0 = _mixed_state(rng, 2 ** m)
-    exact = cap >= 2 ** m
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
 
-    def run(store_every):
-        return evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=store_every,
-                               positivity_every=7)
+    def run():
+        return evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=step)
 
-    # RK4 checks every step, so its reference keeps every step
-    reference = run(10 if exact else 1)
+    reference = run()
     steps = np.rint(reference.times[1:] / 2e-3).astype(int)
-    # the spectrum: every stored state, and every 7th RK4 step
-    spectrum = set(steps) if exact else {s for s in steps if s % 7 == 0 or s % 10 == 0}
     for name, value in tolerances.items():
         monkeypatch.setattr(dyn, name, value)
-    # the tolerances are meant to trip during stepping, not on rho0
+    # the tolerances are meant to trip during propagation, not on rho0
     monkeypatch.setattr(dyn, "validate_density_matrix", lambda rho: None)
-    expected = first_check_failure(reference.states[1:], steps, spectrum)
-    assert expected.endswith(f"at step {10 if exact else step}")
+    expected = first_check_failure(reference.states[1:], steps)
+    assert expected.endswith(f"at step {step}")
     with pytest.raises(NumericalFailure) as exc:
-        run(10)
+        run()
     assert str(exc.value) == expected
-
-
-@pytest.mark.parametrize("m", [4, 5])
-def test_rk4_rejects_dt_outside_stability_disk(m):
-    rng = np.random.default_rng(60 + m)
-    coeffs = _mirror_coeffs(rng, m)
-    rho0 = _mixed_state(rng, 2 ** m)
-    with pytest.raises(ValueError, match=r"dt=1 is outside the RK4 stability bound dt <= 0\.\d+ "):
-        evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
 
 
 def _spectrum_test_input():
@@ -517,15 +502,24 @@ def _spectrum_test_input():
     return rho0, coeffs
 
 
+# ``step`` is the first stored step after t = 0
 @pytest.mark.parametrize("store_every,step", [(1, 1), (1000, 40)])
 def test_rk4_checks_spectrum_of_every_stored_state(monkeypatch, store_every, step):
-    # dt = 0.1 is inside the stability disk here, but RK4 leaves the
-    # positive cone within 40 steps, before positivity_every = 100 is due;
-    # the single excitation would take the exact path, so RK4 is forced
-    monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
+    # dt = 0.1 is coarse for these rates: a fixed-step explicit scheme leaves
+    # the positive cone within 40 steps.  The Taylor action, forced on the
+    # single excitation and taken by a two-excitation state, is exact at any dt
     rho0, coeffs = _spectrum_test_input()
-    with pytest.raises(NumericalFailure, match=f"below floor at step {step}$"):
-        evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
+        record = evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
+    np.testing.assert_allclose(record.times[1], step * 0.1, rtol=1e-15)
+    np.testing.assert_allclose(record.states, single_excitation_states(rho0, coeffs, record.times),
+                               atol=1e-12, rtol=0)
+    rho0[7, 7] = 0.5
+    rho0[3, 3] = 0.5  # |eegg>: D = 11 states with at most two excitations
+    record = evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
+    np.testing.assert_allclose(record.states, eigen_states(dyn._superoperator(coeffs), rho0, record.times),
+                               atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("store_every", [1, 1000])
@@ -569,14 +563,14 @@ def _assert_matches_sector_oracle(rho0, coeffs, t_max, dt, store_every):
     assert not record.states[:, outside].any() and not record.states[:, :, outside].any()
 
 
-def _no_rk4(*args):
-    raise AssertionError("an input with at most 8 reachable basis states took the RK4 path")
+def _no_taylor(*args):
+    raise AssertionError("an input with at most 8 reachable basis states took the Taylor action")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_single_excitation_states_match_sector_oracle(monkeypatch, m):
     rng = np.random.default_rng(70 + m)
-    monkeypatch.setattr(dyn, "_apply_generator", _no_rk4)
+    monkeypatch.setattr(dyn, "_apply_generator", _no_taylor)
     for coeffs in (_mirror_coeffs(rng, m), _coeffs_with_decay(rng, _random_psd(rng, m))):
         for rho0 in _in_sector_states(rng, m):
             _assert_matches_sector_oracle(rho0, coeffs, t_max=1.5, dt=0.01, store_every=7)
@@ -601,16 +595,15 @@ def test_two_excitations_at_three_atoms_match_eigen_oracle(monkeypatch):
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1:, 1:] = _mixed_state(rng, 7)
     generator = dyn._superoperator(coeffs)
-    monkeypatch.setattr(dyn, "_apply_generator", _no_rk4)
+    monkeypatch.setattr(dyn, "_apply_generator", _no_taylor)
     record = evolve_lindblad(rho0, coeffs, t_max=1.0, dt=0.01, store_every=10)
-    oracle = np.array([(eigen_propagator(generator, t) @ rho0.reshape(-1)).reshape(8, 8)
-                       for t in record.times])
+    oracle = eigen_states(generator, rho0, record.times)
     np.testing.assert_allclose(record.states, oracle, atol=1e-12, rtol=0)
     assert not record.states[:, 0].any() and not record.states[:, :, 0].any()
 
 
-def test_one_double_excitation_entry_keeps_rk4_at_four_atoms():
-    # one |eegg> population lifts D to 11 > 8, so RK4 and its dt check apply
+def test_one_double_excitation_entry_keeps_rk4_at_four_atoms(monkeypatch):
+    # one |eegg> population lifts D to 11 > 8: the Taylor action, exact at dt = 1
     rng = np.random.default_rng(82)
     coeffs = _mirror_coeffs(rng, 4)
     rho0 = np.zeros((16, 16), dtype=complex)
@@ -618,8 +611,90 @@ def test_one_double_excitation_entry_keeps_rk4_at_four_atoms():
     rho0[7, 7] = 0.1 - 1e-6
     rho0[3, 3] = 1e-6  # |eegg> is basis state 3 (qubits 0, 1 excited)
     assert dyn._excitation_numbers(4)[3] == 2
-    with pytest.raises(ValueError, match="outside the RK4 stability bound"):
-        evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
+
+    def no_dense(*args):
+        raise AssertionError("an input with 11 reachable basis states took the dense exponential")
+
+    monkeypatch.setattr(dyn, "_expm", no_dense)
+    record = evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
+    assert len(record.times) == 41
+    np.testing.assert_allclose(record.states, eigen_states(dyn._superoperator(coeffs), rho0, record.times),
+                               atol=1e-12, rtol=0)
+
+
+def _states_up_to(rng, m, n, pure):
+    """A pure or mixed state on the basis states with at most n of m atoms excited."""
+    kept = np.flatnonzero(dyn._excitation_numbers(m) <= n)
+    rho = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    if pure:
+        psi = rng.normal(size=len(kept)) + 1j * rng.normal(size=len(kept))
+        rho[np.ix_(kept, kept)] = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    else:
+        rho[np.ix_(kept, kept)] = _mixed_state(rng, len(kept))
+    return rho
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("pure", [True, False])
+def test_taylor_action_matches_eigen_oracle_at_four_atoms(n, pure):
+    rng = np.random.default_rng(120 + n + 2 * pure)
+    for coeffs in (_mirror_coeffs(rng, 4), _coeffs_with_decay(rng, _random_psd(rng, 4))):
+        rho0 = _states_up_to(rng, 4, n, pure)
+        record = evolve_lindblad(rho0, coeffs, t_max=2.0, dt=0.01, store_every=20)
+        oracle = eigen_states(dyn._superoperator(coeffs), rho0, record.times)
+        np.testing.assert_allclose(record.states, oracle, atol=1e-12, rtol=0)
+
+
+def test_taylor_action_exact_at_exceptional_point():
+    # atoms 0, 1 at the exceptional point of test_single_excitation_exact_at_exceptional_point,
+    # uncoupled from atoms 2, 3: a product of one-excitation pair states carries
+    # two excitations and evolves as the product of the pairs' exact solutions
+    ep = MasterEqCoefficients(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([4.0, 0.0]),
+                              np.zeros((2, 2)))
+    pair = closed_form_braided(1.0, 0.7)
+
+    def blocks(a, b):
+        out = np.zeros((4, 4))
+        out[:2, :2], out[2:, 2:] = a, b
+        return out
+
+    coeffs = MasterEqCoefficients(np.concatenate([ep.lamb_shifts, pair.lamb_shifts]),
+                                  blocks(ep.exchange, pair.exchange),
+                                  np.concatenate([ep.individual_decay, pair.individual_decay]),
+                                  blocks(ep.collective_decay, pair.collective_decay))
+    rng = np.random.default_rng(125)
+    for rho_a, rho_b in zip(_in_sector_states(rng, 2), _in_sector_states(rng, 2)[::-1]):
+        rho0 = np.kron(rho_a, rho_b)
+        record = evolve_lindblad(rho0, coeffs, t_max=6.0, dt=0.05, store_every=3)
+        oracle = [np.kron(a, b) for a, b in zip(single_excitation_states(rho_a, ep, record.times),
+                                                single_excitation_states(rho_b, pair, record.times))]
+        np.testing.assert_allclose(record.states, oracle, atol=1e-12, rtol=0)
+
+
+def test_taylor_substep_budget_raises_before_any_substep(monkeypatch):
+    # at rates of order 1e8, t_max = 40 needs billions of substeps
+    c = _mirror_coeffs(np.random.default_rng(126), 4)
+    fast = MasterEqCoefficients(1e8 * c.lamb_shifts, 1e8 * c.exchange, 1e8 * c.individual_decay,
+                                1e8 * c.collective_decay)
+    rho0 = _states_up_to(np.random.default_rng(127), 4, 2, pure=False)
+
+    def never(*args):
+        raise AssertionError("a substep was taken before the substep budget was checked")
+
+    monkeypatch.setattr(dyn, "_taylor_action", never)
+    with pytest.raises(ValueError, match=r"t_max=40 at generator rate \S+e\+0[89] needs \S+e\+\d+ "
+                                         r"Taylor substeps, more than MAX_GRID_STEPS=10000000"):
+        evolve_lindblad(rho0, fast, t_max=40.0, dt=1.0)
+
+
+def test_taylor_action_nan_generator_fails_at_first_step():
+    rho0 = _states_up_to(np.random.default_rng(128), 4, 2, pure=True)
+    z = np.zeros((4, 4))
+    coeffs = MasterEqCoefficients(np.array([np.nan, 0.0, 0.0, 0.0]), z, np.ones(4), z.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="trace drifted by nan at step 1$"):
+            evolve_lindblad(rho0, coeffs, t_max=0.1, dt=0.01)
 
 
 def test_batched_concurrence_matches_scalar(monkeypatch):
@@ -663,13 +738,13 @@ def test_lindblad_step_budget(monkeypatch):
         raise AssertionError("operators built before the step budget was checked")
 
     with monkeypatch.context() as patch:
-        for name in ("_generator", "_superoperator", "_operators", "_superoperators"):
+        for name in ("_superoperator", "_operators", "_superoperators"):
             patch.setattr(dyn, name, never)
-        with pytest.raises(ValueError, match=r"t_max=1e\+09 and dt=1 .*MAX_RK4_STEPS"):
+        with pytest.raises(ValueError, match=r"t_max=1e\+09 and dt=1 .*MAX_GRID_STEPS"):
             evolve_lindblad(rho_eg(), coeffs, t_max=1e9, dt=1.0)
-    monkeypatch.setattr(dyn, "MAX_RK4_STEPS", 100)
+    monkeypatch.setattr(dyn, "MAX_GRID_STEPS", 100)
     assert len(evolve_lindblad(rho_eg(), coeffs, t_max=0.1, dt=1e-3, store_every=1).times) == 101
-    with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
+    with pytest.raises(ValueError, match="MAX_GRID_STEPS"):
         evolve_lindblad(rho_eg(), coeffs, t_max=0.101, dt=1e-3)
 
 
@@ -687,11 +762,8 @@ def test_lindblad_stores_every_nth_and_final_step(monkeypatch, cap):
     record = evolve_lindblad(rho_eg(), coeffs, t_max=0.6005, dt=1e-3, store_every=250)
     np.testing.assert_array_equal(record.times, np.array([0, 250, 500, 600]) * 1e-3)
     every = evolve_lindblad(rho_eg(), coeffs, t_max=0.6005, dt=1e-3, store_every=1)
-    if cap == 1:  # RK4 takes the same steps whatever it stores
-        np.testing.assert_array_equal(record.states, every.states[[0, 250, 500, 600]])
-    else:  # one propagator per stored interval instead of one per step
-        np.testing.assert_allclose(record.states, every.states[[0, 250, 500, 600]],
-                                   atol=1e-13, rtol=0)
+    # one propagator or one Taylor action per stored interval, not per step
+    np.testing.assert_allclose(record.states, every.states[[0, 250, 500, 600]], atol=1e-13, rtol=0)
 
 
 def test_lindblad_rejects_store_every_below_one():
@@ -717,6 +789,12 @@ def test_amplitude_paths_reject_non_finite_result(lamb, decay):
         amplitude_trajectory(AmplitudeState(1.0, 0.0), coeffs, np.linspace(0.0, 1.0, 5))
     with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not finite at t = 0.5"):
         evolve_amplitudes(AmplitudeState(1.0, 0.0), coeffs, 0.5)
+
+
+@pytest.mark.parametrize("times", [[], [[0.0, 0.5]], 0.5])
+def test_amplitude_trajectory_rejects_empty_or_non_1d_times(times):
+    with pytest.raises(ValueError, match="times must be a non-empty 1-D sequence"):
+        amplitude_trajectory(AmplitudeState(1.0, 0.0), closed_form_braided(1.0, 0.5), times)
 
 
 @pytest.mark.parametrize("c_eg", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(np.nan, 1.0)])
@@ -754,17 +832,20 @@ def test_many_sets_match_one_call_per_set(config):
 
 @pytest.mark.parametrize("cap", [16, 1])
 def test_many_sets_match_one_call_per_set_at_three_atoms(monkeypatch, cap):
-    # cap 16 propagates the B sets together, cap 1 steps each with RK4
+    # cap 16 exponentiates the B superoperators, cap 1 takes the Taylor action
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
     rng = np.random.default_rng(92)
     sets = [_mirror_coeffs(rng, 3), _coeffs_with_decay(rng, _random_psd(rng, 3)), _mirror_coeffs(rng, 3)]
     # the rank-one sets have rate 0 in two of the full-rank set's three channels
     rates = dyn._decay_channels(sets)[0]
     assert rates.shape == (3, 3) and (rates[[0, 2]] == 0).sum() == 4 and rates[1].all()
+    # over a stored gap of 0.05 the Taylor action takes two substeps for the
+    # full-rank set and one for the others, which then take substeps of 0
+    assert np.ceil(0.05 * dyn._generator_rates(*dyn._operators(sets))).tolist() == [1, 2, 1]
     rho0 = _mixed_state(rng, 8)
-    batch = dyn.evolve_lindblad_many(rho0, sets, t_max=0.1, dt=2e-3, store_every=10)
+    batch = dyn.evolve_lindblad_many(rho0, sets, t_max=0.2, dt=2e-3, store_every=25)
     for coeffs, record in zip(sets, batch):
-        single = evolve_lindblad(rho0, coeffs, t_max=0.1, dt=2e-3, store_every=10)
+        single = evolve_lindblad(rho0, coeffs, t_max=0.2, dt=2e-3, store_every=25)
         assert record.concurrence is None
         np.testing.assert_allclose(record.states, single.states, atol=1e-12, rtol=0)
 
@@ -806,8 +887,8 @@ def test_many_sets_need_sets_of_one_atom_count():
         dyn.evolve_lindblad_many(rho_eg(), [closed_form_braided(1.0, 0.5), three], t_max=0.1, dt=0.01)
 
 
-@pytest.mark.parametrize("cap,path", [(16, "grid"), (1, "RK4")])
-def test_step_budget_message_names_the_steps_taken(monkeypatch, cap, path):
+@pytest.mark.parametrize("cap", [16, 1])
+def test_step_budget_message_names_the_steps_taken(monkeypatch, cap):
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
-    with pytest.raises(ValueError, match=rf"need 1e\+09 {path} steps, more than MAX_RK4_STEPS"):
+    with pytest.raises(ValueError, match=r"need 1e\+09 grid steps, more than MAX_GRID_STEPS"):
         evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.0), t_max=1e9, dt=1.0)
