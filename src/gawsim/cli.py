@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, analytic, dfi, dynamics, slh
 from .coefficients import ZERO_DECAY_TOL, canonical_coefficients, canonical_sums, general_coefficients
-from .errors import LayoutError, NumericalFailure
+from .errors import NumericalFailure
 from .model import (
     CanonicalConfig,
     Configuration,
@@ -305,6 +305,11 @@ def run_evolve(spec: RunSpec) -> int:
         if spec.t_steps is not None:
             raise SpecError("--t-steps does not apply to evolve --method lindblad; "
                             "give --dt or leave both out for the recommended step")
+        # a density matrix has unit trace; the amplitude paths accept any norm up to 1
+        norm_err = abs(abs(initial.c_eg) ** 2 + abs(initial.c_ge) ** 2 - 1.0)
+        if norm_err > dynamics.TRACE_TOL:
+            raise SpecError(f"--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 = 1 for --method "
+                            f"lindblad, off by {norm_err:.3e}")
         t_max = _horizon(spec)
         dt = spec.dt if spec.dt is not None else dynamics.recommended_timestep(coeffs, spec.gamma)
         _step_count(t_max, dt, given=spec.dt is not None)
@@ -531,9 +536,6 @@ def main(argv=None) -> int:
         if spec.command == "verify-slh":
             return run_verify_slh(spec)
         raise SpecError(f"unknown command {spec.command!r}")
-    except (SpecError, LayoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,8 +41,9 @@ Two routes from coefficients to dynamics:
 2.  The single-excitation sector of two atoms, where removing the jump
     terms leaves a non-Hermitian 2x2 effective Hamiltonian acting on the
     amplitude pair (c_eg, c_ge).  ``evolve_amplitudes`` solves it exactly
-    by eigendecomposition, with a first-order degenerate branch at
-    exceptional points where the two complex eigenvalues coincide.
+    in closed form, one formula in expm1 that stays bounded at every time
+    and passes through exceptional points, where the two complex
+    eigenvalues coincide, without a separate branch.
 
 For a state with no double-excitation weight the two routes agree: the
 Wootters concurrence of the mixed state reduces to
@@ -124,13 +125,6 @@ class TrajectoryRecord:
             raise ValueError("times must be strictly increasing")
 
 
-def ground_state_density(n_atoms: int = 2) -> np.ndarray:
-    dim = 2 ** n_atoms
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[-1, -1] = 1.0
-    return rho
-
-
 def density_from_amplitudes(state: AmplitudeState) -> np.ndarray:
     """Pure two-atom density matrix for a single-excitation state."""
     psi = np.array([0.0, state.c_eg, state.c_ge, 0.0], dtype=complex)
@@ -177,22 +171,6 @@ def _decay_channels(coeff_sets) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, lam, 0.0)[:, used], vecs[:, :, used]
 
 
-def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
-    """Coherent (Lamb shift + exchange) Hamiltonian on the 2**M space."""
-    m = coeffs.n_atoms
-    dim = 2 ** m
-    h = np.zeros((dim, dim), dtype=complex)
-    for j in range(m):
-        h += coeffs.lamb_shifts[j] * slh.number_op(j, m)
-        for k in range(j + 1, m):
-            if coeffs.exchange[j, k] != 0.0:
-                h += coeffs.exchange[j, k] * (
-                    slh.sigma_plus(k, m) @ slh.sigma_minus(j, m)
-                    + slh.sigma_plus(j, m) @ slh.sigma_minus(k, m)
-                )
-    return h
-
-
 def _operators(coeff_sets, keep=None, channels=None):
     """Drift K (B, D, D), rates lam (B, R) and jump operators L (B, R, D, D) of B sets.
 
@@ -207,7 +185,7 @@ def _operators(coeff_sets, keep=None, channels=None):
     is exact when sm_j maps the kept states into themselves, as it does for
     the states with at most n excitations.  H = sum_k sp_k (sum_j C_jk sm_j),
     with C the exchange matrix carrying the Lamb shifts on its diagonal,
-    takes M products, where ``hamiltonian_matrix`` takes M(M - 1).
+    takes M products.
     """
     m = coeff_sets[0].n_atoms
     lam, vecs = _decay_channels(coeff_sets) if channels is None else channels
@@ -274,11 +252,6 @@ def _superoperators(k_op: np.ndarray, lam: np.ndarray, jumps: np.ndarray) -> np.
     return sup
 
 
-def _superoperator(coeffs: MasterEqCoefficients, keep=None) -> np.ndarray:
-    """One set's superoperator on the ``keep`` states (all by default), D**2 x D**2."""
-    return _superoperators(*_operators([coeffs], keep))[0]
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of each matrix of a (B, n, n) stack by scaling and squaring.
 
@@ -289,7 +262,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     last term, so its result does not depend on the rest of the stack.
     Non-finite in, non-finite out.
     """
-    norm = np.abs(a).sum(axis=1).max(axis=1)
+    norm = _norm1(a)
     # s_b = ceil(log2(norm)) + 1 above 1/2, exactly: norm = mant * 2**expo, 1/2 <= mant < 1
     mant, expo = np.frexp(norm)
     squarings = np.where(np.isfinite(norm) & (norm > 0.5), expo - (mant == 0.5) + 1, 0)
@@ -298,7 +271,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     term = scaled
     active = np.ones((len(a), 1, 1), dtype=bool)
     for order in range(2, 19):
-        active &= np.abs(term).sum(axis=1, keepdims=True).max(axis=2, keepdims=True) > _EPS
+        active &= (_norm1(term) > _EPS)[:, None, None]
         if not active.any():
             break
         term = term @ scaled / order
@@ -560,41 +533,30 @@ def _amplitude_solution(
     The 2x2 generator splits as mbar * I + N with N traceless; with
     s = sqrt(-det N) (so N @ N = s**2 * I) the propagator is
         exp(-i H t) = e^{-i mbar t} (cos(s t) I - i sin(s t)/s * N).
-    cos and sin/s are even in s, so the square-root branch is irrelevant.
-    At an exceptional point (s = 0, N nilpotent) sin(s t)/s -> t, the
-    first-order form in the defective direction.
+    cos and sin/s are even in s, so the root with Im s >= 0 may be taken.
+    Factoring out e^{-i s t}, with z = 2i s t and phi(z) = expm1(z) / z,
+        exp(-i H t) = e^{-i (mbar + s) t} ((1 + expm1(z)/2) I - i t phi(z) N).
+    Re z <= 0 and both eigenvalues mbar +- s of a dissipative H have
+    Im <= 0, so every factor stays bounded at any t: nothing grows and
+    then cancels (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).  At an
+    exceptional point (s = 0, N nilpotent) phi = 1 gives the first-order
+    form I - i t N.
     """
     h = effective_hamiltonian(coeffs)
     mbar = 0.5 * (h[0, 0] + h[1, 1])
     d = 0.5 * (h[0, 0] - h[1, 1])
     o = h[0, 1]
     s = np.sqrt(d * d + o * o)
+    s = -s if s.imag < 0 else s
     times = np.asarray(times, dtype=float)
     c0 = np.array([initial.c_eg, initial.c_ge], dtype=complex)
     n_c0 = np.array([d * c0[0] + o * c0[1], o * c0[0] - d * c0[1]])
-    out = np.empty((len(times), 2), dtype=complex)
 
-    # cos/sinc form: exact through the exceptional point, but its two pieces
-    # grow like e^{|Im s| t} before cancelling, so keep it to moderate |s t|
-    near = np.abs(s) * times < 50.0
-    t_near = times[near]
-    st = s * t_near
-    sinc = t_near.astype(complex) if s == 0 else np.sin(st) / s
-    phase = np.exp(-1j * mbar * t_near)
-    out[near, 0] = phase * (np.cos(st) * c0[0] - 1j * sinc * n_c0[0])
-    out[near, 1] = phase * (np.cos(st) * c0[1] - 1j * sinc * n_c0[1])
-
-    # eigen form: each mode factor is bounded by 1 for a dissipative
-    # generator; |s| is large enough here for N/s to be well conditioned
-    far = ~near
-    if far.any():
-        t_far = times[far]
-        e_minus = np.exp(-1j * (mbar - s) * t_far)
-        e_plus = np.exp(-1j * (mbar + s) * t_far)
-        for idx in (0, 1):
-            out[far, idx] = 0.5 * (
-                e_minus * (c0[idx] - n_c0[idx] / s) + e_plus * (c0[idx] + n_c0[idx] / s)
-            )
+    z = 2j * s * times
+    em1 = np.expm1(z)
+    phi = np.divide(em1, z, out=np.ones_like(z), where=z != 0)
+    phase = np.exp(-1j * (mbar + s) * times)
+    out = phase[:, None] * ((1.0 + 0.5 * em1)[:, None] * c0 - 1j * (times * phi)[:, None] * n_c0)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         raise NumericalFailure(f"amplitudes are not finite at t = {times[bad][0]:.6g}")
@@ -643,24 +605,17 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) where l_i are the decreasingly sorted
-    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy); the
+    one-state case of ``_wootters_concurrences``.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"need a 4x4 two-qubit density matrix, got {rho.shape}")
-    rho_tilde = rho @ _SY_SY @ rho.conj() @ _SY_SY
-    evals = np.linalg.eigvals(rho_tilde).real
-    # eigenvalues are nonnegative up to roundoff; rank-deficient inputs leave
-    # eps-size debris that the square root would blow up to sqrt(eps)
-    evals = np.clip(evals, 0.0, None)
-    evals[evals < 1e-12 * evals.max(initial=0.0)] = 0.0
-    lam = np.sqrt(evals)
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    return float(_wootters_concurrences(rho[None])[0])
 
 
 def _wootters_concurrences(states: np.ndarray) -> np.ndarray:
-    """``wootters_concurrence`` of each (4, 4) matrix in a (T, 4, 4) stack.
+    """Wootters concurrence of each (4, 4) matrix in a (T, 4, 4) stack.
 
     When no state has weight in the |ee> row or column, rho (sy x sy) rho*
     (sy x sy) has the eigenvalues (sqrt(p_eg p_ge) +- |rho_eg,ge|)**2, 0, 0,

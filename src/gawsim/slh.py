@@ -99,17 +99,6 @@ class SLHTriplet:
         return self.collapse.shape[0]
 
 
-def identity_triplet(dim: int) -> SLHTriplet:
-    zero = np.zeros((dim, dim), dtype=complex)
-    return SLHTriplet(1.0 + 0.0j, zero, zero.copy())
-
-
-def phase_element(phi: float, dim: int) -> SLHTriplet:
-    """Pure propagation phase (e^{i*phi}, 0, 0)."""
-    zero = np.zeros((dim, dim), dtype=complex)
-    return SLHTriplet(np.exp(1j * phi), zero, zero.copy())
-
-
 def point_triplet(point: ConnectionPoint, n_atoms: int, omega: float = 0.0) -> SLHTriplet:
     """Component for one directional pass through a connection point.
 
@@ -143,8 +132,8 @@ def build_network(layout: WaveguideLayout) -> SLHTriplet:
     propagation phases between neighbours, the mirror round trip
     e^{i*2*phi_min}, then the right-moving components in ascending phase.
     Each phase is folded into the scattering of the pass that follows it
-    (the composed S, L and H are those of the chain with separate
-    ``phase_element`` components, up to rounding).
+    (the composed S, L and H are those of the chain with separate pure
+    phase components (e^{i*dphi}, 0, 0), up to rounding).
     The bare omega * sigma_z / 2 term attaches at each atom's first
     right-moving point; after moving to the interaction picture the choice
     of pass is irrelevant (covered by tests).

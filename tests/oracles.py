@@ -6,16 +6,25 @@ g1..g4, inter-point phases t1..t3, and mirror round trip th) and is kept
 separate from the library code it checks.
 
 ``pairwise_lindblad_rhs`` is the master-equation right-hand side written
-term by term over atom pairs (j, k) of the decay matrix, ``eigen_states``
-the exact solution V e^{Lambda t} V^-1 vec(rho0) under a diagonalisable
-generator,
+term by term over atom pairs (j, k) of the decay matrix (its Hamiltonian
+from ``hamiltonian_matrix``), ``pairwise_superoperator`` the same generator
+as a matrix on vec(rho), ``eigen_states`` the exact solution
+V e^{Lambda t} V^-1 vec(rho0) under a diagonalisable generator,
 ``single_excitation_states`` the exact master-equation solution for a state
-with at most one excitation, from the M x M effective Hamiltonian alone,
-and ``first_check_failure`` the state-by-state trace / Hermiticity /
-spectrum check loop; the library builds the generator from the
-eigendecomposition of the decay matrix, restricts it to the excitation
-numbers rho0 reaches, exponentiates it by scaling and squaring or applies
-its Taylor action, and checks stacks of states at once.
+with at most one excitation, from the eigendecomposition of the M x M
+effective Hamiltonian alone, and ``first_check_failure`` the state-by-state
+trace / Hermiticity / spectrum check loop; the library builds the generator
+from the eigendecomposition of the decay matrix, restricts it to the
+excitation numbers rho0 reaches, exponentiates it by scaling and squaring or
+applies its Taylor action, checks stacks of states at once, and propagates
+two-atom amplitudes by one closed form in expm1.
+
+``eigen_concurrence`` is the Wootters concurrence of one state from the
+eigenvalues of rho (sy x sy) rho* (sy x sy); the library computes it for a
+stack of states, in closed form when no state has |ee> weight.
+``identity_triplet`` and ``phase_element`` are the unit and the pure-phase
+SLH components; ``build_network`` folds the phases into the scattering of
+the next pass instead.
 
 The ``closed_form_*`` polynomials are the hand-expanded coefficients of the
 three canonical two-atom setups, valid for any real theta, and
@@ -181,10 +190,26 @@ def closed_form_coefficients(kind, gamma: float, theta: float) -> MasterEqCoeffi
     return _CLOSED_FORMS[Configuration(kind)](gamma, theta)
 
 
+def hamiltonian_matrix(coeffs: MasterEqCoefficients) -> np.ndarray:
+    """Coherent (Lamb shift + exchange) Hamiltonian on the 2**M space, pair by pair."""
+    m = coeffs.n_atoms
+    dim = 2 ** m
+    h = np.zeros((dim, dim), dtype=complex)
+    for j in range(m):
+        h += coeffs.lamb_shifts[j] * slh.number_op(j, m)
+        for k in range(j + 1, m):
+            if coeffs.exchange[j, k] != 0.0:
+                h += coeffs.exchange[j, k] * (
+                    slh.sigma_plus(k, m) @ slh.sigma_minus(j, m)
+                    + slh.sigma_plus(j, m) @ slh.sigma_minus(k, m)
+                )
+    return h
+
+
 def pairwise_drift_operator(coeffs: MasterEqCoefficients) -> np.ndarray:
     """K = -iH - (1/2) sum_jk decay_jk sp_k sm_j; rhs = K rho + rho K^dag + jumps."""
     m = coeffs.n_atoms
-    k_op = -1j * dynamics.hamiltonian_matrix(coeffs)
+    k_op = -1j * hamiltonian_matrix(coeffs)
     dec = coeffs.decay_matrix()
     for j in range(m):
         for k in range(m):
@@ -211,6 +236,25 @@ def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.n
             if dec[j, k] != 0.0:
                 out += dec[j, k] * (slh.sigma_minus(j, m) @ rho @ slh.sigma_plus(k, m))
     return out
+
+
+def pairwise_superoperator(coeffs: MasterEqCoefficients) -> np.ndarray:
+    """The generator as a 4**M x 4**M matrix on row-major vec(rho), pair by pair.
+
+    vec(A rho B) = kron(A, B^T) vec(rho): K rho + rho K^dag gives
+    kron(K, I) + kron(I, K*), and each jump term decay_jk sm_j rho sp_k
+    gives decay_jk kron(sm_j, sm_k) (sm_k is real, sp_k^T = sm_k).
+    """
+    m = coeffs.n_atoms
+    k_op = pairwise_drift_operator(coeffs)
+    eye = np.eye(2 ** m)
+    sup = np.kron(k_op, eye) + np.kron(eye, k_op.conj())
+    dec = coeffs.decay_matrix()
+    for j in range(m):
+        for k in range(m):
+            if dec[j, k] != 0.0:
+                sup += dec[j, k] * np.kron(slh.sigma_minus(j, m), slh.sigma_minus(k, m))
+    return sup
 
 
 def eigen_states(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
@@ -288,6 +332,37 @@ def first_check_failure(states, steps):
         if lo < dynamics.EIG_FLOOR:
             return f"eigenvalue {lo:.3e} below floor at step {i}"
     return None
+
+
+_SY_SY = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+
+
+def eigen_concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of one two-qubit density matrix from its eigenvalues.
+
+    C = max(0, l1 - l2 - l3 - l4) where l_i are the decreasingly sorted
+    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    """
+    rho_tilde = rho @ _SY_SY @ rho.conj() @ _SY_SY
+    evals = np.linalg.eigvals(rho_tilde).real
+    # eigenvalues are nonnegative up to roundoff; rank-deficient inputs leave
+    # eps-size debris that the square root would blow up to sqrt(eps)
+    evals = np.clip(evals, 0.0, None)
+    evals[evals < 1e-12 * evals.max(initial=0.0)] = 0.0
+    lam = np.sqrt(evals)
+    lam.sort()
+    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+
+
+def phase_element(phi: float, dim: int) -> slh.SLHTriplet:
+    """Pure propagation phase (e^{i*phi}, 0, 0)."""
+    zero = np.zeros((dim, dim), dtype=complex)
+    return slh.SLHTriplet(np.exp(1j * phi), zero, zero.copy())
+
+
+def identity_triplet(dim: int) -> slh.SLHTriplet:
+    """The identity component (1, 0, 0) of the series product."""
+    return phase_element(0.0, dim)
 
 
 def per_value_csv(header_lines, columns, rows) -> str:

@@ -479,6 +479,17 @@ def test_evolve_non_finite_amplitude_exits_one(tmp_path, capsys, method, flag, v
     assert not out.exists()
 
 
+def test_evolve_lindblad_under_normalised_amplitudes_exit_one(tmp_path, capsys):
+    # a density matrix needs unit trace; --method effective accepts the same spec
+    out = tmp_path / "x.csv"
+    argv = ["evolve", "--config", "braided", "--theta", "1", "--c-eg", "0.5", "--out", str(out)]
+    assert main([*argv, "--method", "lindblad"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --c-eg and --c-ge must have") and "off by 7.500e-01" in err
+    assert not out.exists()
+    assert main([*argv, "--method", "effective"]) == 0
+
+
 @pytest.mark.parametrize("steps", ["5", "10000000000000"])
 def test_evolve_lindblad_rejects_t_steps(tmp_path, capsys, steps):
     out = tmp_path / "x.csv"

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from oracles import (
     closed_form_braided,
+    eigen_concurrence,
     eigen_states,
     first_check_failure,
     pairwise_lindblad_rhs,
+    pairwise_superoperator,
+    single_excitation_propagators,
     single_excitation_states,
 )
 
@@ -21,7 +24,6 @@ from gawsim.dynamics import (
     effective_hamiltonian,
     evolve_amplitudes,
     evolve_lindblad,
-    ground_state_density,
     lindblad_rhs,
     recommended_timestep,
     wootters_concurrence,
@@ -85,7 +87,8 @@ def test_amplitudes_frozen_at_decoupling():
 
 
 def test_amplitudes_exceptional_point_branch():
-    # purely dissipative symmetric coupling: H is defective (nilpotent part)
+    # purely dissipative symmetric coupling, H = -i [[1, 1], [1, 1]]: a dark mode
+    # and a bright one decaying at 2 (diagonalisable, so not an exceptional point)
     z = np.zeros(2)
     coeffs = MasterEqCoefficients(
         z, np.zeros((2, 2)), np.array([2.0, 2.0]), np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -127,6 +130,40 @@ def test_amplitude_trajectory_matches_pointwise():
         assert single.c_eg == pytest.approx(s[0], abs=1e-13)
         assert single.c_ge == pytest.approx(s[1], abs=1e-13)
         assert c == pytest.approx(concurrence_from_amplitudes(single), abs=1e-13)
+
+
+def _random_amplitudes(rng):
+    raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+    raw /= np.linalg.norm(raw)
+    return AmplitudeState(complex(raw[0]), complex(raw[1]))
+
+
+@pytest.mark.parametrize("config", list(Configuration))
+def test_amplitudes_match_eigen_propagator_at_long_times(config):
+    # up to t = 400, |s t| reaches the hundreds: the closed form stays bounded there
+    rng = np.random.default_rng(140 + list(Configuration).index(config))
+    times = np.linspace(0.0, 400.0, 4001)
+    for theta in rng.uniform(0.0, 2 * math.pi, 8):
+        coeffs = canonical_coefficients(config, 1.0, float(theta))
+        initial = _random_amplitudes(rng)
+        record = amplitude_trajectory(initial, coeffs, times)
+        expected = single_excitation_propagators(coeffs, times) @ [initial.c_eg, initial.c_ge]
+        np.testing.assert_allclose(record.states, expected, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-8, 1e-1])
+def test_amplitudes_match_lindblad_near_exceptional_point(offset):
+    # H_eff = [[offset - 2i, 1], [1, 0]]: s**2 = offset**2 / 4 - i offset, an
+    # exceptional point at offset 0.  The eigen propagator is ill-conditioned
+    # there; the master equation's {eg, ge} block is the reference
+    coeffs = MasterEqCoefficients(np.array([offset, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                  np.array([4.0, 0.0]), np.zeros((2, 2)))
+    rng = np.random.default_rng(150)
+    for initial in (EG, AmplitudeState(0.0, 1.0), _random_amplitudes(rng)):
+        lind = evolve_lindblad(density_from_amplitudes(initial), coeffs, t_max=6.0, dt=0.05, store_every=3)
+        amps = amplitude_trajectory(initial, coeffs, lind.times).states
+        block = amps[:, :, None] * amps[:, None, :].conj()
+        np.testing.assert_allclose(block, lind.states[:, 1:3, 1:3], atol=1e-12, rtol=0)
 
 
 def test_rejects_negative_time_and_large_norm():
@@ -188,8 +225,10 @@ def test_wootters_agrees_with_amplitude_formula_on_pure_states():
 
 
 def test_rhs_ground_state_stationary():
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[3, 3] = 1.0  # |gg>
     for theta in (0.0, 0.7, 2.0):
-        out = lindblad_rhs(ground_state_density(), closed_form_braided(1.0, theta))
+        out = lindblad_rhs(ground, closed_form_braided(1.0, theta))
         assert np.abs(out).max() < 1e-14
 
 
@@ -430,7 +469,7 @@ def _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps):
     dense = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", 1)
     taylor = evolve_lindblad(rho0, coeffs, t_max=n_steps * dt, dt=dt, store_every=1)
-    oracle = eigen_states(dyn._superoperator(coeffs), rho0, dense.times)
+    oracle = eigen_states(pairwise_superoperator(coeffs), rho0, dense.times)
     assert len(dense.states) == n_steps + 1
     np.testing.assert_array_equal(dense.times, np.arange(n_steps + 1) * dt)
     np.testing.assert_array_equal(dense.times, taylor.times)
@@ -439,17 +478,17 @@ def _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps):
 
 
 @pytest.mark.parametrize("m,n_steps", [(2, 600), (3, 50)])
-def test_exact_and_rk4_paths_match_eigen_oracle(monkeypatch, m, n_steps):
+def test_dense_and_taylor_paths_match_eigen_oracle(monkeypatch, m, n_steps):
     _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps)
 
 
 # M = 4 takes the Taylor action by default; the dense exponential is forced on
 @pytest.mark.parametrize("m,n_steps", [(4, 20)])
-def test_blocked_step_matrix_matches_direct_rk4(monkeypatch, m, n_steps):
+def test_dense_and_taylor_paths_match_eigen_oracle_at_four_atoms(monkeypatch, m, n_steps):
     _check_dense_and_taylor_against_eigen_oracle(monkeypatch, m, n_steps)
 
 
-def test_direct_rk4_matches_forced_step_matrix_at_five_atoms(monkeypatch):
+def test_taylor_action_matches_forced_dense_exponential_at_five_atoms(monkeypatch):
     # the default Taylor action against the forced dense exponential
     rng = np.random.default_rng(35)
     coeffs = _mirror_coeffs(rng, 5)
@@ -504,7 +543,7 @@ def _spectrum_test_input():
 
 # ``step`` is the first stored step after t = 0
 @pytest.mark.parametrize("store_every,step", [(1, 1), (1000, 40)])
-def test_rk4_checks_spectrum_of_every_stored_state(monkeypatch, store_every, step):
+def test_taylor_action_exact_at_coarse_stored_steps(monkeypatch, store_every, step):
     # dt = 0.1 is coarse for these rates: a fixed-step explicit scheme leaves
     # the positive cone within 40 steps.  The Taylor action, forced on the
     # single excitation and taken by a two-excitation state, is exact at any dt
@@ -518,7 +557,7 @@ def test_rk4_checks_spectrum_of_every_stored_state(monkeypatch, store_every, ste
     rho0[7, 7] = 0.5
     rho0[3, 3] = 0.5  # |eegg>: D = 11 states with at most two excitations
     record = evolve_lindblad(rho0, coeffs, t_max=4.0, dt=0.1, store_every=store_every)
-    np.testing.assert_allclose(record.states, eigen_states(dyn._superoperator(coeffs), rho0, record.times),
+    np.testing.assert_allclose(record.states, eigen_states(pairwise_superoperator(coeffs), rho0, record.times),
                                atol=1e-12, rtol=0)
 
 
@@ -594,7 +633,7 @@ def test_two_excitations_at_three_atoms_match_eigen_oracle(monkeypatch):
     coeffs = _mirror_coeffs(rng, 3)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1:, 1:] = _mixed_state(rng, 7)
-    generator = dyn._superoperator(coeffs)
+    generator = pairwise_superoperator(coeffs)
     monkeypatch.setattr(dyn, "_apply_generator", _no_taylor)
     record = evolve_lindblad(rho0, coeffs, t_max=1.0, dt=0.01, store_every=10)
     oracle = eigen_states(generator, rho0, record.times)
@@ -602,7 +641,7 @@ def test_two_excitations_at_three_atoms_match_eigen_oracle(monkeypatch):
     assert not record.states[:, 0].any() and not record.states[:, :, 0].any()
 
 
-def test_one_double_excitation_entry_keeps_rk4_at_four_atoms(monkeypatch):
+def test_one_double_excitation_entry_takes_taylor_action_at_four_atoms(monkeypatch):
     # one |eegg> population lifts D to 11 > 8: the Taylor action, exact at dt = 1
     rng = np.random.default_rng(82)
     coeffs = _mirror_coeffs(rng, 4)
@@ -618,7 +657,7 @@ def test_one_double_excitation_entry_keeps_rk4_at_four_atoms(monkeypatch):
     monkeypatch.setattr(dyn, "_expm", no_dense)
     record = evolve_lindblad(rho0, coeffs, t_max=40.0, dt=1.0)
     assert len(record.times) == 41
-    np.testing.assert_allclose(record.states, eigen_states(dyn._superoperator(coeffs), rho0, record.times),
+    np.testing.assert_allclose(record.states, eigen_states(pairwise_superoperator(coeffs), rho0, record.times),
                                atol=1e-12, rtol=0)
 
 
@@ -641,7 +680,7 @@ def test_taylor_action_matches_eigen_oracle_at_four_atoms(n, pure):
     for coeffs in (_mirror_coeffs(rng, 4), _coeffs_with_decay(rng, _random_psd(rng, 4))):
         rho0 = _states_up_to(rng, 4, n, pure)
         record = evolve_lindblad(rho0, coeffs, t_max=2.0, dt=0.01, store_every=20)
-        oracle = eigen_states(dyn._superoperator(coeffs), rho0, record.times)
+        oracle = eigen_states(pairwise_superoperator(coeffs), rho0, record.times)
         np.testing.assert_allclose(record.states, oracle, atol=1e-12, rtol=0)
 
 
@@ -707,7 +746,7 @@ def test_batched_concurrence_matches_scalar(monkeypatch):
             states.append(rho / np.trace(rho))
     states.append(rho_eg())
     states = np.array(states)
-    scalar = np.array([wootters_concurrence(rho) for rho in states])
+    scalar = np.array([eigen_concurrence(rho) for rho in states])
     assert scalar.max() > 0.5 and (scalar == 0).any()
     assert states[:, 0].any()  # |ee> weight: the eigenvalues are taken numerically
     np.testing.assert_allclose(dyn._wootters_concurrences(states), scalar, atol=1e-14, rtol=0)
@@ -721,7 +760,7 @@ def test_batched_concurrence_matches_scalar(monkeypatch):
             rho = raw @ raw.conj().T
             no_ee.append(rho / np.trace(rho))
     no_ee = np.array(no_ee + [rho_eg()])
-    scalar = np.array([wootters_concurrence(rho) for rho in no_ee])
+    scalar = np.array([eigen_concurrence(rho) for rho in no_ee])
     assert scalar.max() > 0.5 and (scalar == 0).any()
 
     def no_eigvals(*args):
@@ -738,7 +777,7 @@ def test_lindblad_step_budget(monkeypatch):
         raise AssertionError("operators built before the step budget was checked")
 
     with monkeypatch.context() as patch:
-        for name in ("_superoperator", "_operators", "_superoperators"):
+        for name in ("_operators", "_superoperators"):
             patch.setattr(dyn, name, never)
         with pytest.raises(ValueError, match=r"t_max=1e\+09 and dt=1 .*MAX_GRID_STEPS"):
             evolve_lindblad(rho_eg(), coeffs, t_max=1e9, dt=1.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import general_braided_expected, general_braided_layout
+from oracles import general_braided_expected, general_braided_layout, identity_triplet, phase_element
 
 from gawsim.coefficients import canonical_coefficients, general_coefficients
 from gawsim.errors import LayoutError, NumericalFailure
@@ -18,9 +18,7 @@ from gawsim.slh import (
     SLHTriplet,
     build_network,
     extract_coefficients,
-    identity_triplet,
     number_op,
-    phase_element,
     point_triplet,
     series_product,
     sigma_minus,
