@@ -46,8 +46,9 @@ TWO_PI = 2.0 * math.pi
 #: (theta x t) accepted; a larger one is rejected before it is built.
 MAX_GRID_POINTS = 10_000_000
 
-#: Rows of a CSV table converted to Python values and written at a time.
-_CSV_BLOCK_ROWS = 1 << 16
+#: Rows of a CSV table (times of a sweep grid) per ``%`` and write.  Speed
+#: is flat from 2**8 to 2**16 rows; above 2**9 the benchmark's peak RSS rises.
+_CSV_BLOCK_ROWS = 1 << 9
 
 #: Stored rows (theta x t) that ``sweep --method lindblad`` propagates
 #: together, in whole theta columns (at least one).  A 400 x 400 sweep
@@ -106,23 +107,38 @@ def _header_lines(spec: RunSpec) -> list[str]:
     ]
 
 
-def _write_csv(path: str, spec: RunSpec, columns: list[str], *cols) -> None:
-    """Write equal-length float columns as one CSV table.
+def _write_csv(path: str, spec: RunSpec, columns: list[str], *cols, grid=None) -> None:
+    """Write equal-length float columns, or a sweep ``grid``, as one CSV table.
 
     Byte contract: the ``#`` header lines, the comma-joined column names,
     then one line per row of comma-joined ``"%.17g" % value`` texts, the
     same text as ``format(value, ".17g")`` (``nan``, ``inf``, ``-0``
-    included).  The body is converted and written ``_CSV_BLOCK_ROWS`` rows
-    at a time, so memory beyond the float table stays bounded.
+    included).  Columns take one ``%`` per ``_CSV_BLOCK_ROWS`` rows, on the
+    row template repeated.  A ``grid`` (thetas, times, values[i] over times
+    at thetas[i]) gives the rows ``theta,t,value`` theta-major: each t text
+    is formatted once into a row tail ``",<t>,%.17g\\n"`` (the tails of a
+    block of times are kept joined by NUL, about 30 bytes a time), each
+    theta text p once, and one ``%`` on the block's tails joined by p fills
+    that block of a theta's values.
     """
-    table = np.column_stack(cols)
-    header = _header_lines(spec) + [",".join(columns)]
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-            fh.writelines(row % tuple(values) for values in block)
+        fh.write("\n".join(_header_lines(spec) + [",".join(columns)]) + "\n")
+        if grid is None:
+            table = np.column_stack(cols)
+            row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            for start in range(0, len(table), _CSV_BLOCK_ROWS):
+                block = table[start:start + _CSV_BLOCK_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            return
+        thetas, times, values = grid
+        starts = range(0, len(times), _CSV_BLOCK_ROWS)
+        tails = ["\0".join([",%.17g,%%.17g\n" % t for t in times[s:s + _CSV_BLOCK_ROWS].tolist()])
+                 for s in starts]
+        for theta, column in zip(thetas.tolist(), values):
+            p = "%.17g" % theta
+            for start, text in zip(starts, tails):
+                rows = p + text.replace("\0", p)
+                fh.write(rows % tuple(column[start:start + _CSV_BLOCK_ROWS].tolist()))
 
 
 def _write_json(path: str, spec: RunSpec, payload: dict) -> None:
@@ -356,8 +372,7 @@ def run_sweep(spec: RunSpec) -> int:
     times = _time_grid(spec)
     _check_size(len(thetas) * len(times), "--theta-steps x --t-steps (or --dt)")
     columns = _sweep_columns(source, spec.gamma, thetas, times, method)
-    _write_csv(spec.out, spec, ["theta", "t", "concurrence"],
-               np.repeat(thetas, len(times)), np.tile(times, len(thetas)), np.concatenate(columns))
+    _write_csv(spec.out, spec, ["theta", "t", "concurrence"], grid=(thetas, times, columns))
     return 0
 
 
@@ -409,20 +424,14 @@ def run_verify_slh(spec: RunSpec) -> int:
     extracted = slh.extract_coefficients(slh.build_network(layout), layout)
 
     tol = 1e-10 if spec.tol is None else spec.tol
-    two_atom = layout.n_atoms == 2
     max_diff = 0.0
-    for name, ref in reference.items():
+    for ref in reference.values():
         for attr in ("lamb_shifts", "exchange", "individual_decay", "collective_decay"):
-            diff = float(np.abs(getattr(ref, attr) - getattr(extracted, attr)).max())
-            max_diff = max(max_diff, diff)
-        if two_atom:
-            print(f"{name}: " + "  ".join(
-                f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(ref))
-            ))
-    if two_atom:
-        print("slh:         " + "  ".join(
-            f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(extracted))
-        ))
+            max_diff = max(max_diff, float(np.abs(getattr(ref, attr) - getattr(extracted, attr)).max()))
+    if layout.n_atoms == 2:
+        for label, c in [*((f"{name}: ", ref) for name, ref in reference.items()),
+                         ("slh:         ", extracted)]:
+            print(label + "  ".join(f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(c))))
     print(f"max_abs_diff={max_diff:.17g} tol={tol:.17g}")
     if spec.out is not None:
         _write_json(spec.out, spec, {"max_abs_diff": max_diff, "tol": tol,
@@ -525,17 +534,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         spec = _spec_from_args(args)
-        if spec.command == "coeffs":
-            return run_coeffs(spec)
-        if spec.command == "evolve":
-            return run_evolve(spec)
-        if spec.command == "sweep":
-            return run_sweep(spec)
-        if spec.command == "dfi-scan":
-            return run_dfi_scan(spec)
-        if spec.command == "verify-slh":
-            return run_verify_slh(spec)
-        raise SpecError(f"unknown command {spec.command!r}")
+        run = {"coeffs": run_coeffs, "evolve": run_evolve, "sweep": run_sweep,
+               "dfi-scan": run_dfi_scan, "verify-slh": run_verify_slh}.get(spec.command)
+        if run is None:
+            raise SpecError(f"unknown command {spec.command!r}")
+        return run(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

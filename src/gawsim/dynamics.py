@@ -149,23 +149,26 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise NumericalFailure(f"density matrix eigenvalue {lo:.3e} below floor")
 
 
-def _decay_channels(coeff_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Rates lam (B, R) and eigenvectors U (B, M, R) of each set's decay matrix.
-
-    Raises on an eigenvalue below -1e-9 * max(1, max|G|), at the first such
-    set.  Eigenvalues at decomposition round-off, |lam_r| <= M * eps *
-    max|lam|, are dropped; the rest keep their sign, so a tolerated small
-    negative one stays exact.  The R channels are those some set keeps, in
-    ``eigh`` order; a set that drops one of them has rate 0 there, which
-    adds nothing to its generator.
-    """
-    mats = np.array([c.decay_matrix() for c in coeff_sets])
-    lam, vecs = np.linalg.eigh(mats)
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    unphysical = lam[:, 0] < -1e-9 * scale
+def _check_decay_physical(mats: np.ndarray, lam: np.ndarray) -> None:
+    """Raise at the first decay matrix with lam[:, 0] < -1e-9 * max(1, max|G|)."""
+    unphysical = lam[:, 0] < -1e-9 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     if unphysical.any():
         raise NumericalFailure(f"decay matrix eigenvalue {lam[unphysical][0, 0]:.3e} "
                                "is negative (unphysical)")
+
+
+def _decay_channels(coeff_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Rates lam (B, R) and eigenvectors U (B, M, R) of each set's decay matrix.
+
+    Raises through ``_check_decay_physical``.  Eigenvalues at decomposition
+    round-off, |lam_r| <= M * eps * max|lam|, are dropped; the rest keep
+    their sign, so a tolerated small negative one stays exact.  The R
+    channels are those some set keeps, in ``eigh`` order; a set that drops
+    one of them has rate 0 there, which adds nothing to its generator.
+    """
+    mats = np.array([c.decay_matrix() for c in coeff_sets])
+    lam, vecs = np.linalg.eigh(mats)
+    _check_decay_physical(mats, lam)
     keep = np.abs(lam) > mats.shape[1] * _EPS * np.abs(lam).max(axis=1, keepdims=True)
     used = keep.any(axis=0)
     return np.where(keep, lam, 0.0)[:, used], vecs[:, :, used]
@@ -585,7 +588,8 @@ def amplitude_trajectory(
         raise ValueError("times must be nonnegative")
     if not initial.norm() <= 1.0 + NORM_TOL:
         raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
-    _decay_channels([coeffs])  # raises on an unphysical decay matrix
+    decay = coeffs.decay_matrix()[None]
+    _check_decay_physical(decay, np.linalg.eigvalsh(decay))
     states = _amplitude_solution(initial, coeffs, times)
     conc = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())
     return TrajectoryRecord(times, states, conc, kind="amplitudes")
@@ -606,11 +610,13 @@ def wootters_concurrence(rho: np.ndarray) -> float:
 
     C = max(0, l1 - l2 - l3 - l4) where l_i are the decreasingly sorted
     square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy); the
-    one-state case of ``_wootters_concurrences``.
+    one-state case of ``_wootters_concurrences``; non-finite entries raise.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"need a 4x4 two-qubit density matrix, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho has non-finite entries")
     return float(_wootters_concurrences(rho[None])[0])
 
 

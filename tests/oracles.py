@@ -33,8 +33,9 @@ connection-point pairs.  The library evaluates both through one vectorised
 kernel; these stay here as derivations independent of it.
 
 ``per_value_csv`` is the CLI's CSV text built one value at a time with
-``format(float(v), ".17g")``; the library streams rows through one
-``%.17g`` row template.
+``format(float(v), ".17g")``; the library formats a block of rows with one
+``%`` on a repeated ``%.17g`` row template, and a sweep grid by formatting
+each theta and each time once and filling a theta's values into its rows.
 """
 
 import math

@@ -435,6 +435,26 @@ def test_write_csv_matches_per_value_oracle(tmp_path, monkeypatch):
         assert out.read_bytes() == expected.encode(), block_rows
 
 
+def test_write_csv_grid_matches_per_value_oracle(tmp_path, monkeypatch):
+    thetas = np.array([-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0])
+    times = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(0.1, 3.0, 16)])
+    rng = np.random.default_rng(12)
+    values = rng.uniform(0.0, 1.0, (len(thetas), len(times)))
+    values[:, :4] = [math.nan, math.inf, -math.inf, -0.0]
+    values[2, -3:] = [math.nan, -0.0, 1e308]
+    spec = RunSpec(command="sweep", configuration="nested")
+    names = ["theta", "t", "concurrence"]
+    expected = per_value_csv(cli._header_lines(spec), names,
+                             ((theta, t, v) for theta, column in zip(thetas, values)
+                              for t, v in zip(times, column)))
+    out = tmp_path / "sweep.csv"
+    # 19 times: one block, exactly one block, then blocks of 7 (7 + 7 + 5) and of 1
+    for block_rows in (cli._CSV_BLOCK_ROWS, len(times), 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        cli._write_csv(str(out), spec, names, grid=(thetas, times, list(values)))
+        assert out.read_bytes() == expected.encode(), block_rows
+
+
 def _per_row_bodies():
     """(argv, columns, tuple rows) of three tables, rows built from the library records."""
     coeffs = canonical_coefficients("nested", 0.8, 1.3)

@@ -210,6 +210,18 @@ def test_wootters_rejects_wrong_shape():
         wootters_concurrence(np.eye(8) / 8)
 
 
+@pytest.mark.parametrize("ee_weight", [0.0, 0.1], ids=["closed-form", "eigenvalues"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_wootters_rejects_non_finite_entry(ee_weight, bad):
+    # without |ee> weight the closed form would return nan, with it eigvals would raise
+    rho = np.diag([ee_weight, 0.5 - ee_weight, 0.5, 0.0]).astype(complex)
+    rho[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rho has non-finite entries"):
+            wootters_concurrence(rho)
+
+
 def test_wootters_agrees_with_amplitude_formula_on_pure_states():
     rng = np.random.default_rng(4)
     for _ in range(30):
@@ -263,6 +275,22 @@ def test_rhs_rejects_unphysical_decay_matrix():
     )
     with pytest.raises(NumericalFailure):
         lindblad_rhs(rho_eg(), bad)
+
+
+def test_amplitude_path_shares_the_decay_matrix_check():
+    def with_rate(value):
+        return MasterEqCoefficients(np.zeros(2), np.zeros((2, 2)), np.array([value, 1.0]),
+                                    np.zeros((2, 2)))
+
+    with pytest.raises(NumericalFailure) as amplitudes:
+        amplitude_trajectory(AmplitudeState(1.0, 0.0), with_rate(-1.0), [0.0, 1.0])
+    with pytest.raises(NumericalFailure) as lindblad:
+        evolve_lindblad(rho_eg(), with_rate(-1.0), t_max=0.1, dt=0.01)
+    assert str(amplitudes.value) == str(lindblad.value) == (
+        "decay matrix eigenvalue -1.000e+00 is negative (unphysical)")
+    # within the tolerance of -1e-9 * max(1, max|G|)
+    record = amplitude_trajectory(AmplitudeState(1.0, 0.0), with_rate(-0.5e-9), [0.0, 1.0])
+    assert np.isfinite(record.states).all()
 
 
 def test_lindblad_theta_zero_concurrence():
