@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -46,15 +47,20 @@ TWO_PI = 2.0 * math.pi
 #: (theta x t) accepted; a larger one is rejected before it is built.
 MAX_GRID_POINTS = 10_000_000
 
-#: Rows of a CSV table (times of a sweep grid) per ``%`` and write.  Speed
-#: is flat from 2**8 to 2**16 rows; above 2**9 the benchmark's peak RSS rises.
-_CSV_BLOCK_ROWS = 1 << 9
+#: Values per call of the CSV formatting kernel ``_format_cells``.  A call
+#: costs about 150 us plus 230 ns a value and holds about 150 bytes a value
+#: at its peak: 2**12 is the fastest block (2**11 and 2**13 take 15-30 %
+#: longer a value), and it adds 0.5 MB over 2**10 to the peak RSS of the
+#: README 400 x 400 sweep (2-vCPU VM).
+_CSV_BLOCK_CELLS = 1 << 12
 
-#: Stored rows (theta x t) that ``sweep --method lindblad`` propagates
-#: together, in whole theta columns (at least one).  A 400 x 400 sweep
-#: peaks at 68.6 MB RSS with it, 66.0 MB with one theta at a time, 103 MB
-#: at 2**16 rows and 131 MB with the grid in one block (2-vCPU VM).
-_LINDBLAD_BLOCK_ROWS = 1 << 14
+#: Grid rows (theta x t) a sweep computes together: ``--method lindblad``
+#: propagates whole theta columns of at most this many rows (at least one
+#: column), ``--method effective`` takes one theta's times this many at a
+#: time.  A 400 x 400 Lindblad sweep peaks at 68.6 MB RSS with it, 66.0 MB
+#: with one theta at a time, 103 MB at 2**16 rows and 131 MB with the grid
+#: in one block (2-vCPU VM).
+_SWEEP_BLOCK_ROWS = 1 << 14
 
 
 class SpecError(ValueError):
@@ -107,38 +113,220 @@ def _header_lines(spec: RunSpec) -> list[str]:
     ]
 
 
+# The formatting kernel lays each value's text out in fixed slots and keeps
+# a subset of them: sign, "0.000" (fixed point below 1), 17 integer digits,
+# point, the 17 digits again as fraction digits, "e+ddd", separator.  It
+# keeps to float64, int64 and bool arithmetic, table lookups and one mask:
+# each further dtype loop numpy runs maps more of its code into memory.
+_SIGN, _LEAD, _INT, _POINT, _FRAC, _EXP, _SEP = 0, 1, 6, 23, 24, 41, 46
+_SLOTS = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000,", np.uint8)
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+# Which slots a value keeps depends on its sign, its last nonzero digit and
+# its kind: 0..20 fixed point with decimal exponent k = kind - 4, 21 and 22
+# an exponent of two and of three digits, 23 a value left to "%.17g".
+_KINDS = 24
+_MIN_NORMAL = 2.2250738585072014e-308
+_Q_MIN, _Q_MAX = -308, 324  # the powers 10^q the kernel uses
+
+
+@cache
+def _power_tables():
+    """hi, lo, s with 10^q = (hi + lo) 2^s for q in [_Q_MIN, _Q_MAX] (index
+    q - _Q_MIN): hi in [1, 2) is the first 53 bits, 0 <= lo < 2^-52 the rest;
+    hh, hl: Dekker's split of hi; two1 * two2 = 2^s, each factor a double;
+    ceil: the least double >= 10^q (inf above 10^308).  Built from exact
+    integers on first use (about 2 ms)."""
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        shift = 121 - num.bit_length() + den.bit_length()
+        r = (num << shift) // den if shift >= 0 else (num >> -shift)
+        b = r.bit_length()
+        top = r >> (b - 53)
+        hi, lo, s = top / 2.0 ** 52, math.ldexp(r - (top << (b - 53)), 1 - b), b - 1 - shift
+        ceil = math.ldexp(hi + 2.0 ** -52 * (lo > 0), s) if q <= 308 else math.inf
+        rows.append((hi, lo, 2.0 ** (s // 2), 2.0 ** (s - s // 2), ceil))
+    hi, lo, two1, two2, ceil = np.array(rows).T.copy()
+    split = hi * 134217729.0
+    hh = split - (split - hi)
+    return hi, lo, hh, hi - hh, two1, two2, ceil
+
+
+@cache
+def _text_tables():
+    """digits4[i]: the four digit characters of i < 10^4; tz4[i]: their
+    trailing zeros; exp4[k + 400]: "+ddd" or "-ddd"; keep[(neg * _KINDS +
+    kind) * 17 + last]: the slots of a value of that sign and kind whose
+    last nonzero digit is digit ``last``.  Built on first use (about 2 ms)."""
+    # broadcast copies of ``_DIGITS``: int64 arithmetic on 10^4 x 4 arrays lets
+    # numpy elide temporaries of 256 KB and more, which walks the C stack and
+    # faults in about 0.7 MB of unwind tables
+    digits4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        digits4[..., place] = _DIGITS.reshape((10,) + (1,) * (3 - place))
+    digits4 = digits4.reshape(10000, 4)
+    tz4 = np.zeros(10000, np.int64)
+    for step in (10, 100, 1000, 10000):
+        tz4[::step] += 1
+    exp4 = np.frombuffer(b"".join(b"%+04d" % k for k in range(-400, 400)), np.uint8).reshape(-1, 4)
+    kind = np.arange(_KINDS)[:, None, None]
+    last = np.arange(17)[None, :, None]
+    j = np.arange(_SLOTS.size)
+    fallback, sci = kind == 23, (kind == 21) | (kind == 22)
+    nint = np.where(kind < 4, 0, np.where(kind < 21, kind - 3, 1))  # integer digits
+    keep = np.zeros((_KINDS, 17, j.size), bool)
+    keep |= (j == _SEP) | ((_INT <= j) & (j < _INT + np.where(fallback, 5, nint)))
+    keep |= ~fallback & (_FRAC + nint <= j) & (j <= _FRAC + last)
+    keep |= (kind >= 4) & ~fallback & (last >= nint) & (j == _POINT)
+    keep |= (kind < 4) & (_LEAD <= j) & (j < _LEAD + 5 - kind)
+    keep |= sci & (_EXP <= j) & (j < _SEP) & ((kind == 22) | (j != _EXP + 2))
+    keep = np.stack([keep, keep | ~fallback & (j == _SIGN)]).reshape(-1, j.size)
+    return digits4, tz4, exp4, keep
+
+
+def _decimal_digits(x: np.ndarray):
+    """(N, k, fallback): |x| rounded half to even to 17 significant digits
+    is N 10^(k - 16), N in [10^16, 10^17) (N = 0 and k = 0 at zero).
+
+    N = round(|x| 10^q), q = 16 - k, is computed exactly in binary64: k is
+    floor(e log10 2) from the binary exponent e, moved up by one where |x|
+    reaches the least double >= 10^(k+1); the product is Dekker's
+    error-free |x| 2^s hi plus |x| 2^s lo; and N carrying to 10^17 moves k
+    up by one.  ``fallback`` marks nan, infinities, subnormals, and values
+    whose product's fraction lies within 1e-12 of 1/2 where lo is not 0,
+    so the rounding is not certain (exact ties exist, such as 3 2^-24).
+    """
+    hi, lo, hh, hl, two1, two2, ceil = _power_tables()
+    with np.errstate(all="raise"):
+        ax = np.abs(x)
+        fallback = ~np.isfinite(ax)
+        ax[fallback] = 1.0
+        zero = ax == 0
+        fallback |= (ax < _MIN_NORMAL) & ~zero
+        ax[fallback | zero] = 1.0
+        # floor(e log10 2) as in Ryu, exact for every binary exponent e of a double
+        k = (ax.view(np.int64) // 2 ** 52 - 1023) * 78913 // 2 ** 18
+        k = np.where(ax >= ceil.take(k + 1 - _Q_MIN), k + 1, k)
+        row = 16 - k - _Q_MIN  # the table row of 10^q
+        a = ax * two1.take(row) * two2.take(row)  # exact: powers of two, no overflow
+        hh, hl, lo = hh.take(row), hl.take(row), lo.take(row)
+        p = a * hi.take(row)
+        ah = a * 134217729.0  # Dekker's split: a = ah + al, 26 bits each
+        ah -= ah - a
+        al = a - ah
+        r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+        # |r| < 2^51: adding and taking away 1.5 * 2^52 rounds half to even
+        rounded = r + 6755399441055744.0
+        rounded -= 6755399441055744.0
+        fallback |= (lo != 0) & (np.abs(np.abs(r - rounded) - 0.5) < 1e-12)
+        # p >= 2^53 is an even integer, so N = p + rounded is rounded half to even
+        N = p.astype(np.int64) + rounded.astype(np.int64)
+    carry = N == 10 ** 17
+    N[carry] = 10 ** 16
+    k[carry] += 1
+    N[zero] = 0
+    k[zero | fallback] = 0
+    return N, k, fallback
+
+
+def _put_digits(text: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Write the 17 digits of each N into both digit zones of ``text``;
+    return the number of trailing zeros of each N (16 at N = 0)."""
+    digits4, tz4 = _text_tables()[:2]
+    chunks = np.empty((len(N), 4), np.int64)  # four-digit chunks below the leading digit d0
+    high = N // 10 ** 8
+    low = N - high * 10 ** 8
+    chunks[:, 0] = high // 10000
+    chunks[:, 1] = high - chunks[:, 0] * 10000
+    chunks[:, 2] = low // 10000
+    chunks[:, 3] = low - chunks[:, 2] * 10000
+    d0 = chunks[:, 0] // 10000
+    chunks[:, 0] -= d0 * 10000
+    text[:, _INT] = text[:, _FRAC] = _DIGITS.take(d0)
+    digits = digits4.take(chunks, axis=0).reshape(-1, 16)
+    text[:, _INT + 1:_INT + 17] = text[:, _FRAC + 1:_FRAC + 17] = digits
+    zeros = tz4.take(chunks[:, 3])
+    for i in (2, 1, 0):
+        zeros = np.where(zeros == 4 * (3 - i), zeros + tz4.take(chunks[:, i]), zeros)
+    return zeros
+
+
+def _format_cells(block: np.ndarray) -> np.ndarray:
+    """The text ``format(v, ".17g")`` of each value of a 2-D float block,
+    comma-joined within a row, each row ended by a newline, as uint8.
+
+    Each value's text is laid out in the slots of ``_SLOTS``, digits from
+    ``_decimal_digits``, and one boolean mask keeps the slots of its class;
+    the values ``_decimal_digits`` leaves to fall back take one ``%`` per
+    block.
+    """
+    exp4, keep = _text_tables()[2:]
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    N, k, fallback = _decimal_digits(x)
+    text = np.empty((len(x), _SLOTS.size), np.uint8)
+    text[:] = _SLOTS
+    last = 16 - _put_digits(text, N)  # the last nonzero digit
+    text[block.shape[1] - 1::block.shape[1], _SEP] = ord("\n")
+    kind = k + 4
+    sci = (kind < 0) | (kind > 20)
+    if sci.any():
+        exponent = k[sci]
+        kind[sci] = np.where((exponent >= 100) | (exponent <= -100), 22, 21)
+        text[sci, _EXP + 1:_SEP] = exp4.take(exponent + 400, axis=0)
+    kind[fallback] = 23
+    kind += np.where(x.view(np.int64) < 0, _KINDS, 0)  # the sign bit, -0.0 included
+    mask = keep.take(kind * 17 + last, axis=0)
+    if not fallback.any():
+        return text[mask]
+    text[fallback, _INT:_INT + 5] = np.frombuffer(b"%.17g", np.uint8)
+    return np.frombuffer(text[mask].tobytes() % tuple(x[fallback].tolist()), np.uint8)
+
+
+def _cell_texts(values: np.ndarray) -> list[bytes]:
+    """``format(v, ".17g")`` of each value, as bytes."""
+    return _format_cells(values.reshape(-1, 1)).tobytes().split(b"\n")[:-1]
+
+
 def _write_csv(path: str, spec: RunSpec, columns: list[str], *cols, grid=None) -> None:
     """Write equal-length float columns, or a sweep ``grid``, as one CSV table.
 
     Byte contract: the ``#`` header lines, the comma-joined column names,
-    then one line per row of comma-joined ``"%.17g" % value`` texts, the
-    same text as ``format(value, ".17g")`` (``nan``, ``inf``, ``-0``
-    included).  Columns take one ``%`` per ``_CSV_BLOCK_ROWS`` rows, on the
-    row template repeated.  A ``grid`` (thetas, times, values[i] over times
-    at thetas[i]) gives the rows ``theta,t,value`` theta-major: each t text
-    is formatted once into a row tail ``",<t>,%.17g\\n"`` (the tails of a
-    block of times are kept joined by NUL, about 30 bytes a time), each
-    theta text p once, and one ``%`` on the block's tails joined by p fills
-    that block of a theta's values.
+    then one line per row of comma-joined ``format(value, ".17g")`` texts
+    (``nan``, ``inf``, ``-0`` included).  The texts come from
+    ``_format_cells``, ``_CSV_BLOCK_CELLS`` values a call: numpy computes
+    each value's 17 correctly rounded digits exactly and lays out its text.
+    Only nan, infinities, subnormals and values whose scaled fraction lies
+    within 1e-12 of a rounding tie that the exact product cannot settle
+    are left to ``"%.17g" %``, one ``%`` a block.  A ``grid`` (thetas,
+    times, values[i] over times at thetas[i]) gives the rows
+    ``theta,t,value`` theta-major: each t text is formatted once into a
+    row tail ``",<t>,%s\n"`` (the tails of a block of times are kept
+    joined by NUL, about 30 bytes a time), each theta text p once, and one
+    ``%`` on the tails joined by p fills a theta's value texts into its
+    rows; one kernel call formats the values of a block of theta columns.
     """
-    with open(path, "w") as fh:
-        fh.write("\n".join(_header_lines(spec) + [",".join(columns)]) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(_header_lines(spec) + [",".join(columns)]) + "\n").encode())
         if grid is None:
             table = np.column_stack(cols)
-            row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-            for start in range(0, len(table), _CSV_BLOCK_ROWS):
-                block = table[start:start + _CSV_BLOCK_ROWS]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
+            for start in range(0, len(table), rows):
+                fh.write(_format_cells(table[start:start + rows]))
             return
         thetas, times, values = grid
-        starts = range(0, len(times), _CSV_BLOCK_ROWS)
-        tails = ["\0".join([",%.17g,%%.17g\n" % t for t in times[s:s + _CSV_BLOCK_ROWS].tolist()])
+        step = min(len(times), _CSV_BLOCK_CELLS)
+        starts = range(0, len(times), step)
+        tails = [b"\0".join([b",%s,%%s\n" % t for t in _cell_texts(times[s:s + step])])
                  for s in starts]
-        for theta, column in zip(thetas.tolist(), values):
-            p = "%.17g" % theta
-            for start, text in zip(starts, tails):
-                rows = p + text.replace("\0", p)
-                fh.write(rows % tuple(column[start:start + _CSV_BLOCK_ROWS].tolist()))
+        per_block = max(1, _CSV_BLOCK_CELLS // step)  # theta columns per kernel call
+        for first in range(0, len(thetas), per_block):
+            heads = _cell_texts(thetas[first:first + per_block])
+            for start, tail in zip(starts, tails):
+                texts = _cell_texts(np.concatenate(
+                    [column[start:start + step] for column in values[first:first + per_block]]))
+                size = len(texts) // len(heads)
+                for i, p in enumerate(heads):
+                    fh.write((p + tail.replace(b"\0", p)) % tuple(texts[i * size:(i + 1) * size]))
 
 
 def _write_json(path: str, spec: RunSpec, payload: dict) -> None:
@@ -345,11 +533,16 @@ def _sweep_columns(config: Configuration, gamma: float, thetas: np.ndarray, time
                 for theta in thetas]
     initial = dynamics.AmplitudeState(1.0, 0.0)
     if method == "effective":
-        return [dynamics.amplitude_trajectory(
-                    initial, canonical_coefficients(config, gamma, float(theta)), times).concurrence
-                for theta in thetas]
+        # the amplitudes are elementwise in t: blocks of times bound the (T, 2) temporaries
+        starts = range(0, len(times), _SWEEP_BLOCK_ROWS)
+        columns = []
+        for theta in thetas:
+            coeffs = canonical_coefficients(config, gamma, float(theta))
+            columns.append(np.concatenate([dynamics.amplitude_trajectory(
+                initial, coeffs, times[s:s + _SWEEP_BLOCK_ROWS]).concurrence for s in starts]))
+        return columns
     rho0 = dynamics.density_from_amplitudes(initial)
-    per_block = max(1, _LINDBLAD_BLOCK_ROWS // len(times))
+    per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
     columns = []
     for start in range(0, len(thetas), per_block):
         coeff_sets = [canonical_coefficients(config, gamma, float(theta))

@@ -33,9 +33,12 @@ connection-point pairs.  The library evaluates both through one vectorised
 kernel; these stay here as derivations independent of it.
 
 ``per_value_csv`` is the CLI's CSV text built one value at a time with
-``format(float(v), ".17g")``; the library formats a block of rows with one
-``%`` on a repeated ``%.17g`` row template, and a sweep grid by formatting
-each theta and each time once and filling a theta's values into its rows.
+``format(float(v), ".17g")``; the library computes the 17 digits of a block
+of values exactly in numpy (Dekker's product with tabulated powers of ten)
+and lays their texts out with one boolean mask, leaving only nan,
+infinities, subnormals and near-ties it cannot settle to ``%``, and writes
+a sweep grid by formatting each theta and each time once and filling a
+theta's value texts into its rows.
 """
 
 import math

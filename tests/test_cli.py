@@ -428,11 +428,11 @@ def test_write_csv_matches_per_value_oracle(tmp_path, monkeypatch):
     spec = RunSpec(command="coeffs", configuration="braided")
     expected = per_value_csv(cli._header_lines(spec), ["a", "b", "c"], zip(*cols))
     out = tmp_path / "table.csv"
-    # 245 rows: the small blocks make rows straddle block boundaries
-    for block_rows in (cli._CSV_BLOCK_ROWS, 7, 1):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    # 245 rows of 3 values: one block, blocks of 2 rows (7 // 3) and of 1 row
+    for block_cells in (cli._CSV_BLOCK_CELLS, 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
         cli._write_csv(str(out), spec, ["a", "b", "c"], *cols)
-        assert out.read_bytes() == expected.encode(), block_rows
+        assert out.read_bytes() == expected.encode(), block_cells
 
 
 def test_write_csv_grid_matches_per_value_oracle(tmp_path, monkeypatch):
@@ -448,11 +448,53 @@ def test_write_csv_grid_matches_per_value_oracle(tmp_path, monkeypatch):
                              ((theta, t, v) for theta, column in zip(thetas, values)
                               for t, v in zip(times, column)))
     out = tmp_path / "sweep.csv"
-    # 19 times: one block, exactly one block, then blocks of 7 (7 + 7 + 5) and of 1
-    for block_rows in (cli._CSV_BLOCK_ROWS, len(times), 7, 1):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    # 5 thetas x 19 times: all thetas in one block, thetas 2 + 2 + 1 (40 cells),
+    # one theta (19), then times 7 + 7 + 5 and 1 at a time
+    for block_cells in (cli._CSV_BLOCK_CELLS, 40, len(times), 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
         cli._write_csv(str(out), spec, names, grid=(thetas, times, list(values)))
-        assert out.read_bytes() == expected.encode(), block_rows
+        assert out.read_bytes() == expected.encode(), block_cells
+
+
+def _kernel_inputs():
+    """Values that stress the .17g kernel, each family scaled down from a larger check."""
+    rng = np.random.default_rng(14)
+    odd = 2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 2000) + 1
+    powers = np.array([float(f"1e{e}") for e in range(-300, 300)])
+    return {
+        "bit patterns": rng.integers(0, 2 ** 64, 8192, dtype=np.uint64).view(np.float64),
+        "log-uniform [1e-8, 1e19]": 10.0 ** rng.uniform(-8, 19, 4096) * rng.choice([-1.0, 1.0], 4096),
+        "log-uniform [1e-307, 1e308]": 10.0 ** rng.uniform(-307, 308, 4096),
+        # (odd m) / 4 in [1e15, 2.25e15]: 10 v ends in exactly .5, a tie rounded half to even
+        "ties": odd / 4.0,
+        "m 2^-(q+1)": np.concatenate([rng.integers(1, 2 ** 53, 40) * 2.0 ** -(q + 1) for q in range(23, 60)]),
+        "subnormals": np.array([5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 3e-320]),
+        "powers of ten +-1 ulp": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]),
+        "special": np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                             1.7976931348623157e308, -1.7976931348623157e308, 99999999999999999.0,
+                             9.9999999999999991e-05, 1e-4, 1e16, 1e17, 3 * 2.0 ** -24, 0.5, -2.5]),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", list(_kernel_inputs()))
+def test_format_kernel_matches_format_17g(family):
+    values = _kernel_inputs()[family]
+    # one cell, one row, one column, and tables of 7 and of 3 columns
+    for shape in [(1, 1), (1, len(values)), (len(values), 1), (len(values) // 7, 7), (len(values) // 3, 3)]:
+        block = values[:shape[0] * shape[1]].reshape(shape)
+        expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in block.tolist())
+        assert cli._format_cells(block).tobytes() == expected.encode(), (family, shape)
+    assert cli._cell_texts(values) == [format(v, ".17g").encode() for v in values.tolist()]
+
+
+def test_format_kernel_leaves_uncertain_ties_to_format():
+    # 3 2^-24 = 1.78813934326171875e-07 is an exact tie at 17 digits scaled by 10^23,
+    # which is not a double; 1234567890123456.25 is one scaled by 10, which is
+    N, k, fallback = cli._decimal_digits(np.array([3 * 2.0 ** -24, 1234567890123456.25, 2.5]))
+    assert fallback.tolist() == [True, False, False]
+    assert N[1:].tolist() == [12345678901234562, 25000000000000000] and k[1:].tolist() == [15, 0]
+    assert cli._format_cells(np.array([[3 * 2.0 ** -24]])).tobytes() == b"1.7881393432617188e-07\n"
 
 
 def _per_row_bodies():
@@ -591,6 +633,25 @@ def test_overflowing_theta_exits_one_naming_theta(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_effective_sweep_time_blocks_give_identical_bytes(tmp_path, monkeypatch):
+    argv = ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "11"]
+    reference = tmp_path / "reference.csv"
+    assert main([*argv, "--out", str(reference)]) == 0
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 4)
+    calls = []
+    trajectory = dynamics.amplitude_trajectory
+
+    def counted(initial, coeffs, times):
+        calls.append(len(times))
+        return trajectory(initial, coeffs, times)
+
+    monkeypatch.setattr(dynamics, "amplitude_trajectory", counted)
+    out = tmp_path / "blocked.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert calls == [4, 4, 3] * 3
+    assert out.read_bytes() == reference.read_bytes()
+
+
 @pytest.mark.parametrize("block_rows", ["theta", 7, "grid"])
 def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block_rows):
     # 9 theta x 3 t: blocks of one theta, of two (7 rows) and of the whole grid
@@ -599,7 +660,7 @@ def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block
     reference = tmp_path / "reference.csv"
     assert main([*argv, "--out", str(reference)]) == 0
     rows = {"theta": 3, 7: 7, "grid": 27}[block_rows]
-    monkeypatch.setattr(cli, "_LINDBLAD_BLOCK_ROWS", rows)
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", rows)
     calls = []
     many = dynamics.evolve_lindblad_many
 

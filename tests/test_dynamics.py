@@ -86,7 +86,7 @@ def test_amplitudes_frozen_at_decoupling():
         assert abs(state.c_ge) < 1e-9
 
 
-def test_amplitudes_exceptional_point_branch():
+def test_amplitudes_dissipative_dark_mode():
     # purely dissipative symmetric coupling, H = -i [[1, 1], [1, 1]]: a dark mode
     # and a bright one decaying at 2 (diagonalisable, so not an exceptional point)
     z = np.zeros(2)
