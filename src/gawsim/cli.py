@@ -25,7 +25,6 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -67,34 +66,68 @@ class SpecError(ValueError):
     """The run specification is inconsistent or incomplete."""
 
 
-@dataclass
-class RunSpec:
-    """Resolved parameters of one CLI invocation."""
+_ALL = ("coeffs", "evolve", "sweep", "dfi-scan", "verify-slh")
+_RANGE = ("coeffs", "sweep", "dfi-scan")
+_TIMES = ("evolve", "sweep")
 
-    command: str
-    configuration: str | None = None
-    layout_path: str | None = None
-    gamma: float = 1.0
-    theta: float | None = None
-    theta_min: float | None = None
-    theta_max: float | None = None
-    theta_steps: int | None = None
-    t_max: float | None = None
-    dt: float | None = None
-    t_steps: int | None = None
-    method: str | None = None
-    grid: int | None = None
-    tol_decay: float | None = None
-    tol_exchange: float | None = None
-    tol: float | None = None
-    c_eg: str | None = None
-    c_ge: str | None = None
-    out: str | None = None
+#: Every CLI flag once: option, dest, the subcommands that read it (and so
+#: accept it) and its other argparse keywords.  The dest is the ``RunSpec``
+#: attribute and ``# spec:`` key of the flag, except theta_over_pi, which
+#: scales the theta flags and is not recorded.  Every ``type=float`` flag
+#: must be finite.
+_FLAGS = (
+    ("--config", "configuration", _ALL,
+     dict(choices=[c.value for c in Configuration], help="canonical two-atom configuration")),
+    ("--layout", "layout_path", _ALL, dict(metavar="JSON", help="path to a custom layout file")),
+    ("--gamma", "gamma", _ALL,
+     dict(type=float, default=1.0, help="reference decay rate (default 1)")),
+    ("--theta-over-pi", "theta_over_pi", _ALL,
+     dict(action="store_true", help="interpret all theta values as multiples of pi")),
+    ("--theta", "theta", ("evolve", "verify-slh"),
+     dict(type=float, help="phase shift between adjacent points")),
+    ("--theta-min", "theta_min", _RANGE, dict(type=float, help="range start (default 0)")),
+    ("--theta-max", "theta_max", _RANGE, dict(type=float, help="range end (default 2*pi)")),
+    ("--theta-steps", "theta_steps", ("coeffs", "sweep"),
+     dict(type=int, help="grid points (default 400)")),
+    ("--t-max", "t_max", _TIMES, dict(type=float, help="time horizon in 1/gamma (default 4)")),
+    ("--dt", "dt", _TIMES, dict(type=float, help="time step (default: method-dependent)")),
+    ("--t-steps", "t_steps", _TIMES,
+     dict(type=int, help="time grid points when --dt absent (default 400; not for evolve lindblad)")),
+    ("--method", "method", _TIMES,
+     dict(choices=["lindblad", "effective", "analytic"], default="effective",
+          help="evolution method (default effective)")),
+    ("--c-eg", "c_eg", ("evolve",), dict(help="initial c_eg amplitude (complex, default 1)")),
+    ("--c-ge", "c_ge", ("evolve",), dict(help="initial c_ge amplitude (complex, default 0)")),
+    ("--grid", "grid", ("dfi-scan",), dict(type=int, help="scan grid points (default 10000)")),
+    ("--tol-decay", "tol_decay", ("dfi-scan",),
+     dict(type=float, help="decay tolerance (default 1e-9 * gamma)")),
+    ("--tol-exchange", "tol_exchange", ("dfi-scan",),
+     dict(type=float, help="exchange tolerance (default 1e-3 * gamma)")),
+    ("--tol", "tol", ("verify-slh",),
+     dict(type=float, help="max allowed coefficient difference (default 1e-10)")),
+    ("--out", "out", _ALL, dict(help="output file path")),
+)
+_SPEC_FIELDS = frozenset(dest for _, dest, _, _ in _FLAGS) - {"theta_over_pi"}
+_FLOAT_FLAGS = [(option, dest) for option, dest, _, keywords in _FLAGS
+                if keywords.get("type") is float]
+
+
+class RunSpec(argparse.Namespace):
+    """Resolved parameters of one CLI invocation: ``command`` plus one
+    attribute per dest of ``_FLAGS`` (theta_over_pi aside).  Built by
+    keyword, like ``RunSpec(command="coeffs", configuration="braided")``;
+    a dest left out is None, except ``gamma``, which is 1.0."""
+
+    def __init__(self, command: str, **fields):
+        unknown = fields.keys() - _SPEC_FIELDS
+        if unknown:
+            raise TypeError(f"unknown RunSpec fields: {', '.join(sorted(unknown))}")
+        super().__init__(command=command, **{**dict.fromkeys(_SPEC_FIELDS), "gamma": 1.0, **fields})
 
     def meta_json(self) -> str:
         # the destination path is not part of the computation: identical
         # specifications must produce byte-identical files wherever written
-        fields = {k: v for k, v in asdict(self).items() if v is not None and k != "out"}
+        fields = {k: v for k, v in vars(self).items() if v is not None and k != "out"}
         return json.dumps(fields, sort_keys=True)
 
 
@@ -372,6 +405,11 @@ def _check_size(n: int, flags: str) -> None:
         raise SpecError(f"{flags} gives {n} grid points, above the limit of {MAX_GRID_POINTS}")
 
 
+def _check_positive(flag: str, value: float | None) -> None:
+    if value is not None and not value > 0:
+        raise SpecError(f"{flag} must be positive, got {value}")
+
+
 def _theta_grid(spec: RunSpec) -> np.ndarray:
     lo = 0.0 if spec.theta_min is None else spec.theta_min
     hi = TWO_PI if spec.theta_max is None else spec.theta_max
@@ -392,28 +430,31 @@ def _horizon(spec: RunSpec) -> float:
 
 
 def _step_count(t_max: float, dt: float, given: bool) -> int:
-    """Whole steps of ``dt`` up to ``t_max`` (evolve_lindblad's rule), at least one.
+    """Whole steps of ``dt`` up to ``t_max`` (evolve_lindblad's rule), at least
+    one and fewer than ``MAX_GRID_POINTS``.
 
-    Too few names --dt when it was ``given``, otherwise --t-max, since the
-    step is then the recommended one.
+    Too few or too many name --dt when it was ``given``, otherwise --t-max,
+    since the step is then the recommended one.
     """
     if dt <= 0:
         raise SpecError("dt must be positive")
-    n = int(math.floor(t_max / dt + 1e-9))
-    if n < 1:
+    steps = t_max / dt + 1e-9
+    if steps < 1:
         if given:
             raise SpecError(f"--dt {dt} leaves fewer than 2 time points up to t-max {t_max}")
         raise SpecError(f"--t-max {t_max} leaves fewer than 2 time points at the recommended "
                         f"step dt = {dt:g}")
-    return n
+    # compared before int(): t_max / dt overflows to inf for extreme flags
+    if steps >= MAX_GRID_POINTS:
+        raise SpecError(f"{'--dt' if given else '--t-max'} gives {steps + 1:.4g} time points "
+                        f"(t-max {t_max:g}, dt {dt:g}), above the limit of {MAX_GRID_POINTS}")
+    return int(steps)
 
 
 def _time_grid(spec: RunSpec) -> np.ndarray:
     t_max = _horizon(spec)
     if spec.dt is not None:
-        n = _step_count(t_max, spec.dt, given=True)
-        _check_size(n + 1, "--dt")
-        return np.arange(n + 1) * spec.dt
+        return np.arange(_step_count(t_max, spec.dt, given=True) + 1) * spec.dt
     steps = 400 if spec.t_steps is None else spec.t_steps
     if steps < 2:
         raise SpecError("time grid needs at least 2 steps")
@@ -575,7 +616,11 @@ def run_dfi_scan(spec: RunSpec) -> int:
     if kind != "config":
         raise SpecError("dfi-scan supports the canonical configurations only")
     grid = 10_000 if spec.grid is None else spec.grid
+    if grid < dfi.MIN_GRID:
+        raise SpecError(f"--grid must be at least {dfi.MIN_GRID} points, got {grid}")
     _check_size(grid, "--grid")
+    _check_positive("--tol-decay", spec.tol_decay)
+    _check_positive("--tol-exchange", spec.tol_exchange)
     report = dfi.scan_dfi(
         source,
         gamma=spec.gamma,
@@ -602,6 +647,8 @@ def run_dfi_scan(spec: RunSpec) -> int:
 
 def run_verify_slh(spec: RunSpec) -> int:
     """Compare network-composed coefficients against the direct formulas."""
+    tol = 1e-10 if spec.tol is None else spec.tol
+    _check_positive("--tol", tol)
     kind, source = _resolve_source(spec)
     if kind == "config":
         if spec.theta is None:
@@ -616,7 +663,6 @@ def run_verify_slh(spec: RunSpec) -> int:
         reference = {"general": general_coefficients(layout)}
     extracted = slh.extract_coefficients(slh.build_network(layout), layout)
 
-    tol = 1e-10 if spec.tol is None else spec.tol
     max_diff = 0.0
     for ref in reference.values():
         for attr in ("lamb_shifts", "exchange", "individual_decay", "collective_decay"):
@@ -639,99 +685,56 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, theta_single=False, theta_range=False,
-                times=False, method=False) -> None:
-    p.add_argument("--config", choices=[c.value for c in Configuration],
-                   help="canonical two-atom configuration")
-    p.add_argument("--layout", dest="layout_path", metavar="JSON",
-                   help="path to a custom layout file")
-    p.add_argument("--gamma", type=float, default=1.0, help="reference decay rate (default 1)")
-    p.add_argument("--theta-over-pi", action="store_true",
-                   help="interpret all theta values as multiples of pi")
-    if theta_single:
-        p.add_argument("--theta", type=float, help="phase shift between adjacent points")
-    if theta_range:
-        p.add_argument("--theta-min", type=float, help="range start (default 0)")
-        p.add_argument("--theta-max", type=float, help="range end (default 2*pi)")
-        p.add_argument("--theta-steps", type=int, help="grid points (default 400)")
-    if times:
-        p.add_argument("--t-max", type=float, help="time horizon in 1/gamma (default 4)")
-        p.add_argument("--dt", type=float, help="time step (default: method-dependent)")
-        p.add_argument("--t-steps", type=int,
-                       help="time grid points when --dt absent (default 400; not for evolve lindblad)")
-    if method:
-        p.add_argument("--method", choices=["lindblad", "effective", "analytic"],
-                       default="effective", help="evolution method (default effective)")
-    p.add_argument("--out", help="output file path")
+#: Each subcommand: its help line, its run function and its flags from ``_FLAGS``.
+_COMMANDS = {
+    name: (summary, run, [(option, dest, keywords) for option, dest, commands, keywords in _FLAGS
+                          if name in commands])
+    for name, summary, run in (
+        ("coeffs", "coefficient table over theta (CSV)", run_coeffs),
+        ("evolve", "single trajectory at fixed theta (CSV)", run_evolve),
+        ("sweep", "concurrence over a theta x time grid (CSV)", run_sweep),
+        ("dfi-scan", "locate DFI phase shifts (JSON)", run_dfi_scan),
+        ("verify-slh", "cross-check the network composition", run_verify_slh),
+    )
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gawsim`` parser: one subparser per entry of ``_COMMANDS``, each
+    taking exactly its flags from ``_FLAGS``, unabbreviated."""
     parser = _Parser(prog="gawsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"gawsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="coefficient table over theta (CSV)")
-    _add_common(p, theta_range=True)
-
-    p = sub.add_parser("evolve", help="single trajectory at fixed theta (CSV)")
-    _add_common(p, theta_single=True, times=True, method=True)
-    p.add_argument("--c-eg", help="initial c_eg amplitude (complex, default 1)")
-    p.add_argument("--c-ge", help="initial c_ge amplitude (complex, default 0)")
-
-    p = sub.add_parser("sweep", help="concurrence over a theta x time grid (CSV)")
-    _add_common(p, theta_range=True, times=True, method=True)
-
-    p = sub.add_parser("dfi-scan", help="locate DFI phase shifts (JSON)")
-    _add_common(p, theta_range=True)
-    p.add_argument("--grid", type=int, help="scan grid points (default 10000)")
-    p.add_argument("--tol-decay", type=float, help="decay tolerance (default 1e-9 * gamma)")
-    p.add_argument("--tol-exchange", type=float, help="exchange tolerance (default 1e-3 * gamma)")
-
-    p = sub.add_parser("verify-slh", help="cross-check the network composition")
-    _add_common(p, theta_single=True)
-    p.add_argument("--tol", type=float, help="max allowed coefficient difference (default 1e-10)")
-
+    for name, (summary, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for option, dest, keywords in flags:
+            p.add_argument(option, dest=dest, **keywords)
     return parser
 
 
-_FINITE_FLAGS = ("gamma", "theta", "theta_min", "theta_max", "t_max", "dt",
-                 "tol_decay", "tol_exchange", "tol")
-
-
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    scale = math.pi if getattr(args, "theta_over_pi", False) else 1.0
-    spec = RunSpec(command=args.command, configuration=getattr(args, "config", None),
-                   layout_path=getattr(args, "layout_path", None), gamma=args.gamma)
+    fields = vars(args)
+    scale = math.pi if fields.pop("theta_over_pi") else 1.0
+    spec = RunSpec(**fields)
     for name in ("theta", "theta_min", "theta_max"):
-        value = getattr(args, name, None)
+        value = getattr(spec, name)
         if value is not None:
             setattr(spec, name, value * scale)
-    for name in ("theta_steps", "t_max", "dt", "t_steps", "method", "grid",
-                 "tol_decay", "tol_exchange", "tol", "c_eg", "c_ge", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(spec, name, value)
     # checked after --theta-over-pi scaling, which can overflow a finite value
-    for name in _FINITE_FLAGS:
+    for option, name in _FLOAT_FLAGS:
         value = getattr(spec, name)
         if value is not None and not math.isfinite(value):
-            raise SpecError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if spec.gamma <= 0:
-        raise SpecError("gamma must be > 0")
+            raise SpecError(f"{option} must be finite, got {value}")
+    _check_positive("--gamma", spec.gamma)
     return spec
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        spec = _spec_from_args(args)
-        run = {"coeffs": run_coeffs, "evolve": run_evolve, "sweep": run_sweep,
-               "dfi-scan": run_dfi_scan, "verify-slh": run_verify_slh}.get(spec.command)
-        if run is None:
-            raise SpecError(f"unknown command {spec.command!r}")
-        return run(spec)
+        spec = _spec_from_args(parser.parse_args(argv))
+        return _COMMANDS[spec.command][1](spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,6 +47,9 @@ DEFAULT_TOL_EXCHANGE = 1e-3
 #: Candidate minima closer than this are treated as the same point.
 DEDUP_SEPARATION = 1e-9
 
+#: Fewest scan grid points accepted.
+MIN_GRID = 100
+
 
 @dataclass(frozen=True)
 class DfiReport:
@@ -126,8 +129,8 @@ def scan_dfi(
     kind = Configuration(kind)
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be finite and > 0")
-    if grid < 100:
-        raise ValueError("grid must be at least 100 points")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID} points")
     if not (math.isfinite(theta_min) and math.isfinite(theta_max) and theta_max > theta_min):
         raise ValueError("theta_max must exceed theta_min, both finite")
     tol_decay = DEFAULT_TOL_DECAY * gamma if tol_decay is None else tol_decay

@@ -380,7 +380,8 @@ def test_evolve_lindblad_step_budget_exits_one(tmp_path, capsys):
             "--t-max", "1e9", "--dt", "1", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "t_max" in err and "dt" in err and "MAX_GRID_STEPS" in err
+    # the CLI caps the grid before the library does, naming the flag
+    assert "--dt gives 1e+09 time points (t-max 1e+09, dt 1), above the limit of 10000000" in err
     assert not out.exists()
 
 
@@ -409,6 +410,11 @@ def test_dt_grid_matches_multiples_of_dt(tmp_path):
     (["sweep", "--config", "braided", "--method", "lindblad", "--dt", "1e-300"], "--dt"),
     (["dfi-scan", "--config", "braided", "--grid", "10000000000000"], "--grid"),
     (["sweep", "--config", "braided", "--theta-steps", "5000", "--t-steps", "5000"], "--theta-steps"),
+    # t_max / dt overflows to inf: compared with the cap, never converted to int
+    (["evolve", "--config", "braided", "--theta", "0.3", "--dt", "1e-300", "--t-max", "1e300"], "--dt"),
+    (["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad", "--dt", "1e-300",
+      "--t-max", "1e300"], "--dt"),
+    (["sweep", "--config", "braided", "--dt", "1e-300", "--t-max", "1e300"], "--dt"),
 ])
 def test_oversized_grid_exits_one(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -673,3 +679,77 @@ def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block
     assert main([*argv, "--out", str(out)]) == 0
     assert calls == {"theta": [1] * 9, 7: [2, 2, 2, 2, 1], "grid": [9]}[block_rows]
     assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("argv,name,spec", [
+    (["coeffs", "--config", "nested", "--gamma", "1.5", "--theta-over-pi", "--theta-min", "0.25",
+      "--theta-max", "1.75", "--theta-steps", "5"], "c.csv",
+     '# spec: {"command": "coeffs", "configuration": "nested", "gamma": 1.5, "theta_max": '
+     '5.497787143782138, "theta_min": 0.7853981633974483, "theta_steps": 5}'),
+    (["evolve", "--config", "separate", "--gamma", "0.8", "--theta-over-pi", "--theta", "0.5",
+      "--t-max", "1", "--t-steps", "5", "--c-eg", "0.6", "--c-ge", "0.8j"], "e.csv",
+     '# spec: {"c_eg": "0.6", "c_ge": "0.8j", "command": "evolve", "configuration": "separate", '
+     '"gamma": 0.8, "method": "effective", "t_max": 1.0, "t_steps": 5, "theta": 1.5707963267948966}'),
+    (["sweep", "--config", "braided", "--gamma", "2", "--theta-over-pi", "--theta-min", "0.1",
+      "--theta-max", "0.9", "--theta-steps", "3", "--t-max", "1", "--dt", "0.25"], "s.csv",
+     '# spec: {"command": "sweep", "configuration": "braided", "dt": 0.25, "gamma": 2.0, "method": '
+     '"effective", "t_max": 1.0, "theta_max": 2.827433388230814, "theta_min": 0.3141592653589793, '
+     '"theta_steps": 3}'),
+    (["dfi-scan", "--config", "nested", "--gamma", "2", "--theta-over-pi", "--theta-min", "0.1",
+      "--theta-max", "1.1", "--grid", "500", "--tol-decay", "1e-8", "--tol-exchange", "0.01"], "d.json",
+     '{"command": "dfi-scan", "configuration": "nested", "gamma": 2.0, "grid": 500, "theta_max": '
+     '3.455751918948773, "theta_min": 0.3141592653589793, "tol_decay": 1e-08, "tol_exchange": 0.01}'),
+    (["verify-slh", "--config", "braided", "--gamma", "1.3", "--theta-over-pi", "--theta", "0.25",
+      "--tol", "1e-9"], "v.json",
+     '{"command": "verify-slh", "configuration": "braided", "gamma": 1.3, "theta": 0.7853981633974483, '
+     '"tol": 1e-09}'),
+], ids=["coeffs", "evolve", "sweep", "dfi-scan", "verify-slh"])
+def test_spec_record_is_pinned(tmp_path, capsys, argv, name, spec):
+    # the recorded spec of each subcommand, byte for byte: theta flags scaled by
+    # --theta-over-pi, --gamma and the default --method recorded, --out left out
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    if name.endswith(".csv"):
+        assert [line for line in out.read_text().splitlines() if line.startswith("# spec:")] == [spec]
+    else:
+        assert json.dumps(json.loads(out.read_text())["meta"]["spec"]) == spec
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-slh", "--config", "nested", "--theta", "0.7", "--tol", "-1"], "--tol must be positive, got -1.0"),
+    (["verify-slh", "--config", "nested", "--theta", "0.7", "--tol", "0"], "--tol must be positive, got 0.0"),
+    (["dfi-scan", "--config", "nested", "--tol-decay", "-1"], "--tol-decay must be positive, got -1.0"),
+    (["dfi-scan", "--config", "nested", "--tol-exchange", "-1"], "--tol-exchange must be positive, got -1.0"),
+    (["dfi-scan", "--config", "nested", "--grid", "50"], "--grid must be at least 100 points, got 50"),
+    (["coeffs", "--config", "braided", "--gamma", "-1"], "--gamma must be positive, got -1.0"),
+], ids=["tol", "tol-zero", "tol-decay", "tol-exchange", "grid", "gamma"])
+def test_bad_tolerance_grid_and_gamma_exit_one_naming_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dfi-scan", "--config", "nested", "--theta-steps", "5"],
+    ["coeffs", "--config", "braided", "--theta", "0.5"],
+    ["coeffs", "--config", "braided", "--t-max", "2"],
+    ["evolve", "--config", "braided", "--theta", "0.5", "--grid", "200"],
+    ["sweep", "--config", "braided", "--tol", "1e-3"],
+    ["verify-slh", "--config", "braided", "--theta", "0.5", "--method", "lindblad"],
+], ids=["dfi-scan-theta-steps", "coeffs-theta", "coeffs-t-max", "evolve-grid", "sweep-tol",
+        "verify-slh-method"])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_spec_defaults_and_unknown_field():
+    spec = RunSpec(command="evolve", theta=0.5)
+    assert spec.gamma == 1.0 and spec.theta == 0.5
+    assert spec.method is None and spec.out is None and spec.tol is None
+    assert spec.meta_json() == '{"command": "evolve", "gamma": 1.0, "theta": 0.5}'
+    with pytest.raises(TypeError, match="unknown RunSpec fields: tehta, theta_over_pi"):
+        RunSpec(command="evolve", tehta=0.5, theta_over_pi=True)
