@@ -98,18 +98,23 @@ def closed_form_concurrence_braided(theta: float, gamma: float, t) -> float | np
     theta : float
         Phase shift between adjacent connection points.
     gamma : float
-        Uniform per-point decay rate (> 0).
+        Uniform per-point decay rate (finite, > 0).
     t : float or array
-        Time(s), >= 0, in units of 1/gamma.
+        Time(s), finite and >= 0, in units of 1/gamma.
 
     Returns
     -------
     float or ndarray
         Concurrence value(s) in [0, 1].
     """
+    for name, value in (("theta", theta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")
     terms = concurrence_terms(theta)

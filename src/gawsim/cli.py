@@ -92,7 +92,7 @@ _FLAGS = (
     ("--t-max", "t_max", _TIMES, dict(type=float, help="time horizon in 1/gamma (default 4)")),
     ("--dt", "dt", _TIMES, dict(type=float, help="time step (default: method-dependent)")),
     ("--t-steps", "t_steps", _TIMES,
-     dict(type=int, help="time grid points when --dt absent (default 400; not for evolve lindblad)")),
+     dict(type=int, help="time grid points (default 400; not with --dt or for evolve lindblad)")),
     ("--method", "method", _TIMES,
      dict(choices=["lindblad", "effective", "analytic"], default="effective",
           help="evolution method (default effective)")),
@@ -454,6 +454,8 @@ def _step_count(t_max: float, dt: float, given: bool) -> int:
 def _time_grid(spec: RunSpec) -> np.ndarray:
     t_max = _horizon(spec)
     if spec.dt is not None:
+        if spec.t_steps is not None:
+            raise SpecError("--t-steps does not apply with --dt, which sets the time grid; give one of them")
         return np.arange(_step_count(t_max, spec.dt, given=True) + 1) * spec.dt
     steps = 400 if spec.t_steps is None else spec.t_steps
     if steps < 2:

@@ -18,23 +18,26 @@ Two routes from coefficients to dynamics:
     jump term.  ``_operators`` is the one place that builds K and the jump
     terms, for a stack of coefficient sets; the superoperators and the
     operator form ``_apply_generator`` (behind ``lindblad_rhs`` and the
-    Taylor action) take them from there.
+    Taylor substeps) take them from there.
 
     The generator does not depend on time.  K keeps the excitation number
     and every L_r lowers it, so rho never leaves the D basis states with at
     most n excitations, n the largest excitation number in the support of
     rho0 (Lehmberg's reduction).  The lowering operators are restricted to
     them before any product is formed, and each stored interval Delta t is
-    propagated exactly on the D x D block.  Up to D = 8 (at most one
-    excitation up to M = 6, anything up to M = 3) the dense D**2 x D**2
-    superoperator L is exponentiated once per distinct interval by scaling
-    and squaring of a Taylor sum (Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005)).  Above, exp(Delta t * L) acts on rho in operator form as
-    a Taylor sum on substeps h with h * |L|_1 <= 1 (Al-Mohy and Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)), cut by the same roundoff rule.
-    ``dt`` only sets the row times.  The stored blocks are checked for
-    trace, Hermiticity and spectrum, then placed into 2**M x 2**M states
-    whose other entries are exactly zero.  ``evolve_lindblad_many``
+    propagated exactly on the D x D block.  Both routes below sum one
+    truncated Taylor series, ``_taylor_sum``, which stops after the first
+    term below roundoff relative to the matrix it starts from.  Up to D = 8
+    (at most one excitation up to M = 6, anything up to M = 3) the dense
+    D**2 x D**2 superoperator L is exponentiated once per distinct interval
+    by scaling and squaring of that series from the identity (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)).  Above, exp(Delta t * L) acts
+    on rho in operator form as the same series from rho on substeps h with
+    h * |L|_1 <= 1 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)).  ``dt`` only sets the row times.  rho0 and the stored blocks
+    pass one check of trace, Hermiticity and spectrum, ``_check_states``;
+    the blocks are then placed into 2**M x 2**M states whose other entries
+    are exactly zero.  ``evolve_lindblad_many``
     advances several coefficient sets from one rho0 together, so a
     Lindblad sweep propagates a block of theta values at once.
 
@@ -85,9 +88,9 @@ _EPS = np.finfo(float).eps
 #: ``evolve_lindblad`` spans.
 MAX_GRID_STEPS = 10_000_000
 
-#: Last Taylor order of one substep.  With h * bound <= 1 the j-th term is
-#: at most |rho|_1 / j!, below the stopping rule by j = 20 for any density
-#: matrix on D <= 64 states; the cap only ends a non-finite sum.
+#: Last order of ``_taylor_sum``.  Its j-th term is at most |x|_1 / j! on a
+#: Taylor substep (h * bound <= 1) and |x|_1 / (2**j j!) in ``_expm``, below
+#: the stopping rule by j = 18 and j = 15; the cap only ends a non-finite sum.
 _MAX_TAYLOR_ORDER = 30
 
 
@@ -132,21 +135,14 @@ def density_from_amplitudes(state: AmplitudeState) -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Check finiteness, trace, Hermiticity and spectral floor; raise on violation."""
+    """Check finiteness, then ``_check_states``' trace, Hermiticity and spectrum; raise on violation."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     bad = np.argwhere(~np.isfinite(rho))
     if len(bad):
         raise NumericalFailure(f"density matrix has {len(bad)} non-finite entries, the first "
                                f"at ({bad[0][0]}, {bad[0][1]})")
-    tr_err = abs(np.trace(rho) - 1.0)
-    if not tr_err <= TRACE_TOL:
-        raise NumericalFailure(f"trace deviates from 1 by {tr_err:.3e}")
-    if not np.abs(rho - rho.conj().T).max() <= HERM_TOL:
-        raise NumericalFailure("density matrix is not Hermitian")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < EIG_FLOOR:
-        raise NumericalFailure(f"density matrix eigenvalue {lo:.3e} below floor")
+    _check_states(rho[None], 0)
 
 
 def _check_decay_physical(mats: np.ndarray, lam: np.ndarray) -> None:
@@ -259,10 +255,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """exp of each matrix of a (B, n, n) stack by scaling and squaring.
 
     Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).  Each a_b / 2**s_b
-    has 1-norm <= 1/2, so its Taylor terms fall below roundoff by the 18th;
-    each sum stops after its first term of 1-norm below roundoff, and s_b
-    squarings undo the scaling.  Every matrix keeps its own s_b and its own
-    last term, so its result does not depend on the rest of the stack.
+    has 1-norm <= 1/2; ``_taylor_sum`` from the identity, whose 1-norm is 1,
+    sums its Taylor terms until they fall below roundoff (by the 15th), and
+    s_b squarings undo the scaling.  Every matrix keeps its own s_b and its
+    own last term, so its result does not depend on the rest of the stack.
     Non-finite in, non-finite out.
     """
     norm = _norm1(a)
@@ -270,17 +266,32 @@ def _expm(a: np.ndarray) -> np.ndarray:
     mant, expo = np.frexp(norm)
     squarings = np.where(np.isfinite(norm) & (norm > 0.5), expo - (mant == 0.5) + 1, 0)
     scaled = a / (2.0 ** squarings)[:, None, None]
-    out = np.eye(a.shape[-1], dtype=complex) + scaled
-    term = scaled
-    active = np.ones((len(a), 1, 1), dtype=bool)
-    for order in range(2, 19):
-        active &= (_norm1(term) > _EPS)[:, None, None]
-        if not active.any():
-            break
-        term = term @ scaled / order
-        np.add(out, term, out=out, where=active)
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    out = _taylor_sum(lambda term: term @ scaled, eye)
     for done in range(squarings.max()):
         np.copyto(out, out @ out, where=(squarings > done)[:, None, None])
+    return out
+
+
+def _taylor_sum(apply, x: np.ndarray) -> np.ndarray:
+    """sum_j apply^j(x_b) / j! for each matrix x_b of a (B, n, n) stack.
+
+    ``apply`` maps a (B, n, n) stack to a new one, matrix by matrix and
+    linearly.  Each sum stops after its first term of 1-norm at most
+    eps * |x_b|_1, or at order ``_MAX_TAYLOR_ORDER``; a NaN term stops it
+    at once.
+    """
+    out = x.copy()
+    term = x
+    tol = _EPS * _norm1(x)
+    active = np.ones((len(x), 1, 1), dtype=bool)
+    for order in range(1, _MAX_TAYLOR_ORDER + 1):
+        term = apply(term)
+        term /= order
+        np.add(out, term, out=out, where=active)
+        active &= (_norm1(term) > tol)[:, None, None]
+        if not active.any():
+            break
     return out
 
 
@@ -299,28 +310,8 @@ def _generator_rates(k_op: np.ndarray, lam: np.ndarray, jumps: np.ndarray) -> np
     return rate + (np.abs(lam) * _norm1(jumps) * _norm1(jumps.swapaxes(2, 3))).sum(axis=1)
 
 
-def _taylor_action(rho: np.ndarray, ops, h: np.ndarray) -> np.ndarray:
-    """exp(h_b G_b) rho_b for each matrix of a (B, D, D) stack, G_b from ``ops``.
-
-    ``ops`` is ``_operators``' output and h (B,) the substep of each set.
-    Each sum stops after its first term of 1-norm below eps times the
-    sum's, the rule of ``_expm``; a NaN term stops it at once.  h_b = 0
-    leaves rho_b unchanged.
-    """
-    out = rho.copy()
-    term = rho
-    active = np.ones((len(rho), 1, 1), dtype=bool)
-    for order in range(1, _MAX_TAYLOR_ORDER + 1):
-        term = _apply_generator(term, *ops) * (h / order)[:, None, None]
-        np.add(out, term, out=out, where=active)
-        active &= (_norm1(term) >= _EPS * _norm1(out))[:, None, None]
-        if not active.any():
-            break
-    return out
-
-
 def _check_states(states: np.ndarray, steps) -> None:
-    """Invariants of the (..., D, D) states after the given steps.
+    """Invariants of the (..., D, D) states after the given steps (rho0 at step 0).
 
     ``steps`` broadcasts to the leading shape.  Trace, Hermiticity and
     spectrum of every state.  Raises at the first failing state in
@@ -384,7 +375,7 @@ def evolve_lindblad(
         Interaction-picture coefficients; decay matrix must be physical.
     t_max, dt : float
         Horizon and grid step, in units of 1/gamma.  floor(t_max / dt) may
-        not exceed ``MAX_GRID_STEPS``, and neither may the Taylor action's
+        not exceed ``MAX_GRID_STEPS``, and neither may the Taylor
         substeps, about t_max times the generator's rate.
     store_every : int, optional
         Keep every n-th step (plus t = 0 and the final step).  Default
@@ -486,7 +477,7 @@ def evolve_lindblad_many(
 
 
 def _taylor_steps(rows: np.ndarray, ops, dt: float, gaps, t_max: float) -> None:
-    """Fill rows[1:] of a (T, B, D, D) stack from rows[0] by ``_taylor_action``.
+    """Fill rows[1:] of a (T, B, D, D) stack from rows[0] by Taylor substeps.
 
     Interval i spans gaps[i] * dt.  Set b crosses it in s_b substeps of
     h_b * rate_b <= 1; a set with a non-finite rate takes one, so its NaN
@@ -506,7 +497,9 @@ def _taylor_steps(rows: np.ndarray, ops, dt: float, gaps, t_max: float) -> None:
         rho = rows[i]
         # a set that has crossed the interval takes substeps of h = 0
         for sub in range(int(count.max())):
-            rho = _taylor_action(rho, ops, np.where(sub < count, gap * dt / count, 0.0))
+            h = np.where(sub < count, gap * dt / count, 0.0)
+            scaled = (ops[0] * h[:, None, None], ops[1] * h[:, None], ops[2])
+            rho = _taylor_sum(lambda term: _apply_generator(term, *scaled), rho)
         rows[i + 1] = rho
 
 
@@ -579,11 +572,13 @@ def amplitude_trajectory(
 ) -> TrajectoryRecord:
     """Exact amplitude time series with concurrence at each time.
 
-    ``times`` is a non-empty 1-D increasing sequence starting at t >= 0.
+    ``times`` is a non-empty 1-D finite increasing sequence starting at t >= 0.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not len(times):
         raise ValueError(f"times must be a non-empty 1-D sequence, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times[0] < 0:
         raise ValueError("times must be nonnegative")
     if not initial.norm() <= 1.0 + NORM_TOL:

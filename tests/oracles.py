@@ -15,9 +15,10 @@ with at most one excitation, from the eigendecomposition of the M x M
 effective Hamiltonian alone, and ``first_check_failure`` the state-by-state
 trace / Hermiticity / spectrum check loop; the library builds the generator
 from the eigendecomposition of the decay matrix, restricts it to the
-excitation numbers rho0 reaches, exponentiates it by scaling and squaring or
-applies its Taylor action, checks stacks of states at once, and propagates
-two-atom amplitudes by one closed form in expm1.
+excitation numbers rho0 reaches, sums one truncated Taylor series for both
+its dense exponential (scaling and squaring) and its action on rho
+(substeps), checks rho0 and stacks of stored states in one function, and
+propagates two-atom amplitudes by one closed form in expm1.
 
 ``eigen_concurrence`` is the Wootters concurrence of one state from the
 eigenvalues of rho (sy x sy) rho* (sy x sy); the library computes it for a

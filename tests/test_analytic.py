@@ -111,6 +111,21 @@ def test_vectorized_over_time():
     np.testing.assert_allclose(values, singles, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta,gamma,t,name", [
+    (math.nan, 1.0, 1.0, "theta"),
+    (math.inf, 1.0, 1.0, "theta"),
+    (1.0, math.nan, 1.0, "gamma"),
+    (1.0, math.inf, 1.0, "gamma"),
+    (1.0, -math.inf, 1.0, "gamma"),
+    (1.0, 1.0, math.nan, "t"),
+    (1.0, 1.0, [0.0, math.inf], "t"),
+])
+def test_non_finite_arguments_rejected_by_name(theta, gamma, t, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        closed_form_concurrence_braided(theta, gamma, t)
+
+
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         closed_form_concurrence_braided(1.0, 0.0, 1.0)

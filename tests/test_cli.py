@@ -567,6 +567,22 @@ def test_evolve_lindblad_rejects_t_steps(tmp_path, capsys, steps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--theta", "0.5", "--method", "effective"],
+    ["evolve", "--theta", "0.5", "--method", "analytic"],
+    ["sweep", "--theta-steps", "3", "--method", "effective"],
+    ["sweep", "--theta-steps", "3", "--method", "lindblad"],
+], ids=["evolve-effective", "evolve-analytic", "sweep-effective", "sweep-lindblad"])
+def test_t_steps_with_dt_exits_one(tmp_path, capsys, argv):
+    # --dt sets the time grid; a --t-steps next to it would be recorded and ignored
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--config", "braided", "--t-max", "1", "--dt", "0.1", "--t-steps", "50",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: --t-steps does not apply with --dt, which sets the "
+                                       "time grid; give one of them\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("run", [cli.run_evolve, cli.run_sweep])
 @pytest.mark.parametrize("config,method,message", [
     ("nested", "analytic", "--method analytic is only defined for --config braided"),

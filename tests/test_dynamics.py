@@ -372,6 +372,38 @@ def test_non_finite_rho0_rejected_by_name(value):
         evolve_lindblad(bad, closed_form_braided(1.0, 1.0), 0.1, 1e-3)
 
 
+def _rho0_with_residue():
+    rho = rho_eg()
+    rho[1, 2] = 1e-6  # rho[2, 1] stays 0
+    return rho
+
+
+def _rho0_below_floor():
+    return np.diag([0.0, 0.6, 0.4 + 1e-6, -1e-6]).astype(complex)
+
+
+# rho0 passes the check the stored states pass, at step 0
+@pytest.mark.parametrize("make,message", [
+    (_rho0_with_residue, r"^Hermiticity residue 1\.000e-06 at step 0$"),
+    (_rho0_below_floor, r"^eigenvalue -1\.000e-06 below floor at step 0$"),
+], ids=["hermiticity", "spectrum"])
+def test_rho0_invariants_rejected_by_name(make, message):
+    rho0 = make()
+    assert abs(np.trace(rho0) - 1.0) <= dyn.TRACE_TOL
+    sets = [closed_form_braided(1.0, 1.0), closed_form_braided(1.0, 0.4)]
+    with pytest.raises(NumericalFailure, match=message):
+        evolve_lindblad(rho0, sets[0], 0.1, 1e-3)
+    with pytest.raises(NumericalFailure, match=message):
+        dyn.evolve_lindblad_many(rho0, sets, 0.1, 1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_amplitude_trajectory_rejects_non_finite_times(value):
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        amplitude_trajectory(EG, closed_form_braided(1.0, 0.7), [0.0, 1.0, value])
+
+
 def test_three_atom_lindblad_evolution():
     from gawsim.coefficients import general_coefficients
     from gawsim.model import ConnectionPoint, GiantAtomSpec, build_custom
@@ -748,7 +780,7 @@ def test_taylor_substep_budget_raises_before_any_substep(monkeypatch):
     def never(*args):
         raise AssertionError("a substep was taken before the substep budget was checked")
 
-    monkeypatch.setattr(dyn, "_taylor_action", never)
+    monkeypatch.setattr(dyn, "_taylor_sum", never)
     with pytest.raises(ValueError, match=r"t_max=40 at generator rate \S+e\+0[89] needs \S+e\+\d+ "
                                          r"Taylor substeps, more than MAX_GRID_STEPS=10000000"):
         evolve_lindblad(rho0, fast, t_max=40.0, dt=1.0)
