@@ -24,6 +24,12 @@ theta, so no branch tracking is needed.  |a_term| never drops below 1.86
 on the real axis (a grid bound in the tests), so the division by
 |a_term|^2 is safe for every real theta.
 
+Both functions take theta as a float or as a 1-D array of them.  An array
+is evaluated at once, elementwise: ``closed_form_concurrence_braided``
+then returns theta.shape + t.shape values, and row i equals the call with
+theta[i] alone bit for bit, whatever the array's length or the times'
+split.  A sweep evaluates any block of its theta x t grid in one call.
+
 Closed forms for the separate and nested orderings are intentionally not
 provided; those configurations go through ``dynamics``.
 """
@@ -38,19 +44,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ConcurrenceTerms:
-    """The seven phase-dependent ingredients of the braided closed form."""
+    """The seven phase-dependent ingredients of the braided closed form:
+    complex numbers (numpy's) for a float theta, arrays of theta's shape for
+    an array."""
 
-    a_term: complex
-    b_term: complex
-    b1: complex
-    b2: complex
-    d_term: complex
-    e_term: complex
-    f_term: complex
+    a_term: complex | np.ndarray
+    b_term: complex | np.ndarray
+    b1: complex | np.ndarray
+    b2: complex | np.ndarray
+    d_term: complex | np.ndarray
+    e_term: complex | np.ndarray
+    f_term: complex | np.ndarray
 
 
-def concurrence_terms(theta: float) -> ConcurrenceTerms:
-    """Evaluate all seven ingredients at a phase shift theta."""
+def concurrence_terms(theta) -> ConcurrenceTerms:
+    """Evaluate all seven ingredients at a phase shift theta: a float, or a
+    1-D array whose elements are evaluated at once, elementwise."""
+    theta = np.asarray(theta, dtype=float)
     z = np.exp(1j * theta)
     poly = (
         37
@@ -67,36 +77,35 @@ def concurrence_terms(theta: float) -> ConcurrenceTerms:
     )
     a = np.sqrt(z ** 3 * poly)
     d = 4 + z + 4 * z ** 2 + 3 * z ** 3 + 3 * z ** 5 + z ** 7
-    e = -3 + math.cos(theta) * (3 - 4j * math.sin(theta)) + 1j * math.sin(theta) - 4 * math.cos(
-        2 * theta
-    )
-    f = 16j * z ** 4 * math.cos(theta) ** 2 * math.sin(theta / 2)
-    b1 = complex(
+    cos, sin = np.cos(theta), np.sin(theta)
+    e = -3 + cos * (3 - 4j * sin) + 1j * sin - 4 * np.cos(2 * theta)
+    f = 16j * z ** 4 * cos ** 2 * np.sin(theta / 2)
+    b1 = (
         -26
-        + 62 * math.cos(theta)
-        - 48 * math.cos(2 * theta)
-        + 51 * math.cos(3 * theta)
-        - 26 * math.cos(4 * theta)
-        + 19 * math.cos(5 * theta)
-    )
+        + 62 * cos
+        - 48 * np.cos(2 * theta)
+        + 51 * np.cos(3 * theta)
+        - 26 * np.cos(4 * theta)
+        + 19 * np.cos(5 * theta)
+    ) + 0j
     b2 = 1j * (
-        -24 * math.sin(theta)
-        + 32 * math.sin(2 * theta)
-        - 42 * math.sin(3 * theta)
-        + 24 * math.sin(4 * theta)
-        - 18 * math.sin(5 * theta)
+        -24 * sin
+        + 32 * np.sin(2 * theta)
+        - 42 * np.sin(3 * theta)
+        + 24 * np.sin(4 * theta)
+        - 18 * np.sin(5 * theta)
     )
     b = np.sqrt((b1 + b2) * z ** 8)
-    return ConcurrenceTerms(complex(a), complex(b), b1, b2, complex(d), complex(e), complex(f))
+    return ConcurrenceTerms(a, b, b1, b2, d, e, f)
 
 
-def closed_form_concurrence_braided(theta: float, gamma: float, t) -> float | np.ndarray:
+def closed_form_concurrence_braided(theta, gamma: float, t) -> float | np.ndarray:
     """Concurrence of two braided atoms started in |eg>, evaluated in closed form.
 
     Parameters
     ----------
-    theta : float
-        Phase shift between adjacent connection points.
+    theta : float or 1-D array
+        Phase shift(s) between adjacent connection points, finite.
     gamma : float
         Uniform per-point decay rate (finite, > 0).
     t : float or array
@@ -105,33 +114,41 @@ def closed_form_concurrence_braided(theta: float, gamma: float, t) -> float | np
     Returns
     -------
     float or ndarray
-        Concurrence value(s) in [0, 1].
+        Concurrence value(s) in [0, 1], of shape theta.shape + t.shape:
+        row i of a theta array is the value at theta[i], equal to the call
+        with that theta alone; a float for a float theta and a float t.
     """
-    for name, value in (("theta", theta), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim > 1:
+        raise ValueError(f"theta must be a float or a 1-D array, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite, got {theta[~np.isfinite(theta)].flat[0]}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.asarray(t, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("t must be finite")
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")
-    terms = concurrence_terms(theta)
-    c_half = math.cos(theta / 2.0)
-    gt = gamma * times
-    x = math.sqrt(2.0) * terms.b_term * gt * c_half
+    # one (theta, t) grid of arrays: a float theta or t is a grid of one row
+    # or column, so every value takes the same elementwise path
+    thetas = np.atleast_1d(theta)
+    terms = concurrence_terms(thetas)
+    a, b, d, e, f = (x[:, None] for x in
+                     (terms.a_term, terms.b_term, terms.d_term, terms.e_term, terms.f_term))
+    c_half = np.cos(thetas / 2.0)[:, None]
+    gt = gamma * times.ravel()
+    x = math.sqrt(2.0) * b * gt * c_half
     # pull e^{max(Re x, 0)} out of both oscillating factors and fold it
     # into the envelope: the raw e^{x} overflows for large gamma*t even
     # though the product is bounded by 1
     s = np.maximum(np.real(x), 0.0)
-    envelope = np.exp(-0.5 * np.real(gt * (terms.d_term + 2.0 * terms.a_term * c_half)) + 2.0 * s)
-    osc = terms.e_term * (np.exp(np.conj(x) - s) - np.exp(-s))
-    mix = 2.0 * terms.a_term * (np.exp(x - s) + np.exp(-s)) + terms.f_term * (
-        np.exp(x - s) - np.exp(-s)
-    )
-    values = 0.5 * envelope * np.abs(osc * mix) / abs(terms.a_term) ** 2
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(values[0])
-    return values
-
+    envelope = np.exp(-0.5 * np.real(gt * (d + 2.0 * a * c_half)) + 2.0 * s)
+    grow, shrink = np.exp(x - s), np.exp(-s)
+    # s is real, so e^{x* - s} is the conjugate of e^{x - s}
+    osc = e * (np.conj(grow) - shrink)
+    mix = 2.0 * a * (grow + shrink) + f * (grow - shrink)
+    values = (0.5 * envelope * np.abs(osc * mix) / np.abs(a) ** 2).reshape(theta.shape + times.shape)
+    return float(values) if values.ndim == 0 else values

@@ -53,12 +53,13 @@ MAX_GRID_POINTS = 10_000_000
 #: README 400 x 400 sweep (2-vCPU VM).
 _CSV_BLOCK_CELLS = 1 << 12
 
-#: Grid rows (theta x t) a sweep computes together: ``--method lindblad``
-#: propagates whole theta columns of at most this many rows (at least one
-#: column), ``--method effective`` takes one theta's times this many at a
-#: time.  A 400 x 400 Lindblad sweep peaks at 68.6 MB RSS with it, 66.0 MB
-#: with one theta at a time, 103 MB at 2**16 rows and 131 MB with the grid
-#: in one block (2-vCPU VM).
+#: Grid cells (theta x t) a sweep computes together: ``--method lindblad``
+#: propagates whole theta columns of at most this many cells (at least one
+#: column); ``--method analytic`` and ``effective`` evaluate blocks of at
+#: most this many cells, whole theta columns or one column's times split
+#: (``_sweep_blocks``).  A 400 x 400 Lindblad sweep peaks at 68.6 MB RSS
+#: with it, 66.0 MB with one theta at a time, 103 MB at 2**16 cells and
+#: 131 MB with the grid in one block (2-vCPU VM).
 _SWEEP_BLOCK_ROWS = 1 << 14
 
 
@@ -80,7 +81,7 @@ _FLAGS = (
      dict(choices=[c.value for c in Configuration], help="canonical two-atom configuration")),
     ("--layout", "layout_path", _ALL, dict(metavar="JSON", help="path to a custom layout file")),
     ("--gamma", "gamma", _ALL,
-     dict(type=float, default=1.0, help="reference decay rate (default 1)")),
+     dict(type=float, help="reference decay rate (default 1)")),
     ("--theta-over-pi", "theta_over_pi", _ALL,
      dict(action="store_true", help="interpret all theta values as multiples of pi")),
     ("--theta", "theta", ("evolve", "verify-slh"),
@@ -568,32 +569,40 @@ def run_evolve(spec: RunSpec) -> int:
     return 0
 
 
+def _sweep_blocks(n_thetas: int, n_times: int):
+    """(theta slice, time slice) blocks that cover a theta x time grid
+    theta-major, each of at most ``_SWEEP_BLOCK_ROWS`` cells: whole theta
+    columns together, or one column split over t where it is longer."""
+    step = min(n_times, _SWEEP_BLOCK_ROWS)
+    per_block = _SWEEP_BLOCK_ROWS // step
+    for first in range(0, n_thetas, per_block):
+        for start in range(0, n_times, step):
+            yield slice(first, first + per_block), slice(start, start + step)
+
+
 def _sweep_columns(config: Configuration, gamma: float, thetas: np.ndarray, times: np.ndarray,
-                   method: str) -> list[np.ndarray]:
-    """Concurrence over ``times`` at each theta, one array per theta."""
-    if method == "analytic":
-        return [analytic.closed_form_concurrence_braided(float(theta), gamma, times)
-                for theta in thetas]
+                   method: str) -> np.ndarray:
+    """Concurrence over the theta x time grid, one row per theta."""
+    values = np.empty((len(thetas), len(times)))
     initial = dynamics.AmplitudeState(1.0, 0.0)
-    if method == "effective":
-        # the amplitudes are elementwise in t: blocks of times bound the (T, 2) temporaries
-        starts = range(0, len(times), _SWEEP_BLOCK_ROWS)
-        columns = []
-        for theta in thetas:
-            coeffs = canonical_coefficients(config, gamma, float(theta))
-            columns.append(np.concatenate([dynamics.amplitude_trajectory(
-                initial, coeffs, times[s:s + _SWEEP_BLOCK_ROWS]).concurrence for s in starts]))
-        return columns
-    rho0 = dynamics.density_from_amplitudes(initial)
-    per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
-    columns = []
-    for start in range(0, len(thetas), per_block):
-        coeff_sets = [canonical_coefficients(config, gamma, float(theta))
-                      for theta in thetas[start:start + per_block]]
-        # no name holds the records, so a block's states are freed before the next one
-        columns.extend(record.concurrence for record in dynamics.evolve_lindblad_many(
-            rho0, coeff_sets, t_max=float(times[-1]), dt=times[1] - times[0], store_every=1))
-    return columns
+    if method == "lindblad":
+        rho0 = dynamics.density_from_amplitudes(initial)
+        per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
+        for start in range(0, len(thetas), per_block):
+            coeff_sets = [canonical_coefficients(config, gamma, float(theta))
+                          for theta in thetas[start:start + per_block]]
+            # no name holds the records, so a block's states are freed before the next one
+            values[start:start + per_block] = [
+                record.concurrence for record in dynamics.evolve_lindblad_many(
+                    rho0, coeff_sets, t_max=float(times[-1]), dt=times[1] - times[0], store_every=1)]
+        return values
+    for rows, cols in _sweep_blocks(len(thetas), len(times)):
+        if method == "analytic":
+            values[rows, cols] = analytic.closed_form_concurrence_braided(thetas[rows], gamma, times[cols])
+        else:
+            values[rows, cols] = dynamics.amplitude_concurrences(
+                initial, *canonical_sums(config, gamma, thetas[rows]), times[cols])
+    return values
 
 
 def run_sweep(spec: RunSpec) -> int:
@@ -718,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     fields = vars(args)
     scale = math.pi if fields.pop("theta_over_pi") else 1.0
-    spec = RunSpec(**fields)
+    # a flag left out takes the RunSpec default, so gamma 1.0 is recorded either way
+    spec = RunSpec(**{dest: value for dest, value in fields.items() if value is not None})
     for name in ("theta", "theta_min", "theta_max"):
         value = getattr(spec, name)
         if value is not None:
@@ -729,6 +739,12 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         if value is not None and not math.isfinite(value):
             raise SpecError(f"{option} must be finite, got {value}")
     _check_positive("--gamma", spec.gamma)
+    # the layout file fixes every rate: only the recommended step of evolve
+    # --method lindblad reads gamma beside it
+    if fields["gamma"] is not None and spec.layout_path is not None and not (
+            spec.command == "evolve" and spec.method == "lindblad" and spec.dt is None):
+        raise SpecError("--gamma does not apply with --layout, whose file fixes the decay rates "
+                        "(it only sets the recommended step of evolve --method lindblad without --dt)")
     return spec
 
 

@@ -101,20 +101,16 @@ def _point_weights(rates, owners, n_atoms: int) -> np.ndarray:
     return np.sqrt(np.asarray(rates, dtype=float))[:, None] * np.eye(n_atoms)[np.asarray(owners)]
 
 
-def amplitude_sums(phases, rates, owners, n_atoms: int) -> np.ndarray:
-    """The amplitudes v (..., M) of ``coefficient_sums`` alone, at a fraction of its cost."""
-    return np.cos(np.asarray(phases, dtype=float)) @ _point_weights(rates, owners, n_atoms)
-
-
-def coefficient_sums(phases, rates, owners, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+def coefficient_sums(phases, weights) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the coefficient double sums from raw connection-point phases.
 
     ``phases`` (..., P) lists the points nearest the mirror first; leading
     axes batch independent evaluations.  The sign of each separation
     phi_n - phi_m is taken from that order, so coincident points (theta = 0)
     are fine and negative theta continues the sums analytically, as the
-    trigonometric polynomials do.  ``rates`` (P,) are the per-point decay
-    rates and ``owners`` (P,) the atom index (0..n_atoms-1) of each point.
+    trigonometric polynomials do.  ``weights`` (P, M) holds sqrt(gamma_n),
+    the root of the decay rate of point n, in the column of the atom that
+    owns it and 0 elsewhere (``_point_weights``).
 
     Returns ``shift`` (..., M, M), symmetric, with the Lamb shifts dw_j on
     the diagonal and the exchange g_jk off it, and the amplitudes
@@ -123,7 +119,6 @@ def coefficient_sums(phases, rates, owners, n_atoms: int) -> tuple[np.ndarray, n
     entry of 2 v v^T is not finite (rates near the float maximum overflow).
     """
     phases = np.asarray(phases, dtype=float)
-    weights = _point_weights(rates, owners, n_atoms)
     with np.errstate(over="ignore", invalid="ignore"):
         sin, cos = np.sin(phases), np.cos(phases)
         v = cos @ weights
@@ -140,7 +135,7 @@ def coefficient_sums(phases, rates, owners, n_atoms: int) -> tuple[np.ndarray, n
         peak_decay = 2.0 * np.abs(v).max(initial=0.0) ** 2
     if not (np.isfinite(shift).all() and np.isfinite(peak_decay)):
         raise LayoutError(f"coefficients are not finite for decay rates gamma up to "
-                          f"{float(np.max(rates)):g} (phases up to {float(np.abs(phases).max()):g})")
+                          f"{float(np.max(weights)) ** 2:g} (phases up to {float(np.abs(phases).max()):g})")
     return shift, v
 
 
@@ -156,9 +151,10 @@ def _coefficients_from_sums(shift: np.ndarray, v: np.ndarray) -> MasterEqCoeffic
 
 
 def _layout_points(layout: WaveguideLayout) -> tuple:
-    """Kernel arguments (phases, rates, owners, n_atoms) of a layout, nearest the mirror first."""
+    """Kernel arguments (phases, weights) of a layout, nearest the mirror first."""
     pts = layout.all_points
-    return [p.phase for p in pts], [p.gamma for p in pts], [p.atom_id for p in pts], layout.n_atoms
+    return [p.phase for p in pts], _point_weights([p.gamma for p in pts], [p.atom_id for p in pts],
+                                                  layout.n_atoms)
 
 
 def decay_amplitudes(layout: WaveguideLayout) -> np.ndarray:
@@ -169,7 +165,8 @@ def decay_amplitudes(layout: WaveguideLayout) -> np.ndarray:
     vanish.  Unlike the rates, the amplitudes cross zero linearly, which is
     what the DFI scanner exploits.
     """
-    return amplitude_sums(*_layout_points(layout))
+    phases, weights = _layout_points(layout)
+    return np.cos(phases) @ weights
 
 
 def general_coefficients(layout: WaveguideLayout) -> MasterEqCoefficients:
@@ -185,17 +182,27 @@ _HALF_ODD = np.array([0.5, 1.5, 2.5, 3.5])
 #: double up overflows).
 _THETA_LIMIT = np.nextafter(np.finfo(float).max / 3.5, 0.0)
 
+#: (4, 2) point weights of each canonical configuration at unit rate, built
+#: once: a canonical call scales them by sqrt(gamma).
+_CANONICAL_OWNERS = {kind: _point_weights(np.ones(4), canonical_atom_order(kind), 2)
+                     for kind in Configuration}
 
-def _canonical_points(kind, gamma: float, theta) -> tuple:
-    """Kernel arguments of a canonical configuration: points at (2i + 1) * theta / 2.
+
+def _canonical_phases(theta) -> np.ndarray:
+    """Phases (2i + 1) * theta / 2 of the four canonical points, theta.shape + (4,).
 
     Raises ``LayoutError`` naming theta when a phase would not be finite.
     """
     theta = np.asarray(theta, dtype=float)
-    if not (np.abs(theta) <= _THETA_LIMIT).all():
+    if not (abs(theta) <= _THETA_LIMIT).all():
         raise LayoutError(f"theta must keep the connection-point phases (2i + 1) theta / 2 finite, "
                           f"got theta up to {float(np.abs(theta).max()):g}")
-    return theta[..., None] * _HALF_ODD, np.full(4, gamma), canonical_atom_order(Configuration(kind)), 2
+    return theta[..., None] * _HALF_ODD
+
+
+def _canonical_points(kind, gamma: float, theta) -> tuple:
+    """Kernel arguments (phases, weights) of a canonical configuration."""
+    return _canonical_phases(theta), np.sqrt(gamma) * _CANONICAL_OWNERS[Configuration(kind)]
 
 
 def canonical_sums(kind, gamma: float, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +216,13 @@ def canonical_sums(kind, gamma: float, theta) -> tuple[np.ndarray, np.ndarray]:
 def canonical_decay_amplitudes(kind, gamma: float, theta) -> np.ndarray:
     """Decay amplitudes of a canonical configuration, defined for all theta.
 
-    Shape (2,) for a scalar theta, theta.shape + (2,) for an array.
+    Shape (2,) for a scalar theta, theta.shape + (2,) for an array.  Each
+    is sqrt(gamma) times the sum of the cosines of its atom's two points:
+    with unit weights of 0 and 1 that sum is one rounded addition however
+    the product is blocked, so an array gives exactly the values of its
+    elements alone.
     """
-    return amplitude_sums(*_canonical_points(kind, gamma, theta))
+    return np.sqrt(gamma) * (np.cos(_canonical_phases(theta)) @ _CANONICAL_OWNERS[Configuration(kind)])
 
 
 def canonical_coefficients(kind, gamma: float, theta: float) -> MasterEqCoefficients:

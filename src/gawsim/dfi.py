@@ -137,7 +137,8 @@ def scan_dfi(
     tol_exchange = DEFAULT_TOL_EXCHANGE * gamma if tol_exchange is None else tol_exchange
 
     def objective(theta):
-        return np.abs(canonical_decay_amplitudes(kind, gamma, theta)).max(axis=-1)
+        v = np.abs(canonical_decay_amplitudes(kind, gamma, theta))
+        return np.maximum(v[..., 0], v[..., 1])
 
     step = (theta_max - theta_min) / (grid - 1)
     thetas = theta_min + np.arange(grid) * step

@@ -46,7 +46,10 @@ Two routes from coefficients to dynamics:
     amplitude pair (c_eg, c_ge).  ``evolve_amplitudes`` solves it exactly
     in closed form, one formula in expm1 that stays bounded at every time
     and passes through exceptional points, where the two complex
-    eigenvalues coincide, without a separate branch.
+    eigenvalues coincide, without a separate branch.  The formula takes a
+    stack of Hamiltonians: ``amplitude_trajectory`` is the one-set case,
+    and ``amplitude_concurrences`` evaluates a block of theta x t cells of
+    a sweep from one ``coefficient_sums`` stack.
 
 For a state with no double-excitation weight the two routes agree: the
 Wootters concurrence of the mixed state reduces to
@@ -512,19 +515,18 @@ def effective_hamiltonian(coeffs: MasterEqCoefficients) -> np.ndarray:
     """
     if coeffs.n_atoms != 2:
         raise ValueError("effective Hamiltonian is defined for exactly two atoms")
-    dwa, dwb = coeffs.lamb_shifts
-    ga, gb = coeffs.individual_decay
-    g = coeffs.exchange[0, 1]
-    gc = coeffs.collective_decay[0, 1]
-    return np.array(
-        [[dwa - 0.5j * ga, g - 0.5j * gc], [g - 0.5j * gc, dwb - 0.5j * gb]], dtype=complex
-    )
+    return _effective_hamiltonians(np.diag(coeffs.lamb_shifts) + coeffs.exchange, coeffs.decay_matrix())
 
 
-def _amplitude_solution(
-    initial: AmplitudeState, coeffs: MasterEqCoefficients, times: np.ndarray
-) -> np.ndarray:
-    """Exact amplitudes at the given times, shape (T, 2).
+def _effective_hamiltonians(shift: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """H_eff = shift - (i/2) decay for stacks (..., 2, 2) of the shift matrix
+    (Lamb shifts on the diagonal, exchange off it) and the decay matrix."""
+    return shift - 0.5j * decay
+
+
+def _amplitude_solution(initial: AmplitudeState, h: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact amplitudes (K, T, 2) under each of the K effective Hamiltonians
+    h (K, 2, 2) at the times (T,).
 
     The 2x2 generator splits as mbar * I + N with N traceless; with
     s = sqrt(-det N) (so N @ N = s**2 * I) the propagator is
@@ -536,27 +538,46 @@ def _amplitude_solution(
     Im <= 0, so every factor stays bounded at any t: nothing grows and
     then cancels (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).  At an
     exceptional point (s = 0, N nilpotent) phi = 1 gives the first-order
-    form I - i t N.
+    form I - i t N.  A non-finite amplitude raises ``NumericalFailure`` at
+    the first time it occurs under the first Hamiltonian that has one.
     """
-    h = effective_hamiltonian(coeffs)
-    mbar = 0.5 * (h[0, 0] + h[1, 1])
-    d = 0.5 * (h[0, 0] - h[1, 1])
-    o = h[0, 1]
+    mbar = 0.5 * (h[:, 0, 0] + h[:, 1, 1])[:, None]
+    d = 0.5 * (h[:, 0, 0] - h[:, 1, 1])[:, None]
+    o = h[:, 0, 1][:, None]
     s = np.sqrt(d * d + o * o)
-    s = -s if s.imag < 0 else s
-    times = np.asarray(times, dtype=float)
+    s = np.where(s.imag < 0, -s, s)
     c0 = np.array([initial.c_eg, initial.c_ge], dtype=complex)
-    n_c0 = np.array([d * c0[0] + o * c0[1], o * c0[0] - d * c0[1]])
+    n_c0 = np.stack([d * c0[0] + o * c0[1], o * c0[0] - d * c0[1]], axis=-1)
 
     z = 2j * s * times
     em1 = np.expm1(z)
     phi = np.divide(em1, z, out=np.ones_like(z), where=z != 0)
     phase = np.exp(-1j * (mbar + s) * times)
-    out = phase[:, None] * ((1.0 + 0.5 * em1)[:, None] * c0 - 1j * (times * phi)[:, None] * n_c0)
-    bad = ~np.isfinite(out).all(axis=1)
+    out = phase[..., None] * ((1.0 + 0.5 * em1)[..., None] * c0 - 1j * (times * phi)[..., None] * n_c0)
+    bad = ~np.isfinite(out).all(axis=-1)
     if bad.any():
-        raise NumericalFailure(f"amplitudes are not finite at t = {times[bad][0]:.6g}")
+        raise NumericalFailure(f"amplitudes are not finite at t = {times[np.argwhere(bad)[0, 1]]:.6g}")
     return out
+
+
+def _pair_concurrence(states: np.ndarray) -> np.ndarray:
+    """2 |c_eg c_ge*| of amplitude pairs (..., 2)."""
+    return 2.0 * np.abs(states[..., 0] * states[..., 1].conj())
+
+
+def _checked_amplitude_inputs(initial: AmplitudeState, times) -> np.ndarray:
+    """``times`` as a float array once it is 1-D, non-empty, finite and starts
+    at t >= 0, and the norm of ``initial`` is at most 1."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not len(times):
+        raise ValueError(f"times must be a non-empty 1-D sequence, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    if times[0] < 0:
+        raise ValueError("times must be nonnegative")
+    if not initial.norm() <= 1.0 + NORM_TOL:
+        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
+    return times
 
 
 def evolve_amplitudes(
@@ -574,25 +595,30 @@ def amplitude_trajectory(
 
     ``times`` is a non-empty 1-D finite increasing sequence starting at t >= 0.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not len(times):
-        raise ValueError(f"times must be a non-empty 1-D sequence, got shape {times.shape}")
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
-    if times[0] < 0:
-        raise ValueError("times must be nonnegative")
-    if not initial.norm() <= 1.0 + NORM_TOL:
-        raise ValueError(f"initial amplitude norm {initial.norm()} exceeds 1 or is not finite")
+    times = _checked_amplitude_inputs(initial, times)
     decay = coeffs.decay_matrix()[None]
     _check_decay_physical(decay, np.linalg.eigvalsh(decay))
-    states = _amplitude_solution(initial, coeffs, times)
-    conc = 2.0 * np.abs(states[:, 0] * states[:, 1].conj())
-    return TrajectoryRecord(times, states, conc, kind="amplitudes")
+    states = _amplitude_solution(initial, effective_hamiltonian(coeffs)[None], times)[0]
+    return TrajectoryRecord(times, states, _pair_concurrence(states), kind="amplitudes")
+
+
+def amplitude_concurrences(initial: AmplitudeState, shift: np.ndarray, v: np.ndarray, times) -> np.ndarray:
+    """Concurrence (K, T) of the exact amplitudes from ``initial`` under K
+    two-atom coefficient sets, at the times (T,).
+
+    The sets are ``coefficient_sums`` output, ``shift`` (K, 2, 2) and the
+    amplitudes ``v`` (K, 2) of the decay matrix 2 v v^T, which is positive
+    semidefinite by construction.  Row k is the concurrence that
+    ``amplitude_trajectory`` gives under set k; ``times`` as there.
+    """
+    times = _checked_amplitude_inputs(initial, times)
+    h = _effective_hamiltonians(shift, 2.0 * v[:, :, None] * v[:, None, :])
+    return _pair_concurrence(_amplitude_solution(initial, h, times))
 
 
 def concurrence_from_amplitudes(state: AmplitudeState) -> float:
     """C = 2 |c_eg c_ge*| for a single-excitation two-atom state."""
-    return 2.0 * abs(state.c_eg * state.c_ge.conjugate())
+    return float(_pair_concurrence(np.array([state.c_eg, state.c_ge])))
 
 
 _SY_SY = np.kron(

@@ -131,3 +131,37 @@ def test_bad_arguments_rejected():
         closed_form_concurrence_braided(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         closed_form_concurrence_braided(1.0, 1.0, -0.5)
+
+
+def test_theta_array_gives_rows_equal_to_single_theta_calls():
+    thetas = np.concatenate([np.linspace(-3.0, 9.0, 23), [0.0, math.pi / 2, 2 * math.pi]])
+    times = np.linspace(0.0, 5.0, 31)
+    grid = closed_form_concurrence_braided(thetas, 1.7, times)
+    assert grid.shape == (len(thetas), len(times))
+    for theta, row in zip(thetas, grid):
+        assert np.array_equal(row, closed_form_concurrence_braided(float(theta), 1.7, times))
+    # a float t gives one value per theta, each equal to its scalar call
+    column = closed_form_concurrence_braided(thetas, 1.7, 0.9)
+    assert column.shape == thetas.shape
+    assert column.tolist() == [closed_form_concurrence_braided(float(t), 1.7, 0.9) for t in thetas]
+    # splitting the times changes no value
+    halves = [closed_form_concurrence_braided(thetas, 1.7, part) for part in (times[:13], times[13:])]
+    assert np.array_equal(np.concatenate(halves, axis=1), grid)
+
+
+def test_terms_of_a_theta_array_are_the_terms_of_each_theta():
+    thetas = np.linspace(0.0, 2 * math.pi, 9)
+    terms = concurrence_terms(thetas)
+    for i, theta in enumerate(thetas):
+        single = concurrence_terms(float(theta))
+        for name in ("a_term", "b_term", "b1", "b2", "d_term", "e_term", "f_term"):
+            assert getattr(terms, name).shape == thetas.shape
+            assert getattr(terms, name)[i] == pytest.approx(getattr(single, name), abs=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_theta_array_rejects_a_non_finite_entry_and_more_axes():
+    with pytest.raises(ValueError, match="^theta must be finite, got inf"):
+        closed_form_concurrence_braided(np.array([0.3, math.inf]), 1.0, [0.0, 1.0])
+    with pytest.raises(ValueError, match="^theta must be a float or a 1-D array"):
+        closed_form_concurrence_braided(np.zeros((2, 2)), 1.0, [0.0, 1.0])

@@ -11,7 +11,7 @@ from oracles import per_value_csv
 
 from gawsim import analytic, cli, dynamics
 from gawsim.cli import RunSpec, SpecError, main
-from gawsim.coefficients import canonical_coefficients
+from gawsim.coefficients import canonical_coefficients, canonical_sums
 from gawsim.model import build_canonical, CanonicalConfig, layout_to_json
 
 
@@ -511,9 +511,11 @@ def _per_row_bodies():
     amp = dynamics.amplitude_trajectory(c0, coeffs, np.linspace(0.0, 2.0, 9))
     lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 0.5, 0.05)
     initial = ["--theta", "1.3", "--c-eg", "0.6+0.48j", "--c-ge=-0.64j"]
+    # the sweep's values: one coefficient_sums call over its theta block
     thetas, times = np.linspace(0.2, 3.0, 4), np.linspace(0.0, 2.0, 9)
-    sweep = [(theta, t, c) for theta in thetas for t, c in zip(times, dynamics.amplitude_trajectory(
-        dynamics.AmplitudeState(1.0, 0.0), canonical_coefficients("nested", 0.8, theta), times).concurrence)]
+    grid = dynamics.amplitude_concurrences(dynamics.AmplitudeState(1.0, 0.0),
+                                           *canonical_sums("nested", 0.8, thetas), times)
+    sweep = [(theta, t, c) for theta, row in zip(thetas, grid) for t, c in zip(times, row)]
     return [
         (["evolve", *source, *initial, "--t-max", "2", "--t-steps", "9"],
          ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
@@ -597,9 +599,11 @@ def test_evolve_and_sweep_share_method_checks(tmp_path, run, config, method, mes
 
 
 def test_analytic_sweep_evaluates_terms_once_per_theta(tmp_path, monkeypatch):
+    # counted by theta value: a call evaluates a whole array of them
     calls = []
     terms = analytic.concurrence_terms
-    monkeypatch.setattr(analytic, "concurrence_terms", lambda theta: calls.append(theta) or terms(theta))
+    monkeypatch.setattr(analytic, "concurrence_terms",
+                        lambda theta: calls.extend(np.ravel(theta)) or terms(theta))
     analytic.closed_form_concurrence_braided(0.7, 1.0, np.linspace(0.0, 1.0, 4))
     assert calls == [0.7]
     calls.clear()
@@ -656,22 +660,105 @@ def test_overflowing_theta_exits_one_naming_theta(tmp_path, capsys, argv):
 
 
 def test_effective_sweep_time_blocks_give_identical_bytes(tmp_path, monkeypatch):
+    # one theta a block: whole 11-time columns, then each split into 4 + 4 + 3 times
     argv = ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "11"]
-    reference = tmp_path / "reference.csv"
-    assert main([*argv, "--out", str(reference)]) == 0
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 4)
+    concurrences = dynamics.amplitude_concurrences
+    outputs = {}
+    for block_rows, blocks in ((11, [(1, 11)] * 3), (4, [(1, 4), (1, 4), (1, 3)] * 3)):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
+        calls = []
+
+        def counted(initial, shift, v, times):
+            calls.append((len(shift), len(times)))
+            return concurrences(initial, shift, v, times)
+
+        monkeypatch.setattr(dynamics, "amplitude_concurrences", counted)
+        outputs[block_rows] = tmp_path / f"blocked-{block_rows}.csv"
+        assert main([*argv, "--out", str(outputs[block_rows])]) == 0
+        assert calls == blocks
+    assert outputs[4].read_bytes() == outputs[11].read_bytes()
+
+
+@pytest.mark.parametrize("block_rows,blocks", [
+    (4, [(1, 4), (1, 4), (1, 3)] * 3),
+    (11, [(1, 11)] * 3),
+    (22, [(2, 11), (1, 11)]),
+    (1 << 14, [(3, 11)]),
+], ids=["split-column", "column", "two-columns", "grid"])
+@pytest.mark.parametrize("method", ["analytic", "effective"])
+def test_sweep_blocks_stay_within_the_cell_bound(tmp_path, monkeypatch, method, block_rows, blocks):
+    # every call gets at most _SWEEP_BLOCK_ROWS theta x t cells, and the blocks
+    # cover the grid theta-major, a column longer than the bound split over t
+    argv = ["sweep", "--config", "braided", "--method", method, "--theta-steps", "3", "--t-steps", "11"]
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
     calls = []
-    trajectory = dynamics.amplitude_trajectory
+    if method == "analytic":
+        closed_form = analytic.closed_form_concurrence_braided
 
-    def counted(initial, coeffs, times):
-        calls.append(len(times))
-        return trajectory(initial, coeffs, times)
+        def counted(theta, gamma, t):
+            calls.append((len(theta), len(t)))
+            return closed_form(theta, gamma, t)
 
-    monkeypatch.setattr(dynamics, "amplitude_trajectory", counted)
-    out = tmp_path / "blocked.csv"
+        monkeypatch.setattr(analytic, "closed_form_concurrence_braided", counted)
+    else:
+        concurrences = dynamics.amplitude_concurrences
+
+        def counted(initial, shift, v, times):
+            calls.append((len(shift), len(times)))
+            return concurrences(initial, shift, v, times)
+
+        monkeypatch.setattr(dynamics, "amplitude_concurrences", counted)
+    out = tmp_path / "s.csv"
     assert main([*argv, "--out", str(out)]) == 0
-    assert calls == [4, 4, 3] * 3
-    assert out.read_bytes() == reference.read_bytes()
+    assert calls == blocks
+    assert max(rows * times for rows, times in calls) <= block_rows
+
+
+@pytest.mark.parametrize("kind", ["braided", "separate", "nested"])
+def test_effective_sweep_matches_per_theta_trajectories(tmp_path, monkeypatch, kind):
+    # blocks of two theta columns; the grid holds theta = 0, pi and 2 pi
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 80)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", kind, "--gamma", "0.9", "--theta-steps", "25", "--t-steps", "40",
+                 "--t-max", "6", "--out", str(out)]) == 0
+    grid = read_table(out)[2].reshape(25, 40, 3)
+    times = grid[0, :, 1]
+    for row in grid:
+        single = dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0),
+                                               canonical_coefficients(kind, 0.9, row[0, 0]), times)
+        np.testing.assert_allclose(row[:, 2], single.concurrence, atol=1e-14, rtol=0)
+
+
+def test_analytic_sweep_rows_equal_single_theta_calls(tmp_path):
+    # each row of the CSV is exactly the closed form at that theta alone, blocks split or not
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", "braided", "--method", "analytic", "--gamma", "1.3",
+                 "--theta-min", "-2", "--theta-max", "9", "--theta-steps", "37", "--t-steps", "50",
+                 "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    grid = data.reshape(37, 50, 3)
+    times = grid[0, :, 1]
+    for row in grid:
+        assert np.array_equal(row[:, 2], analytic.closed_form_concurrence_braided(row[0, 0], 1.3, times))
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs"],
+    ["verify-slh"],
+    ["evolve"],
+    ["evolve", "--method", "lindblad", "--dt", "0.01"],
+], ids=["coeffs", "verify-slh", "evolve-effective", "evolve-lindblad-dt"])
+def test_layout_rejects_gamma_nothing_reads(tmp_path, capsys, argv):
+    # the layout file fixes every rate; --gamma only sets the recommended step
+    # of evolve --method lindblad (test_layout_lindblad_evolve_keeps_gamma)
+    path = tmp_path / "layout.json"
+    path.write_text(layout_to_json(build_canonical(CanonicalConfig("braided", 1.0, 0.7))))
+    out = tmp_path / "x.out"
+    for gamma in ("5", "1"):
+        assert main([*argv, "--layout", str(path), "--gamma", gamma, "--out", str(out)]) == 1
+        assert "error: --gamma does not apply with --layout" in capsys.readouterr().err
+        assert not out.exists()
+    assert main([*argv, "--layout", str(path), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("block_rows", ["theta", 7, "grid"])

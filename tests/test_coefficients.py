@@ -247,11 +247,14 @@ def test_coeffs_table_rows_match_scalar_coefficients(tmp_path):
 
 @pytest.mark.parametrize("kind", CONFIGS)
 def test_canonical_decay_amplitudes_on_an_array(kind):
+    # exactly: the DFI grid and its golden-section refinement see the same values
     thetas = np.linspace(-1.0, 13.0, 97)
     batch = canonical_decay_amplitudes(kind, 0.8, thetas)
     assert batch.shape == (97, 2)
     for theta, row in zip(thetas, batch):
-        np.testing.assert_allclose(row, canonical_decay_amplitudes(kind, 0.8, float(theta)), atol=1e-15, rtol=0)
+        assert np.array_equal(row, canonical_decay_amplitudes(kind, 0.8, float(theta)))
+    with pytest.raises(LayoutError, match="theta must keep the connection-point phases"):
+        canonical_decay_amplitudes(kind, 0.8, np.array([0.5, np.nextafter(_THETA_LIMIT, np.inf)]))
 
 
 @pytest.mark.parametrize("bad", [

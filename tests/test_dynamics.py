@@ -15,7 +15,7 @@ from oracles import (
 )
 
 import gawsim.dynamics as dyn
-from gawsim.coefficients import MasterEqCoefficients, canonical_coefficients
+from gawsim.coefficients import MasterEqCoefficients, canonical_coefficients, canonical_sums
 from gawsim.dynamics import (
     AmplitudeState,
     amplitude_trajectory,
@@ -991,3 +991,51 @@ def test_step_budget_message_names_the_steps_taken(monkeypatch, cap):
     monkeypatch.setattr(dyn, "_SUPEROP_DIM_CAP", cap)
     with pytest.raises(ValueError, match=r"need 1e\+09 grid steps, more than MAX_GRID_STEPS"):
         evolve_lindblad(rho_eg(), closed_form_braided(1.0, 0.0), t_max=1e9, dt=1.0)
+
+
+# ------------------------------------------------------- batched amplitudes
+
+
+def _sets_from_sums(shift, v):
+    """MasterEqCoefficients of each (shift, v) pair of a coefficient_sums stack."""
+    off = ~np.eye(2, dtype=bool)
+    return [MasterEqCoefficients(np.diagonal(s).copy(), np.where(off, s, 0.0), 2.0 * w * w,
+                                 np.where(off, 2.0 * np.outer(w, w), 0.0)) for s, w in zip(shift, v)]
+
+
+@pytest.mark.parametrize("kind", list(Configuration))
+def test_amplitude_concurrences_match_trajectories_through_an_exceptional_point(kind):
+    # canonical sums over a theta grid, then H_eff = [[-i, 1/2], [1/2, 0]] (exchange
+    # 1/2, v = (1, 0)), an exceptional point, and two sets next to it
+    shift, v = canonical_sums(kind, 1.3, np.linspace(0.0, 2 * math.pi, 41))
+    for offset in (0.0, 1e-12, 1e-6):
+        shift = np.concatenate([shift, [[[offset, 0.5], [0.5, 0.0]]]])
+        v = np.concatenate([v, [[1.0, 0.0]]])
+    times = np.linspace(0.0, 6.0, 301)
+    initial = AmplitudeState(0.6, 0.8j)
+    grid = dyn.amplitude_concurrences(initial, shift, v, times)
+    assert grid.shape == (len(shift), len(times))
+    for row, coeffs in zip(grid, _sets_from_sums(shift, v)):
+        np.testing.assert_allclose(row, amplitude_trajectory(initial, coeffs, times).concurrence,
+                                   atol=1e-14, rtol=0)
+    nil = effective_hamiltonian(_sets_from_sums(shift, v)[-3]) + 0.5j * np.eye(2)
+    assert not (nil @ nil).any() and nil.any()
+
+
+def test_amplitude_concurrences_raise_at_the_first_failing_set():
+    # set 1 overflows at the last time only, set 2 already at the third: the
+    # batch raises set 1's time, as the set-by-set loop does
+    shift = np.array([np.diag([0.5, -0.5]), np.diag([1e150, -1e150]), np.diag([1e152, -1e152])])
+    v = np.zeros((3, 2))
+    times = np.array([0.0, 1e155, 1e157, 1e159])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure) as batch:
+            dyn.amplitude_concurrences(EG, shift, v, times)
+        for coeffs in _sets_from_sums(shift, v):
+            try:
+                amplitude_trajectory(EG, coeffs, times)
+            except NumericalFailure as single:
+                assert str(batch.value) == str(single) == "amplitudes are not finite at t = 1e+159"
+                break
+        else:
+            pytest.fail("no set failed")
