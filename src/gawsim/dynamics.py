@@ -35,9 +35,15 @@ Two routes from coefficients to dynamics:
     on rho in operator form as the same series from rho on substeps h with
     h * |L|_1 <= 1 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
     (2011)).  ``dt`` only sets the row times.  rho0 and the stored blocks
-    pass one check of trace, Hermiticity and spectrum, ``_check_states``;
-    the blocks are then placed into 2**M x 2**M states whose other entries
-    are exactly zero.  ``evolve_lindblad_many``
+    pass one check of trace, Hermiticity and spectrum, ``_check_states``.
+    Both terms keep the coherence order n_ket - n_bra of every entry (a
+    weak U(1) symmetry: Buca and Prosen, New J. Phys. 14, 073007 (2012)),
+    so the blocks of a rho0 that is block-diagonal in excitation number,
+    as every CLI run's is, stay exactly 0.0 between different excitation
+    numbers, and their spectrum is taken per excitation sector: 1x1 and
+    2x2 sectors in closed form, larger ones by ``eigvalsh``.  The blocks
+    are then placed into 2**M x 2**M states whose other entries are
+    exactly zero.  ``evolve_lindblad_many``
     advances several coefficient sets from one rho0 together, so a
     Lindblad sweep propagates a block of theta values at once.
 
@@ -83,6 +89,12 @@ NORM_TOL = 1e-9
 #: which the generator is built as a dense superoperator (D**2 x D**2
 #: matrix) and exponentiated; above it the generator acts in operator form.
 _SUPEROP_DIM_CAP = 8
+
+#: Width of the band above ``EIG_FLOOR`` in which a sector-wise smallest
+#: eigenvalue (``_min_eigenvalues``) is not trusted and ``eigvalsh`` of the
+#: whole state decides; the sector values differ from it at roundoff,
+#: about 1e-16 for a state near the floor, whose entries are at most about 1.
+_SECTOR_MARGIN = 1e-12
 
 #: Double-precision unit roundoff scale, the Taylor and channel cut-offs.
 _EPS = np.finfo(float).eps
@@ -313,13 +325,15 @@ def _generator_rates(k_op: np.ndarray, lam: np.ndarray, jumps: np.ndarray) -> np
     return rate + (np.abs(lam) * _norm1(jumps) * _norm1(jumps.swapaxes(2, 3))).sum(axis=1)
 
 
-def _check_states(states: np.ndarray, steps) -> None:
+def _check_states(states: np.ndarray, steps, excitations: np.ndarray | None = None) -> None:
     """Invariants of the (..., D, D) states after the given steps (rho0 at step 0).
 
     ``steps`` broadcasts to the leading shape.  Trace, Hermiticity and
     spectrum of every state.  Raises at the first failing state in
     row-major order of the leading axes, with the checks of one state in
     the order trace, Hermiticity, spectrum; a NaN residue fails its check.
+    ``excitations`` (D,), the excitation number of each basis state, lets
+    ``_min_eigenvalues`` take the spectrum sector by sector.
     """
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     herm_err = np.abs(states - states.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -328,7 +342,7 @@ def _check_states(states: np.ndarray, steps) -> None:
     lo = np.full(tr_err.shape, np.inf)
     due = tr_ok & herm_ok
     if due.any():
-        lo[due] = np.linalg.eigvalsh(states[due]).min(axis=-1)
+        lo[due] = _min_eigenvalues(states[due], excitations)
     ok = tr_ok & herm_ok & (lo >= EIG_FLOOR)
     if ok.all():
         return
@@ -339,6 +353,42 @@ def _check_states(states: np.ndarray, steps) -> None:
     if not herm_ok[n]:
         raise NumericalFailure(f"Hermiticity residue {herm_err[n]:.3e} at step {i}")
     raise NumericalFailure(f"eigenvalue {lo[n]:.3e} below floor at step {i}")
+
+
+def _min_eigenvalues(stack: np.ndarray, excitations: np.ndarray | None) -> np.ndarray:
+    """Smallest eigenvalue (N,) of each Hermitian matrix of an (N, D, D) stack.
+
+    ``eigvalsh`` of the whole matrices, unless ``excitations`` labels the D
+    basis states and every entry of the stack between states of different
+    labels is exactly 0.0.  Then each matrix is block-diagonal, and its
+    smallest eigenvalue is the least over its excitation sectors: the entry
+    of a 1x1 sector, 1/2 (a + d) - sqrt(1/4 (a - d)**2 + |b|**2) of a 2x2
+    sector, ``eigvalsh`` of a larger one.  A matrix whose sector minimum
+    lies below ``EIG_FLOOR`` + ``_SECTOR_MARGIN`` takes ``eigvalsh`` of the
+    whole matrix, so pass or fail and the value reported are the
+    whole-matrix ones.  Like ``eigvalsh``, this reads the lower triangle.
+    """
+    if excitations is None or stack[:, excitations[:, None] != excitations].any():
+        return np.linalg.eigvalsh(stack).min(axis=-1)
+    lo = np.full(len(stack), np.inf)
+    # an overflowing 2x2 radicand gives -inf, which takes the whole-matrix eigvalsh
+    with np.errstate(over="ignore"):
+        for n in set(excitations.tolist()):
+            idx = np.flatnonzero(excitations == n)
+            if len(idx) == 1:
+                sector = stack[:, idx[0], idx[0]].real
+            elif len(idx) == 2:
+                i, j = idx
+                a, d, b = stack[:, i, i].real, stack[:, j, j].real, stack[:, j, i]
+                half = 0.5 * (a - d)
+                sector = 0.5 * (a + d) - np.sqrt(half * half + (b.real * b.real + b.imag * b.imag))
+            else:
+                sector = np.linalg.eigvalsh(stack[:, idx[:, None], idx]).min(axis=-1)
+            np.minimum(lo, sector, out=lo)
+    near = lo < EIG_FLOOR + _SECTOR_MARGIN
+    if near.any():
+        lo[near] = np.linalg.eigvalsh(stack[near]).min(axis=-1)
+    return lo
 
 
 def recommended_timestep(coeffs: MasterEqCoefficients, gamma: float = 1.0) -> float:
@@ -383,7 +433,9 @@ def evolve_lindblad(
     store_every : int, optional
         Keep every n-th step (plus t = 0 and the final step).  Default
         keeps at most ~2000 interior snapshots.  Every stored state is
-        checked for trace, Hermiticity and spectrum.
+        checked for trace, Hermiticity and spectrum, the spectrum per
+        excitation sector when every stored state is exactly 0.0 between
+        different excitation numbers.
 
     Returns
     -------
@@ -469,7 +521,7 @@ def evolve_lindblad_many(
     # set-major, so the first failure is the one set-by-set calls raise;
     # the entries outside the block are exactly 0: they add nothing to
     # the trace or the Hermiticity residue, and 0 >= EIG_FLOOR
-    _check_states(blocks[:, 1:], steps[1:])
+    _check_states(blocks[:, 1:], steps[1:], excitations[keep])
     states = np.zeros((n_sets, len(steps), dim, dim), dtype=complex)
     states[:, :, keep[:, None], keep] = blocks
 
@@ -529,7 +581,8 @@ def _amplitude_solution(initial: AmplitudeState, h: np.ndarray, times: np.ndarra
     h (K, 2, 2) at the times (T,).
 
     The 2x2 generator splits as mbar * I + N with N traceless; with
-    s = sqrt(-det N) (so N @ N = s**2 * I) the propagator is
+    s = sqrt(-det N) (so N @ N = s**2 * I), taken from N scaled by a power
+    of two near 1 / max|N_ij| so that no square overflows, the propagator is
         exp(-i H t) = e^{-i mbar t} (cos(s t) I - i sin(s t)/s * N).
     cos and sin/s are even in s, so the root with Im s >= 0 may be taken.
     Factoring out e^{-i s t}, with z = 2i s t and phi(z) = expm1(z) / z,
@@ -544,7 +597,13 @@ def _amplitude_solution(initial: AmplitudeState, h: np.ndarray, times: np.ndarra
     mbar = 0.5 * (h[:, 0, 0] + h[:, 1, 1])[:, None]
     d = 0.5 * (h[:, 0, 0] - h[:, 1, 1])[:, None]
     o = h[:, 0, 1][:, None]
-    s = np.sqrt(d * d + o * o)
+    # scaled by the power of two 2**k <= max(|d|, |o|): the squares stay finite
+    # for any finite h, and where they were finite before, s keeps its bits
+    top = np.maximum(np.abs(d), np.abs(o))
+    scale = (top.view(np.int64) // 2 ** 52 * 2 ** 52).view(np.float64)
+    scale[scale == 0] = 1.0
+    d_s, o_s = d / scale, o / scale
+    s = scale * np.sqrt(d_s * d_s + o_s * o_s)
     s = np.where(s.imag < 0, -s, s)
     c0 = np.array([initial.c_eg, initial.c_ge], dtype=complex)
     n_c0 = np.stack([d * c0[0] + o * c0[1], o * c0[0] - d * c0[1]], axis=-1)

@@ -350,6 +350,46 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    jobs = [["coeffs", "--config", "braided", "--theta-steps", "7"],
+            ["evolve", "--config", "nested", "--theta", "0.9", "--t-steps", "20"]]
+    # a usage error first: coeffs takes no --theta
+    assert main(["coeffs", "--theta", "1"]) == 1
+    assert "unrecognized arguments: --theta 1" in capsys.readouterr().err
+    for i, argv in enumerate(jobs):
+        assert main([*argv, "--out", str(tmp_path / f"in-process-{i}.csv")]) == 0
+    for i, argv in enumerate(jobs):
+        fresh = tmp_path / f"fresh-{i}.csv"
+        subprocess.run([sys.executable, "-m", "gawsim.cli", *argv, "--out", str(fresh)], check=True)
+        assert (tmp_path / f"in-process-{i}.csv").read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_of_the_shared_parser_is_that_of_a_new_one(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert main(["coeffs", "--theta", "1"]) == 1  # the shared parser has been used
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    shared = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser.__wrapped__().parse_args(argv)
+    assert shared.startswith("usage: gawsim") and capsys.readouterr().out == shared
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", ["1e200", "1e300"])
+def test_evolve_effective_at_huge_gamma_stays_finite(tmp_path, gamma):
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.3", "--gamma", gamma,
+                 "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    assert np.isfinite(data).all()
+    assert (np.hypot(np.hypot(data[:, 1], data[:, 2]), np.hypot(data[:, 3], data[:, 4])) <= 1.0 + 1e-12).all()
+
+
 def test_identical_specs_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["evolve", "--config", "separate", "--theta", "1.4", "--t-max", "2",

@@ -594,6 +594,128 @@ def test_checks_trip_like_the_per_step_loop(monkeypatch, cap, m, tolerances, ste
     assert str(exc.value) == expected
 
 
+# -------------------------------------------- sector-wise spectrum check
+
+
+def _sector_stack(rng, labels, n_states, low=None):
+    """n_states trace-one states, block-diagonal in ``labels``, with positive
+    spectra; with ``low`` = (label, value) one eigenvalue of every state's
+    sector of that label is ``value``, below the others."""
+    dim = len(labels)
+    stack = np.zeros((n_states, dim, dim), dtype=complex)
+    for rho in stack:
+        spectrum = rng.uniform(0.05, 1.0, dim)
+        if low is None:
+            spectrum /= spectrum.sum()
+        else:
+            j = np.flatnonzero(labels == low[0])[0]
+            spectrum[j] = 0.0
+            spectrum *= (1.0 - low[1]) / spectrum.sum()
+            spectrum[j] = low[1]
+        for n in set(labels.tolist()):
+            idx = np.flatnonzero(labels == n)
+            raw = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+            unitary, _ = np.linalg.qr(raw)
+            rho[np.ix_(idx, idx)] = (unitary * spectrum[idx]) @ unitary.conj().T
+    return stack
+
+
+def _eigvalsh_shapes(monkeypatch):
+    """The list of the shapes that later ``np.linalg.eigvalsh`` calls take."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    return shapes
+
+
+def _sector_check_message(stack, steps, labels):
+    try:
+        dyn._check_states(stack, steps, labels)
+    except NumericalFailure as exc:
+        return str(exc)
+    return None
+
+
+# two atoms with at most one excitation (sectors 2x2 and 1x1), and all
+# states of three atoms (sectors 1x1, 3x3, 3x3, 1x1)
+_SECTOR_LABELS = {"two-atom": np.array([1, 1, 0]), "three-atom": dyn._excitation_numbers(3)}
+
+
+@pytest.mark.parametrize("labels", _SECTOR_LABELS.values(), ids=_SECTOR_LABELS.keys())
+@pytest.mark.parametrize("fault", ["none", "trace", "hermiticity"])
+def test_sector_check_raises_the_oracle_message(labels, fault):
+    rng = np.random.default_rng(71)
+    stack = _sector_stack(rng, labels, 6)
+    if fault == "trace":
+        stack[3] *= 1.0 + 1e-8
+    elif fault == "hermiticity":
+        i, j = np.flatnonzero(labels == 1)[:2]
+        stack[2, i, j] += 1e-9  # inside a sector: the stack stays block-diagonal
+    steps = np.arange(1, 7)
+    expected = first_check_failure(stack, steps)
+    assert (expected is None) == (fault == "none")
+    assert _sector_check_message(stack, steps, labels) == expected
+
+
+@pytest.mark.parametrize("labels,sector", [(_SECTOR_LABELS["two-atom"], 1), (_SECTOR_LABELS["three-atom"], 2)],
+                         ids=["2x2-sector", "3x3-sector"])
+@pytest.mark.parametrize("offset", [1e-13, -1e-13])
+def test_sector_check_at_the_eigenvalue_floor(monkeypatch, labels, sector, offset):
+    stack = _sector_stack(np.random.default_rng(72), labels, 4, low=(sector, dyn.EIG_FLOOR + offset))
+    steps = np.arange(5, 9)
+    np.testing.assert_allclose(np.linalg.eigvalsh(stack).min(axis=1), dyn.EIG_FLOOR + offset, rtol=0, atol=1e-15)
+    expected = first_check_failure(stack, steps)
+    assert (expected is None) == (offset > 0)
+    assert _sector_check_message(stack, steps, labels) == expected
+    # the sector minimum of a state this near the floor is left to eigvalsh of the whole state
+    shapes = _eigvalsh_shapes(monkeypatch)
+    _sector_check_message(stack, steps, labels)
+    assert shapes[-1] == stack.shape
+
+
+def test_sector_check_takes_whole_states_with_one_coherence_between_sectors(monkeypatch):
+    labels = _SECTOR_LABELS["two-atom"]
+    stack = _sector_stack(np.random.default_rng(73), labels, 5)
+    # one q != 0 entry (|ge><gg|, with its Hermitian partner) pushes an
+    # eigenvalue below zero that no single sector shows
+    stack[3, 1, 2] = stack[3, 2, 1] = 2.0
+    steps = np.arange(1, 6)
+    expected = first_check_failure(stack, steps)
+    assert expected.startswith("eigenvalue ") and expected.endswith("at step 4")
+    shapes = _eigvalsh_shapes(monkeypatch)
+    assert _sector_check_message(stack, steps, labels) == expected
+    assert shapes == [stack.shape]
+
+
+@pytest.mark.parametrize("labels", _SECTOR_LABELS.values(), ids=_SECTOR_LABELS.keys())
+def test_sector_check_of_passing_states_needs_eigvalsh_only_above_2x2(monkeypatch, labels):
+    stack = _sector_stack(np.random.default_rng(74), labels, 8)
+    shapes = _eigvalsh_shapes(monkeypatch)
+    dyn._check_states(stack, np.arange(1, 9), labels)
+    assert shapes == [(8, 3, 3)] * (2 if len(labels) == 8 else 0)
+
+
+# M = 2, 3 take the dense exponential, two excitations at M = 4 the Taylor action
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2)])
+def test_coherences_between_excitation_numbers_stay_exactly_zero(monkeypatch, m, n):
+    rng = np.random.default_rng(75 + m)
+    coeffs = _mirror_coeffs(rng, m)
+    labels = dyn._excitation_numbers(m)
+    keep = np.flatnonzero(labels <= n)
+    rho0 = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    rho0[np.ix_(keep, keep)] = _sector_stack(rng, labels[keep], 1)[0]
+    checked = []
+    check = dyn._check_states
+    monkeypatch.setattr(dyn, "_check_states", lambda *args: checked.append(args[2:]) or check(*args))
+    record = evolve_lindblad(rho0, coeffs, t_max=0.5, dt=0.01)
+    coherences = record.states[:, labels[:, None] != labels]
+    assert coherences.size and not coherences.any()
+    # the stored blocks were checked with the labels of their kept states
+    np.testing.assert_array_equal(checked[-1][0], labels[keep])
+    np.testing.assert_allclose(record.states, eigen_states(pairwise_superoperator(coeffs), rho0, record.times),
+                               atol=1e-12, rtol=0)
+
+
 def _spectrum_test_input():
     coeffs = _mirror_coeffs(np.random.default_rng(62), 4)
     rho0 = np.zeros((16, 16), dtype=complex)
@@ -904,6 +1026,19 @@ def test_amplitude_paths_reject_non_finite_initial_norm(c_eg):
         amplitude_trajectory(initial, coeffs, np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError, match="initial amplitude norm"):
         evolve_amplitudes(initial, coeffs, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config", list(Configuration))
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
+def test_amplitudes_at_huge_rates_are_the_time_scaled_amplitudes(config, theta):
+    # H * 2**600 over times * 2**-600 is the same propagation; the squares of
+    # entries of H near 1e180 overflow unless they are scaled first
+    h = effective_hamiltonian(canonical_coefficients(config, 1.0, theta))[None]
+    times = np.linspace(0.0, 4.0, 50)
+    initial = AmplitudeState(0.6, 0.8j)
+    base = dyn._amplitude_solution(initial, h, times)
+    np.testing.assert_array_equal(dyn._amplitude_solution(initial, h * 2.0 ** 600, times * 2.0 ** -600), base)
 
 
 # ------------------------------------------------ several coefficient sets
