@@ -13,7 +13,6 @@ from .analytic import ConcurrenceTerms, closed_form_concurrence_braided, concurr
 from .coefficients import (
     MasterEqCoefficients,
     canonical_coefficients,
-    coefficients_for,
     decay_amplitudes,
     general_coefficients,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "canonical_coefficients",
     "check_dfi",
     "closed_form_concurrence_braided",
-    "coefficients_for",
     "concurrence_from_amplitudes",
     "concurrence_terms",
     "decay_amplitudes",

@@ -46,6 +46,10 @@ TWO_PI = 2.0 * math.pi
 #: (theta x t) accepted; a larger one is rejected before it is built.
 MAX_GRID_POINTS = 10_000_000
 
+#: Largest --gamma accepted: coefficients are gamma times unit-rate sums of at
+#: most 8 in magnitude, so they stay finite, with a factor of 2 to spare.
+MAX_GAMMA = np.finfo(float).max / 16
+
 #: Values per call of the CSV formatting kernel ``_format_cells``.  A call
 #: costs about 150 us plus 230 ns a value and holds about 150 bytes a value
 #: at its peak: 2**12 is the fastest block (2**11 and 2**13 take 15-30 %
@@ -744,6 +748,9 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         if value is not None and not math.isfinite(value):
             raise SpecError(f"{option} must be finite, got {value}")
     _check_positive("--gamma", spec.gamma)
+    if spec.gamma > MAX_GAMMA:
+        raise SpecError(f"--gamma must be at most {MAX_GAMMA:.4g}, where rates of 8 gamma stay finite, "
+                        f"got {spec.gamma:g}")
     # the layout file fixes every rate: only the recommended step of evolve
     # --method lindblad reads gamma beside it
     if fields["gamma"] is not None and spec.layout_path is not None and not (

@@ -17,10 +17,12 @@ One numpy kernel, ``coefficient_sums``, evaluates them for raw phase
 arrays of shape (..., P), so a whole theta grid is one call.  The mirror
 factors the cos sums, cos|a - b| + cos(a + b) = 2 cos(a) cos(b), so the
 decay matrix is 2 v v^T (symmetric, rank one) with per-atom amplitudes v.
-All arithmetic is real; rates are in units of the reference rate, so
-results scale linearly with gamma.  The wrappers cover validated layouts
-and the three canonical two-atom setups, which stay defined at theta = 0;
-the hand-expanded polynomials for those setups remain only as test oracles.
+All arithmetic is real.  The wrappers cover validated layouts and the three
+canonical two-atom setups, which stay defined at theta = 0; the hand-expanded
+polynomials for those setups remain only as test oracles.  A canonical setup
+is summed at unit rate (point weights 0 and 1), and gamma scales the sums:
+every product is then exact or rounded alike at any batch size, so results do
+not depend on the batch and every consumer sees the same bits for a theta.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError
-from .model import CanonicalConfig, Configuration, WaveguideLayout, canonical_atom_order
+from .model import ATOM_ORDER, Configuration, WaveguideLayout, canonical_phases
 
 #: Below this (times gamma), a decay coefficient is treated as exactly zero
 #: by downstream consumers; trig polynomials evaluated in double precision
@@ -101,7 +103,7 @@ def _point_weights(rates, owners, n_atoms: int) -> np.ndarray:
     return np.sqrt(np.asarray(rates, dtype=float))[:, None] * np.eye(n_atoms)[np.asarray(owners)]
 
 
-def coefficient_sums(phases, weights) -> tuple[np.ndarray, np.ndarray]:
+def coefficient_sums(phases, weights, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the coefficient double sums from raw connection-point phases.
 
     ``phases`` (..., P) lists the points nearest the mirror first; leading
@@ -110,11 +112,12 @@ def coefficient_sums(phases, weights) -> tuple[np.ndarray, np.ndarray]:
     are fine and negative theta continues the sums analytically, as the
     trigonometric polynomials do.  ``weights`` (P, M) holds sqrt(gamma_n),
     the root of the decay rate of point n, in the column of the atom that
-    owns it and 0 elsewhere (``_point_weights``).
+    owns it and 0 elsewhere (``_point_weights``).  ``gamma`` then scales
+    the sums: the shifts by gamma, the amplitudes by sqrt(gamma).
 
     Returns ``shift`` (..., M, M), symmetric, with the Lamb shifts dw_j on
     the diagonal and the exchange g_jk off it, and the amplitudes
-    v_j = sum_n sqrt(gamma_jn) cos(phi_jn) (..., M); decay is 2 v v^T.
+    v_j = sum_n sqrt(gamma gamma_jn) cos(phi_jn) (..., M); decay is 2 v v^T.
     Raises ``LayoutError`` naming gamma when a shift, an amplitude or an
     entry of 2 v v^T is not finite (rates near the float maximum overflow).
     """
@@ -130,12 +133,13 @@ def coefficient_sums(phases, weights) -> tuple[np.ndarray, np.ndarray]:
         # sums are y + y^T, where y collects the sin phi_n cos phi_m halves
         sin_w = np.swapaxes(sin[..., None] * weights, -1, -2)
         y = sin_w @ signed + (sin @ weights)[..., :, None] * v[..., None, :]
-        shift = 0.5 * (y + np.swapaxes(y, -1, -2))
+        shift = gamma * (0.5 * (y + np.swapaxes(y, -1, -2)))
+        v = np.sqrt(gamma) * v
         # the largest entry of the decay matrix 2 v v^T that callers form
         peak_decay = 2.0 * np.abs(v).max(initial=0.0) ** 2
     if not (np.isfinite(shift).all() and np.isfinite(peak_decay)):
         raise LayoutError(f"coefficients are not finite for decay rates gamma up to "
-                          f"{float(np.max(weights)) ** 2:g} (phases up to {float(np.abs(phases).max()):g})")
+                          f"{gamma * float(np.max(weights)) ** 2:g} (phases up to {np.abs(phases).max():g})")
     return shift, v
 
 
@@ -174,61 +178,32 @@ def general_coefficients(layout: WaveguideLayout) -> MasterEqCoefficients:
     return _coefficients_from_sums(*coefficient_sums(*_layout_points(layout)))
 
 
-#: (2i + 1) / 2 for the four points; theta * 3.5 is (theta * 7) / 2 exactly,
-#: but overflows only where the phase itself does.
-_HALF_ODD = np.array([0.5, 1.5, 2.5, 3.5])
-
-#: Largest |theta| whose phases, up to 3.5 theta, are finite (the next
-#: double up overflows).
-_THETA_LIMIT = np.nextafter(np.finfo(float).max / 3.5, 0.0)
-
-#: (4, 2) point weights of each canonical configuration at unit rate, built
-#: once: a canonical call scales them by sqrt(gamma).
-_CANONICAL_OWNERS = {kind: _point_weights(np.ones(4), canonical_atom_order(kind), 2)
-                     for kind in Configuration}
-
-
-def _canonical_phases(theta) -> np.ndarray:
-    """Phases (2i + 1) * theta / 2 of the four canonical points, theta.shape + (4,).
-
-    Raises ``LayoutError`` naming theta when a phase would not be finite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if not (abs(theta) <= _THETA_LIMIT).all():
-        raise LayoutError(f"theta must keep the connection-point phases (2i + 1) theta / 2 finite, "
-                          f"got theta up to {float(np.abs(theta).max()):g}")
-    return theta[..., None] * _HALF_ODD
-
-
-def _canonical_points(kind, gamma: float, theta) -> tuple:
-    """Kernel arguments (phases, weights) of a canonical configuration."""
-    return _canonical_phases(theta), np.sqrt(gamma) * _CANONICAL_OWNERS[Configuration(kind)]
+#: (4, 2) 0/1 owner matrix of each canonical configuration, its point weights
+#: at unit rate, built once: ``coefficient_sums`` scales the sums by gamma.
+_CANONICAL_OWNERS = {kind: np.eye(2)[list(order)] for kind, order in ATOM_ORDER.items()}
 
 
 def canonical_sums(kind, gamma: float, theta) -> tuple[np.ndarray, np.ndarray]:
     """``coefficient_sums`` of a canonical configuration at one theta or a theta array.
 
-    Results carry theta's shape as leading axes.
+    Results carry theta's shape as leading axes.  The sums are taken at
+    unit rate and scaled by gamma, so each theta of an array gets exactly
+    the values it gets alone.
     """
-    return coefficient_sums(*_canonical_points(kind, gamma, theta))
+    return coefficient_sums(canonical_phases(theta), _CANONICAL_OWNERS[Configuration(kind)], gamma)
 
 
 def canonical_decay_amplitudes(kind, gamma: float, theta) -> np.ndarray:
     """Decay amplitudes of a canonical configuration, defined for all theta.
 
-    Shape (2,) for a scalar theta, theta.shape + (2,) for an array.  Each
-    is sqrt(gamma) times the sum of the cosines of its atom's two points:
-    with unit weights of 0 and 1 that sum is one rounded addition however
-    the product is blocked, so an array gives exactly the values of its
-    elements alone.
+    Shape (2,) for a scalar theta, theta.shape + (2,) for an array: the
+    amplitudes of ``canonical_sums``, bit for bit, without its shifts.
+    Each is sqrt(gamma) times the sum of the cosines of its atom's two
+    points, one rounded addition however the product is blocked.
     """
-    return np.sqrt(gamma) * (np.cos(_canonical_phases(theta)) @ _CANONICAL_OWNERS[Configuration(kind)])
+    return np.sqrt(gamma) * (np.cos(canonical_phases(theta)) @ _CANONICAL_OWNERS[Configuration(kind)])
 
 
 def canonical_coefficients(kind, gamma: float, theta: float) -> MasterEqCoefficients:
     """Coefficients of a canonical configuration at one theta, defined for all theta."""
     return _coefficients_from_sums(*canonical_sums(kind, gamma, theta))
-
-
-def coefficients_for(config: CanonicalConfig) -> MasterEqCoefficients:
-    return canonical_coefficients(config.kind, config.gamma, config.theta)

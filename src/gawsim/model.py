@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .errors import LayoutError
 
 #: Hard cap on the number of atoms in any layout.
@@ -44,16 +46,30 @@ class Configuration(str, Enum):
     NESTED = "nested"
 
 
-_ATOM_ORDER = {
+#: Atom of each of the four canonical points, nearest the mirror first.
+ATOM_ORDER = {
     Configuration.BRAIDED: (0, 1, 0, 1),
     Configuration.SEPARATE: (0, 0, 1, 1),
     Configuration.NESTED: (0, 1, 1, 0),
 }
 
+#: (2i + 1) / 2 for the four canonical points; theta * 3.5 is (theta * 7) / 2
+#: exactly, but overflows only where the phase itself does.
+_HALF_ODD = np.array([0.5, 1.5, 2.5, 3.5])
 
-def canonical_atom_order(kind: Configuration) -> tuple[int, ...]:
-    """Atom assignment of the four canonical points, nearest the mirror first."""
-    return _ATOM_ORDER[Configuration(kind)]
+#: Largest |theta| whose phases, up to 3.5 theta, are finite (the next
+#: double up overflows).
+_THETA_LIMIT = np.nextafter(np.finfo(float).max / 3.5, 0.0)
+
+
+def canonical_phases(theta) -> np.ndarray:
+    """Phases (2i + 1) * theta / 2 of the four canonical points, theta.shape + (4,);
+    raises ``LayoutError`` naming theta when a phase would not be finite."""
+    theta = np.asarray(theta, dtype=float)
+    if not (abs(theta) <= _THETA_LIMIT).all():
+        raise LayoutError(f"theta must keep the connection-point phases (2i + 1) theta / 2 finite, "
+                          f"got theta up to {float(np.abs(theta).max()):g}")
+    return theta[..., None] * _HALF_ODD
 
 
 @dataclass(frozen=True)
@@ -175,16 +191,14 @@ class CanonicalConfig:
 def build_canonical(config: CanonicalConfig) -> WaveguideLayout:
     """Expand a canonical configuration into an explicit two-atom layout.
 
-    Points sit at phases theta/2, 3*theta/2, 5*theta/2, 7*theta/2 with the
-    atom ordering fixed by ``config.kind``.  theta = 0 would collapse all
-    four points onto the mirror and is rejected; the theta -> 0 physics is
-    available through the closed-form coefficient functions, which remain
-    well defined there.
+    Points sit at the ``canonical_phases`` theta/2, 3*theta/2, 5*theta/2,
+    7*theta/2 with the atom ordering fixed by ``config.kind``.  theta = 0
+    would collapse all four points onto the mirror and is rejected; the
+    theta -> 0 physics is available through the closed-form coefficient
+    functions, which remain well defined there.
     """
-    order = _ATOM_ORDER[config.kind]
-    phases = [(2 * i + 1) * config.theta / 2 for i in range(4)]
     points: dict[int, list[ConnectionPoint]] = {0: [], 1: []}
-    for atom_id, phase in zip(order, phases):
+    for atom_id, phase in zip(ATOM_ORDER[config.kind], canonical_phases(config.theta).tolist()):
         points[atom_id].append(ConnectionPoint(atom_id, phase, config.gamma))
     atoms = tuple(GiantAtomSpec(j, tuple(points[j])) for j in (0, 1))
     return WaveguideLayout(atoms)

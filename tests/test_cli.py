@@ -11,7 +11,7 @@ from oracles import per_value_csv
 
 from gawsim import analytic, cli, dynamics
 from gawsim.cli import RunSpec, SpecError, main
-from gawsim.coefficients import canonical_coefficients, canonical_sums
+from gawsim.coefficients import canonical_coefficients
 from gawsim.model import build_canonical, CanonicalConfig, layout_to_json
 
 
@@ -551,11 +551,10 @@ def _per_row_bodies():
     amp = dynamics.amplitude_trajectory(c0, coeffs, np.linspace(0.0, 2.0, 9))
     lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 0.5, 0.05)
     initial = ["--theta", "1.3", "--c-eg", "0.6+0.48j", "--c-ge=-0.64j"]
-    # the sweep's values: one coefficient_sums call over its theta block
+    # the sweep's values: one amplitude trajectory per theta
     thetas, times = np.linspace(0.2, 3.0, 4), np.linspace(0.0, 2.0, 9)
-    grid = dynamics.amplitude_concurrences(dynamics.AmplitudeState(1.0, 0.0),
-                                           *canonical_sums("nested", 0.8, thetas), times)
-    sweep = [(theta, t, c) for theta, row in zip(thetas, grid) for t, c in zip(times, row)]
+    sweep = [(theta, t, c) for theta in thetas for t, c in zip(times, dynamics.amplitude_trajectory(
+        dynamics.AmplitudeState(1.0, 0.0), canonical_coefficients("nested", 0.8, theta), times).concurrence)]
     return [
         (["evolve", *source, *initial, "--t-max", "2", "--t-steps", "9"],
          ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
@@ -670,17 +669,33 @@ def test_evolve_lindblad_one_point_grid_exits_one(tmp_path, capsys, flags, named
     ["evolve", "--config", "braided", "--theta", "0.3"],
     ["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad"],
     ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "3"],
+    ["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "3", "--t-steps", "3"],
     ["dfi-scan", "--config", "nested"],
     ["verify-slh", "--config", "braided", "--theta", "0.3"],
-], ids=["coeffs", "evolve", "evolve-lindblad", "sweep", "dfi-scan", "verify-slh"])
+], ids=["coeffs", "evolve", "evolve-lindblad", "sweep", "sweep-analytic", "dfi-scan", "verify-slh"])
 def test_overflowing_gamma_exits_one_naming_gamma(tmp_path, capsys, argv):
     out = tmp_path / "x.out"
+    for gamma in ("1e308", "1.7e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            assert main([*argv, "--gamma", gamma, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: --gamma must be at most 1.124e+307, where rates of "
+                                           f"8 gamma stay finite, got {float(gamma):g}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--config", "braided", "--theta-steps", "5"],
+    ["evolve", "--config", "braided", "--theta", "0.3"],
+    ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "3"],
+    ["dfi-scan", "--config", "separate", "--grid", "100"],
+    ["verify-slh", "--config", "braided", "--theta", "0.3", "--tol", "1e300"],
+], ids=["coeffs", "evolve", "sweep", "dfi-scan", "verify-slh"])
+def test_large_finite_gamma_runs(tmp_path, argv):
+    # 1e305 is below the --gamma bound: every coefficient stays finite
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no overflow warning on the way
-        assert main([*argv, "--gamma", "1e308", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "coefficients are not finite for decay rates gamma up to 1e+308" in err
-    assert not out.exists()
+        warnings.simplefilter("error")
+        assert main([*argv, "--gamma", "1e305", "--out", str(tmp_path / "x.out")]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -766,7 +781,47 @@ def test_effective_sweep_matches_per_theta_trajectories(tmp_path, monkeypatch, k
     for row in grid:
         single = dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0),
                                                canonical_coefficients(kind, 0.9, row[0, 0]), times)
-        np.testing.assert_allclose(row[:, 2], single.concurrence, atol=1e-14, rtol=0)
+        assert np.array_equal(row[:, 2], single.concurrence)
+
+
+@pytest.mark.parametrize("kind", ["braided", "separate", "nested"])
+def test_effective_sweep_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, kind):
+    # the whole 60 x 50 grid in one block, then one theta column a block
+    argv = ["sweep", "--config", kind, "--theta-steps", "60", "--t-steps", "50"]
+    for gamma in ("0.8", "1.7"):
+        whole, column = tmp_path / "whole.csv", tmp_path / "column.csv"
+        assert main([*argv, "--gamma", gamma, "--out", str(whole)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SWEEP_BLOCK_ROWS", 50)
+            assert main([*argv, "--gamma", gamma, "--out", str(column)]) == 0
+        assert column.read_bytes() == whole.read_bytes(), gamma
+
+
+def _coeffs_rows(tmp_path, kind, gamma, *flags):
+    """Text fields of each body row of a ``coeffs --config`` table."""
+    out = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--config", kind, "--gamma", gamma, *flags, "--out", str(out)]) == 0
+    columns, *rows = [line for line in out.read_text().splitlines() if line[0] != "#"]
+    assert columns == "theta,domega_a,domega_b,g_ab,Gamma_a,Gamma_b,Gamma_coll"
+    return [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("kind", ["braided", "separate", "nested"])
+def test_coeffs_rows_are_the_text_of_single_theta_coefficients(tmp_path, kind):
+    for gamma in ("0.8", "1.7"):
+        for row in _coeffs_rows(tmp_path, kind, gamma, "--theta-steps", "1000"):
+            coeffs = canonical_coefficients(kind, float(gamma), float(row[0]))
+            assert row[1:] == [format(v, ".17g") for v in cli._coeff_vector(coeffs).tolist()], (gamma, row[0])
+
+
+@pytest.mark.parametrize("kind", ["braided", "separate", "nested"])
+def test_verify_slh_closed_form_is_the_coeffs_row(tmp_path, capsys, kind):
+    for gamma in ("0.8", "1.7"):
+        for row in _coeffs_rows(tmp_path, kind, gamma, "--theta-min", "0.1", "--theta-steps", "7"):
+            assert main(["verify-slh", "--config", kind, "--gamma", gamma, "--theta", row[0]]) == 0
+            printed = capsys.readouterr().out.splitlines()[0]
+            assert printed.startswith("closed_form: ")
+            assert [field.split("=")[1] for field in printed.split()[1:]] == row[1:], (gamma, row[0])
 
 
 def test_analytic_sweep_rows_equal_single_theta_calls(tmp_path):

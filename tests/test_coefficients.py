@@ -13,9 +13,7 @@ from oracles import (
 
 from gawsim.cli import main as cli_main
 from gawsim.coefficients import (
-    _THETA_LIMIT,
     MasterEqCoefficients,
-    _canonical_points,
     canonical_coefficients,
     canonical_decay_amplitudes,
     canonical_sums,
@@ -24,12 +22,14 @@ from gawsim.coefficients import (
 )
 from gawsim.errors import LayoutError
 from gawsim.model import (
+    _THETA_LIMIT,
     CanonicalConfig,
     Configuration,
     ConnectionPoint,
     GiantAtomSpec,
     build_canonical,
     build_custom,
+    canonical_phases,
 )
 
 CONFIGS = list(Configuration)
@@ -257,6 +257,27 @@ def test_canonical_decay_amplitudes_on_an_array(kind):
         canonical_decay_amplitudes(kind, 0.8, np.array([0.5, np.nextafter(_THETA_LIMIT, np.inf)]))
 
 
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_canonical_sums_of_an_array_are_the_single_theta_sums(kind):
+    # unit-rate sums scaled by gamma: exactly, at any gamma and batch size
+    thetas = np.linspace(-1.0, 13.0, 97)
+    for gamma in (0.8, 1.7):
+        shift, v = canonical_sums(kind, gamma, thetas)
+        for theta, shift_row, v_row in zip(thetas, shift, v):
+            one_shift, one_v = canonical_sums(kind, gamma, float(theta))
+            assert np.array_equal(shift_row, one_shift) and np.array_equal(v_row, one_v)
+        assert np.array_equal(canonical_decay_amplitudes(kind, gamma, thetas), v)
+        assert np.array_equal(canonical_decay_amplitudes(kind, gamma, 0.3), canonical_sums(kind, gamma, 0.3)[1])
+
+
+def test_canonical_layout_points_are_the_canonical_phases():
+    for theta in (1e-300, 0.3, math.pi, 7.0, 1e300):
+        layout = build_canonical(CanonicalConfig("nested", 0.8, theta))
+        assert [p.phase for p in layout.all_points] == canonical_phases(theta).tolist()
+    with pytest.raises(LayoutError, match="theta must keep the connection-point phases"):
+        build_canonical(CanonicalConfig("nested", 0.8, np.nextafter(_THETA_LIMIT, np.inf)))
+
+
 @pytest.mark.parametrize("bad", [
     np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]),
     np.array([[0.0, np.nan], [np.nan, 0.0]]),
@@ -274,7 +295,7 @@ def test_symmetry_check_rejects_asymmetric_and_nan(bad, field):
 
 
 def test_kernel_rejects_overflowing_rates():
-    # sqrt(gamma) weights stay finite, but the shifts and 2 v v^T overflow
+    # the unit-rate sums stay finite, but scaled by gamma the shifts and 2 v v^T overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LayoutError, match=r"gamma up to 1e\+308"):
@@ -290,7 +311,7 @@ def test_kernel_rejects_overflowing_rates():
 def test_canonical_theta_limit_is_where_phases_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phases = _canonical_points("braided", 1.0, _THETA_LIMIT)[0]
+        phases = canonical_phases(_THETA_LIMIT)
         assert np.isfinite(phases).all()
         for theta in (np.nextafter(_THETA_LIMIT, np.inf), -np.inf, np.nan):
             with pytest.raises(LayoutError, match="theta must keep the connection-point phases"):
