@@ -9,7 +9,7 @@ over the full (theta, t) plane, including the two textbook reductions
     theta = 0     ->  (1 - exp(-16*gamma*t)) / 2
     theta = pi/2  ->  |sin(2*gamma*t)|
 
-Run:  python3 demos/05_closed_form_vs_ode.py
+Run:  python3 demos/05_closed_form_vs_amplitudes.py
 """
 
 import numpy as np
@@ -31,9 +31,9 @@ def main():
     worst, worst_theta = 0.0, 0.0
     for theta in thetas:
         coeffs = canonical_coefficients("braided", 1.0, float(theta))
-        ode = amplitude_trajectory(EG, coeffs, times).concurrence
+        amplitudes = amplitude_trajectory(EG, coeffs, times).concurrence
         closed = closed_form_concurrence_braided(float(theta), 1.0, times)
-        err = float(np.abs(ode - closed).max())
+        err = float(np.abs(amplitudes - closed).max())
         if err > worst:
             worst, worst_theta = err, float(theta)
     print(f"worst disagreement over a {len(thetas)}x{len(times)} grid: "

@@ -140,12 +140,14 @@ def closed_form_concurrence_braided(theta, gamma: float, t) -> float | np.ndarra
                      (terms.a_term, terms.b_term, terms.d_term, terms.e_term, terms.f_term))
     c_half = np.cos(thetas / 2.0)[:, None]
     gt = gamma * times.ravel()
-    x = math.sqrt(2.0) * b * gt * c_half
-    # pull e^{max(Re x, 0)} out of both oscillating factors and fold it
-    # into the envelope: the raw e^{x} overflows for large gamma*t even
-    # though the product is bounded by 1
-    s = np.maximum(np.real(x), 0.0)
-    envelope = np.exp(-0.5 * np.real(gt * (d + 2.0 * a * c_half)) + 2.0 * s)
+    # x = k gamma t; e^{s}, s = max(Re k, 0) gamma t, is pulled out of both oscillating
+    # factors (e^{x} overflows at large gamma t) into the envelope, whose exponent is one
+    # rate per theta times gamma t: <= 0 since C <= 1, clipped so rounding cannot grow it
+    k = math.sqrt(2.0) * b * c_half
+    growth = np.maximum(k.real, 0.0)
+    rate = np.minimum(-0.5 * np.real(d + 2.0 * a * c_half) + 2.0 * growth, 0.0)
+    x, s = k * gt, growth * gt
+    envelope = np.exp(rate * gt)
     grow, shrink = np.exp(x - s), np.exp(-s)
     # s is real, so e^{x* - s} is the conjugate of e^{x - s}
     osc = e * (np.conj(grow) - shrink)

@@ -49,6 +49,9 @@ MAX_GRID_POINTS = 10_000_000
 #: Largest --gamma accepted: coefficients are gamma times unit-rate sums of at
 #: most 8 in magnitude, so they stay finite, with a factor of 2 to spare.
 MAX_GAMMA = np.finfo(float).max / 16
+#: Largest gamma * t-max of evolve and sweep, which run unit rates of at most 8
+#: (superoperator 1-norms below 64) on gamma * t: every product stays finite.
+MAX_GAMMA_T = np.finfo(float).max / 256
 
 #: Values per call of the CSV formatting kernel ``_format_cells``.  A call
 #: costs about 150 us plus 230 ns a value and holds about 150 bytes a value
@@ -109,7 +112,7 @@ _FLAGS = (
     ("--tol-exchange", "tol_exchange", ("dfi-scan",),
      dict(type=float, help="exchange tolerance (default 1e-3 * gamma)")),
     ("--tol", "tol", ("verify-slh",),
-     dict(type=float, help="max allowed coefficient difference (default 1e-10)")),
+     dict(type=float, help="max coefficient difference over the largest point rate (default 1e-10)")),
     ("--out", "out", _ALL, dict(help="output file path")),
 )
 _SPEC_FIELDS = frozenset(dest for _, dest, _, _ in _FLAGS) - {"theta_over_pi"}
@@ -431,6 +434,8 @@ def _horizon(spec: RunSpec) -> float:
     t_max = 4.0 if spec.t_max is None else spec.t_max
     if t_max <= 0:
         raise SpecError("t-max must be positive")
+    if spec.gamma * t_max > MAX_GAMMA_T:
+        raise SpecError(f"--gamma x --t-max must be at most {MAX_GAMMA_T:.4g}, got {spec.gamma * t_max:g}")
     return t_max
 
 
@@ -439,7 +444,7 @@ def _step_count(t_max: float, dt: float, given: bool) -> int:
     one and fewer than ``MAX_GRID_POINTS``.
 
     Too few or too many name --dt when it was ``given``, otherwise --t-max,
-    since the step is then the recommended one.
+    and too many also --gamma, which scales the recommended step.
     """
     if dt <= 0:
         raise SpecError("dt must be positive")
@@ -451,8 +456,8 @@ def _step_count(t_max: float, dt: float, given: bool) -> int:
                         f"step dt = {dt:g}")
     # compared before int(): t_max / dt overflows to inf for extreme flags
     if steps >= MAX_GRID_POINTS:
-        raise SpecError(f"{'--dt' if given else '--t-max'} gives {steps + 1:.4g} time points "
-                        f"(t-max {t_max:g}, dt {dt:g}), above the limit of {MAX_GRID_POINTS}")
+        raise SpecError(f"{'--dt gives' if given else '--gamma and --t-max give'} {steps + 1:.4g} "
+                        f"time points (t-max {t_max:g}, dt {dt:g}), above the limit of {MAX_GRID_POINTS}")
     return int(steps)
 
 
@@ -516,7 +521,7 @@ def _coeffs_at(spec: RunSpec):
     if kind == "config":
         if spec.theta is None:
             raise SpecError("this command requires --theta with --config")
-        return canonical_coefficients(source, spec.gamma, spec.theta), source
+        return canonical_coefficients(source, 1.0, spec.theta), source
     if source.n_atoms != 2:
         raise SpecError("trajectories are defined for two-atom systems")
     return general_coefficients(source), None
@@ -541,17 +546,18 @@ def run_evolve(spec: RunSpec) -> int:
     initial = _initial_amplitudes(spec)
 
     if method == "effective":
-        record = dynamics.amplitude_trajectory(initial, coeffs, _time_grid(spec))
+        times = _time_grid(spec)
+        record = dynamics.amplitude_trajectory(initial, coeffs, spec.gamma * times)
         c_eg, c_ge = record.states.T
         _write_csv(spec.out, spec, ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
-                   record.times, c_eg.real, c_eg.imag, c_ge.real, c_ge.imag, record.concurrence)
+                   times, c_eg.real, c_eg.imag, c_ge.real, c_ge.imag, record.concurrence)
     elif method == "analytic":
         for flag, text in (("--c-eg", spec.c_eg), ("--c-ge", spec.c_ge)):
             if text is not None:
                 raise SpecError(f"{flag} does not apply to evolve --method analytic, "
                                 "whose closed form starts from |eg>")
         times = _time_grid(spec)
-        values = analytic.closed_form_concurrence_braided(spec.theta, spec.gamma, times)
+        values = analytic.closed_form_concurrence_braided(spec.theta, 1.0, spec.gamma * times)
         _write_csv(spec.out, spec, ["t", "concurrence"], times, values)
     else:
         if spec.t_steps is not None:
@@ -563,13 +569,13 @@ def run_evolve(spec: RunSpec) -> int:
             raise SpecError(f"--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 = 1 for --method "
                             f"lindblad, off by {norm_err:.3e}")
         t_max = _horizon(spec)
-        dt = spec.dt if spec.dt is not None else dynamics.recommended_timestep(coeffs, spec.gamma)
-        _step_count(t_max, dt, given=spec.dt is not None)
+        step = spec.gamma * spec.dt if spec.dt is not None else dynamics.recommended_timestep(coeffs)
+        _step_count(t_max, step / spec.gamma, given=spec.dt is not None)
         rho0 = dynamics.density_from_amplitudes(initial)
-        record = dynamics.evolve_lindblad(rho0, coeffs, t_max, dt)
+        record = dynamics.evolve_lindblad(rho0, coeffs, spec.gamma * t_max, step)
         populations = np.diagonal(record.states, axis1=1, axis2=2).real
         _write_csv(spec.out, spec, ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"],
-                   record.times, *populations.T, record.concurrence)
+                   record.times / spec.gamma, *populations.T, record.concurrence)
     return 0
 
 
@@ -584,16 +590,16 @@ def _sweep_blocks(n_thetas: int, n_times: int):
             yield slice(first, first + per_block), slice(start, start + step)
 
 
-def _sweep_columns(config: Configuration, gamma: float, thetas: np.ndarray, times: np.ndarray,
-                   method: str) -> np.ndarray:
-    """Concurrence over the theta x time grid, one row per theta."""
+def _sweep_columns(config: Configuration, thetas: np.ndarray, times: np.ndarray, method: str) -> np.ndarray:
+    """Concurrence over the theta x time grid, one row per theta, at unit
+    rate: ``times`` are gamma * t."""
     values = np.empty((len(thetas), len(times)))
     initial = dynamics.AmplitudeState(1.0, 0.0)
     if method == "lindblad":
         rho0 = dynamics.density_from_amplitudes(initial)
         per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
         for start in range(0, len(thetas), per_block):
-            coeff_sets = [canonical_coefficients(config, gamma, float(theta))
+            coeff_sets = [canonical_coefficients(config, 1.0, float(theta))
                           for theta in thetas[start:start + per_block]]
             # no name holds the records, so a block's states are freed before the next one
             values[start:start + per_block] = [
@@ -602,10 +608,10 @@ def _sweep_columns(config: Configuration, gamma: float, thetas: np.ndarray, time
         return values
     for rows, cols in _sweep_blocks(len(thetas), len(times)):
         if method == "analytic":
-            values[rows, cols] = analytic.closed_form_concurrence_braided(thetas[rows], gamma, times[cols])
+            values[rows, cols] = analytic.closed_form_concurrence_braided(thetas[rows], 1.0, times[cols])
         else:
             values[rows, cols] = dynamics.amplitude_concurrences(
-                initial, *canonical_sums(config, gamma, thetas[rows]), times[cols])
+                initial, *canonical_sums(config, 1.0, thetas[rows]), times[cols])
     return values
 
 
@@ -620,7 +626,7 @@ def run_sweep(spec: RunSpec) -> int:
     thetas = _theta_grid(spec)
     times = _time_grid(spec)
     _check_size(len(thetas) * len(times), "--theta-steps x --t-steps (or --dt)")
-    columns = _sweep_columns(source, spec.gamma, thetas, times, method)
+    columns = _sweep_columns(source, thetas, spec.gamma * times, method)
     _write_csv(spec.out, spec, ["theta", "t", "concurrence"], grid=(thetas, times, columns))
     return 0
 
@@ -661,7 +667,7 @@ def run_dfi_scan(spec: RunSpec) -> int:
 
 
 def run_verify_slh(spec: RunSpec) -> int:
-    """Compare network-composed coefficients against the direct formulas."""
+    """Compare network-composed coefficients against the formulas, to --tol x the largest point rate."""
     tol = 1e-10 if spec.tol is None else spec.tol
     _check_positive("--tol", tol)
     kind, source = _resolve_source(spec)
@@ -687,10 +693,10 @@ def run_verify_slh(spec: RunSpec) -> int:
                          ("slh:         ", extracted)]:
             print(label + "  ".join(f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(c))))
     print(f"max_abs_diff={max_diff:.17g} tol={tol:.17g}")
+    within_tol = bool(max_diff <= tol * max(p.gamma for p in layout.all_points))
     if spec.out is not None:
-        _write_json(spec.out, spec, {"max_abs_diff": max_diff, "tol": tol,
-                                     "within_tol": bool(max_diff <= tol)})
-    return 0 if max_diff <= tol else 2
+        _write_json(spec.out, spec, {"max_abs_diff": max_diff, "tol": tol, "within_tol": within_tol})
+    return 0 if within_tol else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -751,12 +757,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     if spec.gamma > MAX_GAMMA:
         raise SpecError(f"--gamma must be at most {MAX_GAMMA:.4g}, where rates of 8 gamma stay finite, "
                         f"got {spec.gamma:g}")
-    # the layout file fixes every rate: only the recommended step of evolve
-    # --method lindblad reads gamma beside it
-    if fields["gamma"] is not None and spec.layout_path is not None and not (
-            spec.command == "evolve" and spec.method == "lindblad" and spec.dt is None):
-        raise SpecError("--gamma does not apply with --layout, whose file fixes the decay rates "
-                        "(it only sets the recommended step of evolve --method lindblad without --dt)")
+    if fields["gamma"] is not None and spec.layout_path is not None:
+        raise SpecError("--gamma does not apply with --layout, whose file fixes the decay rates")
     return spec
 
 

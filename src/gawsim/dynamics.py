@@ -65,7 +65,7 @@ stacks without |ee> weight take that closed form instead of an
 eigenvalue problem.
 
 Basis ordering for two atoms is {|ee>, |eg>, |ge>, |gg>}; times and rates
-are dimensionless (units of the reference rate).
+are dimensionless: the CLI runs unit-rate coefficients on gamma * t.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     sums its Taylor terms until they fall below roundoff (by the 15th), and
     s_b squarings undo the scaling.  Every matrix keeps its own s_b and its
     own last term, so its result does not depend on the rest of the stack.
-    Non-finite in, non-finite out.
+    Non-finite in, or a squaring that overflows, gives non-finite out.
     """
     norm = _norm1(a)
     # s_b = ceil(log2(norm)) + 1 above 1/2, exactly: norm = mant * 2**expo, 1/2 <= mant < 1
@@ -283,8 +283,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     scaled = a / (2.0 ** squarings)[:, None, None]
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
     out = _taylor_sum(lambda term: term @ scaled, eye)
-    for done in range(squarings.max()):
-        np.copyto(out, out @ out, where=(squarings > done)[:, None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(squarings.max()):
+            np.copyto(out, out @ out, where=(squarings > done)[:, None, None])
     return out
 
 
@@ -391,13 +392,13 @@ def _min_eigenvalues(stack: np.ndarray, excitations: np.ndarray | None) -> np.nd
     return lo
 
 
-def recommended_timestep(coeffs: MasterEqCoefficients, gamma: float = 1.0) -> float:
-    """Default ``evolve_lindblad`` grid step: 1e-3 over the largest rate present."""
+def recommended_timestep(coeffs: MasterEqCoefficients) -> float:
+    """Default ``evolve_lindblad`` grid step: 1e-3 over the largest rate present or the unit rate 1."""
     fastest = max(
         float(np.sum(np.abs(coeffs.individual_decay))),
         coeffs.max_abs_exchange(),
         float(np.abs(coeffs.lamb_shifts).max()),
-        gamma,
+        1.0,
     )
     return 1e-3 / fastest
 

@@ -149,6 +149,18 @@ def test_theta_array_gives_rows_equal_to_single_theta_calls():
     assert np.array_equal(np.concatenate(halves, axis=1), grid)
 
 
+@pytest.mark.filterwarnings("error")
+def test_envelope_stays_finite_at_huge_gamma_t():
+    # the envelope exponent is one rate per theta, <= 0, times gamma t: nothing
+    # of order gamma t is left to cancel
+    thetas = np.linspace(0.0, 2 * math.pi, 41)
+    for gamma, times in ((1e305, [0.0, 1e-3, 1.0, 4.0]), (1.0, [0.0, 1.0, 1e300, 7e305])):
+        values = closed_form_concurrence_braided(thetas, gamma, times)
+        assert np.isfinite(values).all() and (values >= 0.0).all() and (values <= 1.0).all()
+    # lossless at theta = pi/2: |sin(2 gamma t)| at any gamma t
+    assert closed_form_concurrence_braided(math.pi / 2, 1e8, 1e-8) == pytest.approx(abs(math.sin(2.0)), abs=1e-12)
+
+
 def test_terms_of_a_theta_array_are_the_terms_of_each_theta():
     thetas = np.linspace(0.0, 2 * math.pi, 9)
     terms = concurrence_terms(thetas)

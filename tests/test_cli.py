@@ -243,17 +243,6 @@ def test_layout_rejects_theta_flags(tmp_path, capsys, command, flags, named):
     assert not out.exists()
 
 
-def test_layout_lindblad_evolve_keeps_gamma(tmp_path):
-    # --gamma still sets the recommended step of a Lindblad run with a layout
-    path = tmp_path / "layout.json"
-    path.write_text(layout_to_json(build_canonical(CanonicalConfig("braided", 1.0, math.pi / 2))))
-    out = tmp_path / "traj.csv"
-    assert main(["evolve", "--layout", str(path), "--method", "lindblad", "--gamma", "5",
-                 "--t-max", "0.5", "--out", str(out)]) == 0
-    _, _, data = read_table(out)
-    assert data[1, 0] == pytest.approx(1e-3 / 5)
-
-
 def test_sweep_nested_zero_column_at_pi(tmp_path):
     out = tmp_path / "nested.csv"
     assert main(["sweep", "--config", "nested", "--theta-min", str(math.pi),
@@ -455,6 +444,9 @@ def test_dt_grid_matches_multiples_of_dt(tmp_path):
     (["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad", "--dt", "1e-300",
       "--t-max", "1e300"], "--dt"),
     (["sweep", "--config", "braided", "--dt", "1e-300", "--t-max", "1e300"], "--dt"),
+    # the recommended Lindblad step is the unit-rate step over gamma
+    (["evolve", "--config", "nested", "--theta", "0.3", "--method", "lindblad", "--gamma", "1000"],
+     "error: --gamma and --t-max give 3.898e+07 time points"),
 ])
 def test_oversized_grid_exits_one(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -544,26 +536,28 @@ def test_format_kernel_leaves_uncertain_ties_to_format():
 
 
 def _per_row_bodies():
-    """(argv, columns, tuple rows) of three tables, rows built from the library records."""
-    coeffs = canonical_coefficients("nested", 0.8, 1.3)
+    """(argv, columns, tuple rows) of three tables at gamma 0.8, rows built from
+    the library records of the unit-rate coefficients at gamma * t."""
+    coeffs = canonical_coefficients("nested", 1.0, 1.3)
     c0 = dynamics.AmplitudeState(0.6 + 0.48j, -0.64j)
     source = ["--config", "nested", "--gamma", "0.8"]
-    amp = dynamics.amplitude_trajectory(c0, coeffs, np.linspace(0.0, 2.0, 9))
-    lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 0.5, 0.05)
+    times = np.linspace(0.0, 2.0, 9)
+    amp = dynamics.amplitude_trajectory(c0, coeffs, 0.8 * times)
+    lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 0.8 * 0.5, 0.8 * 0.05)
     initial = ["--theta", "1.3", "--c-eg", "0.6+0.48j", "--c-ge=-0.64j"]
     # the sweep's values: one amplitude trajectory per theta
-    thetas, times = np.linspace(0.2, 3.0, 4), np.linspace(0.0, 2.0, 9)
+    thetas = np.linspace(0.2, 3.0, 4)
     sweep = [(theta, t, c) for theta in thetas for t, c in zip(times, dynamics.amplitude_trajectory(
-        dynamics.AmplitudeState(1.0, 0.0), canonical_coefficients("nested", 0.8, theta), times).concurrence)]
+        dynamics.AmplitudeState(1.0, 0.0), canonical_coefficients("nested", 1.0, theta), 0.8 * times).concurrence)]
     return [
         (["evolve", *source, *initial, "--t-max", "2", "--t-steps", "9"],
          ["t", "re_ceg", "im_ceg", "re_cge", "im_cge", "concurrence"],
          [(t, s[0].real, s[0].imag, s[1].real, s[1].imag, c)
-          for t, s, c in zip(amp.times, amp.states, amp.concurrence)]),
+          for t, s, c in zip(times, amp.states, amp.concurrence)]),
         (["evolve", *source, *initial, "--method", "lindblad", "--t-max", "0.5", "--dt", "0.05"],
          ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"],
          [(t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real, c)
-          for t, rho, c in zip(lind.times, lind.states, lind.concurrence)]),
+          for t, rho, c in zip(lind.times / 0.8, lind.states, lind.concurrence)]),
         (["sweep", *source, "--theta-min", "0.2", "--theta-max", "3", "--theta-steps", "4",
           "--t-max", "2", "--t-steps", "9"], ["theta", "t", "concurrence"], sweep),
     ]
@@ -689,13 +683,80 @@ def test_overflowing_gamma_exits_one_naming_gamma(tmp_path, capsys, argv):
     ["evolve", "--config", "braided", "--theta", "0.3"],
     ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "3"],
     ["dfi-scan", "--config", "separate", "--grid", "100"],
-    ["verify-slh", "--config", "braided", "--theta", "0.3", "--tol", "1e300"],
+    ["verify-slh", "--config", "braided", "--theta", "0.3"],
 ], ids=["coeffs", "evolve", "sweep", "dfi-scan", "verify-slh"])
 def test_large_finite_gamma_runs(tmp_path, argv):
-    # 1e305 is below the --gamma bound: every coefficient stays finite
+    # 1e305 is below the --gamma bound: every coefficient stays finite, and
+    # verify-slh's --tol is relative to the point rate
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*argv, "--gamma", "1e305", "--out", str(tmp_path / "x.out")]) == 0
+
+
+_PI_HALF = "1.5707963267948966"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,code,message", [
+    (["verify-slh", "--config", "braided", "--theta", "0.3", "--gamma", "1e6"], 0, ""),
+    (["evolve", "--config", "braided", "--theta", "0.3", "--gamma", "1e307"], 1,
+     "error: --gamma x --t-max must be at most 7.022e+305"),
+    (["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "3", "--gamma", "1e307"], 1,
+     "error: --gamma x --t-max must be at most 7.022e+305"),
+    (["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "5", "--t-steps", "5",
+      "--gamma", "1e305"], 0, ""),
+    (["sweep", "--config", "braided", "--method", "lindblad", "--gamma", "1e50", "--theta-min", _PI_HALF,
+      "--theta-max", "1.6", "--theta-steps", "2", "--t-steps", "5"], 2, "numerical failure: "),
+    (["evolve", "--config", "braided", "--theta", _PI_HALF, "--method", "lindblad", "--gamma", "1e50",
+      "--dt", "1"], 2, "numerical failure: "),
+], ids=["verify-slh", "evolve", "sweep", "sweep-analytic", "sweep-lindblad", "evolve-lindblad"])
+def test_huge_gamma_ends_in_an_exit_code_without_warning(tmp_path, capsys, argv, code, message):
+    # a CSV written is finite; a failure names the flags, or the Lindblad
+    # propagator's overflow reaches the state checks
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    if code == 0 and argv[0] != "verify-slh":
+        _, _, data = read_table(out)
+        assert np.isfinite(data).all() and (data[:, -1] <= 1.0).all()
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "braided", "--theta", "0.3"],
+    ["evolve", "--config", "braided", "--theta", "0.3", "--method", "analytic"],
+    ["evolve", "--config", "nested", "--theta", "0.3", "--method", "lindblad", "--dt", "1"],
+    ["sweep", "--config", "nested", "--theta-steps", "3", "--t-steps", "3"],
+    ["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "3", "--t-steps", "3"],
+], ids=["evolve", "evolve-analytic", "evolve-lindblad", "sweep", "sweep-analytic"])
+def test_gamma_times_t_max_bound(tmp_path, capsys, argv):
+    # at the default t-max 4, gamma * 4 is the bound itself, and the next
+    # gamma up is above it
+    below = float(cli.MAX_GAMMA_T) / 4
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--gamma", repr(below), "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    assert np.isfinite(data).all() and (data[:, -1] <= 1.0).all()
+    out.unlink()
+    above = float(np.nextafter(below, math.inf))
+    assert main([*argv, "--gamma", repr(above), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --gamma x --t-max must be at most 7.022e+305, got {4 * above:g}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", [0.8, 1.7])
+def test_lindblad_evolve_runs_the_unit_rate_step_on_gamma_t(tmp_path, gamma):
+    # the recommended step, and with it the row count, does not depend on gamma
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "nested", "--theta", "0.3", "--method", "lindblad",
+                 "--gamma", repr(gamma), "--t-max", repr(0.5 / gamma), "--out", str(out)]) == 0
+    _, _, data = read_table(out)
+    coeffs = canonical_coefficients("nested", 1.0, 0.3)
+    record = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(dynamics.AmplitudeState(1.0, 0.0)),
+                                      coeffs, gamma * (0.5 / gamma), dynamics.recommended_timestep(coeffs))
+    assert np.array_equal(data[:, 0], record.times / gamma)
+    assert np.array_equal(data[:, -1], record.concurrence)
 
 
 @pytest.mark.parametrize("argv", [
@@ -779,8 +840,9 @@ def test_effective_sweep_matches_per_theta_trajectories(tmp_path, monkeypatch, k
     grid = read_table(out)[2].reshape(25, 40, 3)
     times = grid[0, :, 1]
     for row in grid:
+        # the sweep runs the unit-rate coefficients at gamma * t
         single = dynamics.amplitude_trajectory(dynamics.AmplitudeState(1.0, 0.0),
-                                               canonical_coefficients(kind, 0.9, row[0, 0]), times)
+                                               canonical_coefficients(kind, 1.0, row[0, 0]), 0.9 * times)
         assert np.array_equal(row[:, 2], single.concurrence)
 
 
@@ -842,10 +904,11 @@ def test_analytic_sweep_rows_equal_single_theta_calls(tmp_path):
     ["verify-slh"],
     ["evolve"],
     ["evolve", "--method", "lindblad", "--dt", "0.01"],
-], ids=["coeffs", "verify-slh", "evolve-effective", "evolve-lindblad-dt"])
+    ["evolve", "--method", "lindblad", "--t-max", "0.5"],
+], ids=["coeffs", "verify-slh", "evolve-effective", "evolve-lindblad-dt", "evolve-lindblad"])
 def test_layout_rejects_gamma_nothing_reads(tmp_path, capsys, argv):
-    # the layout file fixes every rate; --gamma only sets the recommended step
-    # of evolve --method lindblad (test_layout_lindblad_evolve_keeps_gamma)
+    # the layout file fixes every rate, and the recommended Lindblad step is
+    # 1e-3 over its fastest rate or the unit rate: nothing reads --gamma
     path = tmp_path / "layout.json"
     path.write_text(layout_to_json(build_canonical(CanonicalConfig("braided", 1.0, 0.7))))
     out = tmp_path / "x.out"
