@@ -22,7 +22,6 @@ from .dynamics import (
     TrajectoryRecord,
     amplitude_trajectory,
     concurrence_from_amplitudes,
-    effective_hamiltonian,
     evolve_amplitudes,
     evolve_lindblad,
     evolve_lindblad_many,
@@ -67,7 +66,6 @@ __all__ = [
     "concurrence_from_amplitudes",
     "concurrence_terms",
     "decay_amplitudes",
-    "effective_hamiltonian",
     "evolve_amplitudes",
     "evolve_lindblad",
     "evolve_lindblad_many",

@@ -64,9 +64,9 @@ _CSV_BLOCK_CELLS = 1 << 12
 #: propagates whole theta columns of at most this many cells (at least one
 #: column); ``--method analytic`` and ``effective`` evaluate blocks of at
 #: most this many cells, whole theta columns or one column's times split
-#: (``_sweep_blocks``).  A 400 x 400 Lindblad sweep peaks at 68.6 MB RSS
-#: with it, 66.0 MB with one theta at a time, 103 MB at 2**16 cells and
-#: 131 MB with the grid in one block (2-vCPU VM).
+#: (``_sweep_blocks``).  A 400 x 400 Lindblad sweep in a fresh process peaks
+#: at 42.4 MB RSS with it, 35.1 MB with one theta at a time, 64.8 MB at
+#: 2**16 cells and 102.5 MB with the grid in one block (2-vCPU VM).
 _SWEEP_BLOCK_ROWS = 1 << 14
 
 
@@ -490,12 +490,10 @@ def _initial_amplitudes(spec: RunSpec) -> dynamics.AmplitudeState:
 _COEFF_NAMES = ["domega_a", "domega_b", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll"]
 
 
-def _coeff_vector(coeffs) -> np.ndarray:
-    """The two-atom coefficients in ``_COEFF_NAMES`` order."""
-    return np.array([
-        coeffs.lamb_shifts[0], coeffs.lamb_shifts[1], coeffs.exchange[0, 1],
-        coeffs.individual_decay[0], coeffs.individual_decay[1], coeffs.collective_decay[0, 1],
-    ])
+def _coeff_columns(shift: np.ndarray, decay: np.ndarray) -> tuple:
+    """The two-atom coefficients in ``_COEFF_NAMES`` order from (..., 2, 2) shift and decay matrices."""
+    return (shift[..., 0, 0], shift[..., 1, 1], shift[..., 0, 1],
+            decay[..., 0, 0], decay[..., 1, 1], decay[..., 0, 1])
 
 
 def run_coeffs(spec: RunSpec) -> int:
@@ -506,12 +504,12 @@ def run_coeffs(spec: RunSpec) -> int:
     if kind == "config":
         thetas = _theta_grid(spec)
         shift, v = canonical_sums(source, spec.gamma, thetas)
-        cols = (thetas, shift[:, 0, 0], shift[:, 1, 1], shift[:, 0, 1],
-                2.0 * v[:, 0] ** 2, 2.0 * v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1])
+        cols = (thetas, *_coeff_columns(shift, 2.0 * v[:, :, None] * v[:, None, :]))
     else:
         if source.n_atoms != 2:
             raise SpecError("the coefficient table schema covers exactly two atoms")
-        cols = (math.nan, *_coeff_vector(general_coefficients(source)))
+        coeffs = general_coefficients(source)
+        cols = (math.nan, *_coeff_columns(coeffs.shift_matrix(), coeffs.decay_matrix()))
     _write_csv(spec.out, spec, ["theta", *_COEFF_NAMES], *cols)
     return 0
 
@@ -592,26 +590,26 @@ def _sweep_blocks(n_thetas: int, n_times: int):
 
 def _sweep_columns(config: Configuration, thetas: np.ndarray, times: np.ndarray, method: str) -> np.ndarray:
     """Concurrence over the theta x time grid, one row per theta, at unit
-    rate: ``times`` are gamma * t."""
+    rate: ``times`` are gamma * t.  Each block takes one ``canonical_sums``
+    call, which also checks theta for the closed form (it reads theta
+    alone); a Lindblad block is whole theta columns (at least one)."""
     values = np.empty((len(thetas), len(times)))
     initial = dynamics.AmplitudeState(1.0, 0.0)
-    if method == "lindblad":
-        rho0 = dynamics.density_from_amplitudes(initial)
-        per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
-        for start in range(0, len(thetas), per_block):
-            coeff_sets = [canonical_coefficients(config, 1.0, float(theta))
-                          for theta in thetas[start:start + per_block]]
-            # no name holds the records, so a block's states are freed before the next one
-            values[start:start + per_block] = [
-                record.concurrence for record in dynamics.evolve_lindblad_many(
-                    rho0, coeff_sets, t_max=float(times[-1]), dt=times[1] - times[0], store_every=1)]
-        return values
-    for rows, cols in _sweep_blocks(len(thetas), len(times)):
+    per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
+    blocks = ([(slice(first, first + per_block), slice(None)) for first in range(0, len(thetas), per_block)]
+              if method == "lindblad" else _sweep_blocks(len(thetas), len(times)))
+    for rows, cols in blocks:
+        shift, v = canonical_sums(config, 1.0, thetas[rows])
         if method == "analytic":
-            values[rows, cols] = analytic.closed_form_concurrence_braided(thetas[rows], 1.0, times[cols])
+            block = analytic.closed_form_concurrence_braided(thetas[rows], 1.0, times[cols])
+        elif method == "effective":
+            block = dynamics.amplitude_concurrences(initial, shift, v, times[cols])
         else:
-            values[rows, cols] = dynamics.amplitude_concurrences(
-                initial, *canonical_sums(config, 1.0, thetas[rows]), times[cols])
+            # no name holds the records, so a block's states are freed before the next one
+            block = [record.concurrence for record in dynamics.evolve_lindblad_many(
+                dynamics.density_from_amplitudes(initial), shift, 2.0 * v[:, :, None] * v[:, None, :],
+                t_max=float(times[-1]), dt=times[1] - times[0], store_every=1)]
+        values[rows, cols] = block
     return values
 
 
@@ -691,7 +689,8 @@ def run_verify_slh(spec: RunSpec) -> int:
     if layout.n_atoms == 2:
         for label, c in [*((f"{name}: ", ref) for name, ref in reference.items()),
                          ("slh:         ", extracted)]:
-            print(label + "  ".join(f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, _coeff_vector(c))))
+            values = _coeff_columns(c.shift_matrix(), c.decay_matrix())
+            print(label + "  ".join(f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, values)))
     print(f"max_abs_diff={max_diff:.17g} tol={tol:.17g}")
     within_tol = bool(max_diff <= tol * max(p.gamma for p in layout.all_points))
     if spec.out is not None:

@@ -62,13 +62,17 @@ class MasterEqCoefficients:
     collective_decay: np.ndarray
 
     def __post_init__(self):
-        m = len(self.lamb_shifts)
+        m = self.lamb_shifts.size
+        for name, shape in (("lamb_shifts", (m,)), ("individual_decay", (m,)),
+                            ("exchange", (m, m)), ("collective_decay", (m, m))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
         for name in ("exchange", "collective_decay"):
             mat = getattr(self, name)
-            if mat.shape != (m, m):
-                raise ValueError(f"{name} must be {m}x{m}, got {mat.shape}")
             if not (np.abs(mat - mat.T) <= 1e-12).all():
                 raise ValueError(f"{name} matrix must be symmetric")
+            if np.diagonal(mat).any():
+                raise ValueError(f"{name} must have a zero diagonal, got {np.diagonal(mat).tolist()}")
         for arr in (self.lamb_shifts, self.exchange, self.individual_decay, self.collective_decay):
             arr.setflags(write=False)
 
@@ -78,13 +82,13 @@ class MasterEqCoefficients:
 
     def max_abs_decay(self) -> float:
         """Largest |decay| over individual and collective entries."""
-        off = self.collective_decay[~np.eye(self.n_atoms, dtype=bool)]
-        ind = np.abs(self.individual_decay).max()
-        return float(max(ind, np.abs(off).max())) if off.size else float(ind)
+        return float(np.abs(self.decay_matrix()).max())
 
-    def max_abs_exchange(self) -> float:
-        off = self.exchange[~np.eye(self.n_atoms, dtype=bool)]
-        return float(np.abs(off).max()) if off.size else 0.0
+    def shift_matrix(self) -> np.ndarray:
+        """The M x M shift matrix (dw_j on the diagonal, g_jk off it)."""
+        mat = self.exchange.copy()
+        np.fill_diagonal(mat, self.lamb_shifts)
+        return mat
 
     def decay_matrix(self) -> np.ndarray:
         """The M x M decay matrix (G_j on the diagonal, Gc_jk off it).

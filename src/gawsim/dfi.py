@@ -72,7 +72,7 @@ def check_dfi(
     """True when all decays are closed and some exchange coupling survives."""
     if not (tol_decay > 0 and tol_exchange > 0):  # also rejects NaN
         raise ValueError("tolerances must be positive")
-    return coeffs.max_abs_decay() < tol_decay and coeffs.max_abs_exchange() > tol_exchange
+    return coeffs.max_abs_decay() < tol_decay and float(np.abs(coeffs.exchange).max()) > tol_exchange
 
 
 def _golden_section(objective, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -16,9 +16,9 @@ Two routes from coefficients to dynamics:
 
     The mirror makes G rank one (G = 2 v v^T), so mirror layouts have one
     jump term.  ``_operators`` is the one place that builds K and the jump
-    terms, for a stack of coefficient sets; the superoperators and the
-    operator form ``_apply_generator`` (behind ``lindblad_rhs`` and the
-    Taylor substeps) take them from there.
+    terms, from (B, M, M) stacks of shift and decay matrices; the
+    superoperators and the operator form ``_apply_generator`` (behind
+    ``lindblad_rhs`` and the Taylor substeps) take them from there.
 
     The generator does not depend on time.  K keeps the excitation number
     and every L_r lowers it, so rho never leaves the D basis states with at
@@ -44,8 +44,8 @@ Two routes from coefficients to dynamics:
     2x2 sectors in closed form, larger ones by ``eigvalsh``.  The blocks
     are then placed into 2**M x 2**M states whose other entries are
     exactly zero.  ``evolve_lindblad_many``
-    advances several coefficient sets from one rho0 together, so a
-    Lindblad sweep propagates a block of theta values at once.
+    advances a stack of (shift, decay) matrix pairs from one rho0 together,
+    so a Lindblad sweep propagates a block of theta values at once.
 
 2.  The single-excitation sector of two atoms, where removing the jump
     terms leaves a non-Hermitian 2x2 effective Hamiltonian acting on the
@@ -160,58 +160,53 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     _check_states(rho[None], 0)
 
 
-def _check_decay_physical(mats: np.ndarray, lam: np.ndarray) -> None:
-    """Raise at the first decay matrix with lam[:, 0] < -1e-9 * max(1, max|G|)."""
-    unphysical = lam[:, 0] < -1e-9 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+def _decay_channels(decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rates lam (B, R) and eigenvectors U (B, M, R) of each matrix of a
+    (B, M, M) decay-matrix stack.
+
+    Raises at the first matrix with lam_0 < -1e-9 * max(1, max|G|), the one
+    check of every dynamics path.  Eigenvalues at decomposition
+    round-off, |lam_r| <= M * eps * max|lam|, are dropped; the rest keep
+    their sign, so a tolerated small negative one stays exact.  The R
+    channels are those some matrix keeps, in ``eigh`` order; one that drops
+    one of them has rate 0 there, which adds nothing to its generator.
+    """
+    lam, vecs = np.linalg.eigh(decay)
+    unphysical = lam[:, 0] < -1e-9 * np.maximum(1.0, np.abs(decay).max(axis=(1, 2)))
     if unphysical.any():
         raise NumericalFailure(f"decay matrix eigenvalue {lam[unphysical][0, 0]:.3e} "
                                "is negative (unphysical)")
-
-
-def _decay_channels(coeff_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Rates lam (B, R) and eigenvectors U (B, M, R) of each set's decay matrix.
-
-    Raises through ``_check_decay_physical``.  Eigenvalues at decomposition
-    round-off, |lam_r| <= M * eps * max|lam|, are dropped; the rest keep
-    their sign, so a tolerated small negative one stays exact.  The R
-    channels are those some set keeps, in ``eigh`` order; a set that drops
-    one of them has rate 0 there, which adds nothing to its generator.
-    """
-    mats = np.array([c.decay_matrix() for c in coeff_sets])
-    lam, vecs = np.linalg.eigh(mats)
-    _check_decay_physical(mats, lam)
-    keep = np.abs(lam) > mats.shape[1] * _EPS * np.abs(lam).max(axis=1, keepdims=True)
+    keep = np.abs(lam) > decay.shape[1] * _EPS * np.abs(lam).max(axis=1, keepdims=True)
     used = keep.any(axis=0)
     return np.where(keep, lam, 0.0)[:, used], vecs[:, :, used]
 
 
-def _operators(coeff_sets, keep=None, channels=None):
-    """Drift K (B, D, D), rates lam (B, R) and jump operators L (B, R, D, D) of B sets.
+def _operators(shift: np.ndarray, decay: np.ndarray, keep=None, channels=None):
+    """Drift K (B, D, D), rates lam (B, R) and jump operators L (B, R, D, D)
+    of B generators, from (B, M, M) stacks of shift and decay matrices.
 
     drho/dt = K rho + rho K^dag + sum_r lam_r L_r rho L_r^dag with
     L_r = sum_j U_jr sm_j and K = -iH - (1/2) sum_r lam_r L_r^dag L_r, from
-    the eigendecomposition decay_matrix = U diag(lam) U^T.  Raises on an
-    unphysical decay matrix; ``channels`` passes ``_decay_channels(coeff_sets)``
-    when the caller already has it.  All sets must have the same M.
+    the eigendecomposition decay = U diag(lam) U^T.  Raises on an
+    unphysical decay matrix; ``channels`` passes ``_decay_channels(decay)``
+    when the caller already has it.
 
     ``keep`` (basis-state indices, all by default) restricts the lowering
-    operators, which every set shares, before any product is formed.  That
-    is exact when sm_j maps the kept states into themselves, as it does for
-    the states with at most n excitations.  H = sum_k sp_k (sum_j C_jk sm_j),
-    with C the exchange matrix carrying the Lamb shifts on its diagonal,
-    takes M products.
+    operators, which every generator shares, before any product is formed.
+    That is exact when sm_j maps the kept states into themselves, as it
+    does for the states with at most n excitations.
+    H = sum_k sp_k (sum_j C_jk sm_j), with C the shift matrix (Lamb shifts
+    on its diagonal, exchange off it), takes M products.
     """
-    m = coeff_sets[0].n_atoms
-    lam, vecs = _decay_channels(coeff_sets) if channels is None else channels
+    n, m = shift.shape[:2]
+    lam, vecs = _decay_channels(decay) if channels is None else channels
     lowering = np.array([slh.sigma_minus(j, m) for j in range(m)])
     if keep is not None:
         lowering = lowering[:, keep][:, :, keep]
-    n, dim = len(coeff_sets), lowering.shape[1]
+    dim = lowering.shape[1]
     flat = lowering.reshape(m, dim * dim)
-    couplings = np.array([c.exchange for c in coeff_sets])
-    couplings[:, np.arange(m), np.arange(m)] = [c.lamb_shifts for c in coeff_sets]
-    # mixed[:, k] = sum_j C_jk sm_j; the sum over k is one (D, M D) @ (M D, D) product per set
-    mixed = (couplings.swapaxes(1, 2) @ flat).reshape(n, m * dim, dim)
+    # mixed[:, k] = sum_j C_jk sm_j; the sum over k is one (D, M D) @ (M D, D) product per generator
+    mixed = (shift.swapaxes(1, 2) @ flat).reshape(n, m * dim, dim)
     raising = lowering.conj().swapaxes(1, 2)
     k_op = -1j * (raising.swapaxes(0, 1).reshape(dim, m * dim) @ mixed)
     jumps = (vecs.swapaxes(1, 2) @ flat).reshape(n, -1, dim, dim)
@@ -237,7 +232,7 @@ def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
     Trace of the result is zero up to roundoff.  Raises on an unphysical
     decay matrix (negative eigenvalue beyond tolerance).
     """
-    ops = _operators([coeffs])
+    ops = _operators(coeffs.shift_matrix()[None], coeffs.decay_matrix()[None])
     m = coeffs.n_atoms
     if rho.shape != (2 ** m, 2 ** m):
         raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
@@ -394,13 +389,8 @@ def _min_eigenvalues(stack: np.ndarray, excitations: np.ndarray | None) -> np.nd
 
 def recommended_timestep(coeffs: MasterEqCoefficients) -> float:
     """Default ``evolve_lindblad`` grid step: 1e-3 over the largest rate present or the unit rate 1."""
-    fastest = max(
-        float(np.sum(np.abs(coeffs.individual_decay))),
-        coeffs.max_abs_exchange(),
-        float(np.abs(coeffs.lamb_shifts).max()),
-        1.0,
-    )
-    return 1e-3 / fastest
+    rates = np.abs(coeffs.individual_decay).sum(), np.abs(coeffs.shift_matrix()).max(), 1.0
+    return 1e-3 / float(max(rates))
 
 
 def evolve_lindblad(
@@ -419,7 +409,7 @@ def evolve_lindblad(
     of the generator when D <= ``_SUPEROP_DIM_CAP`` = 8, by its Taylor
     action on rho above, so ``dt`` only spaces the rows.  The 2**M x 2**M
     states are exactly zero outside the D states.  This is
-    ``evolve_lindblad_many`` with one set.
+    ``evolve_lindblad_many`` with the shift and decay matrices of ``coeffs``.
 
     Parameters
     ----------
@@ -443,27 +433,25 @@ def evolve_lindblad(
     TrajectoryRecord
         Stored density matrices and (for two atoms) Wootters concurrence.
     """
-    return evolve_lindblad_many(rho0, [coeffs], t_max, dt, store_every)[0]
+    return evolve_lindblad_many(rho0, coeffs.shift_matrix()[None], coeffs.decay_matrix()[None],
+                                t_max, dt, store_every)[0]
 
 
-def evolve_lindblad_many(
-    rho0: np.ndarray,
-    coeff_sets,
-    t_max: float,
-    dt: float,
-    store_every: int | None = None,
-) -> list[TrajectoryRecord]:
-    """``evolve_lindblad`` from one rho0 under each of several coefficient sets.
+def evolve_lindblad_many(rho0: np.ndarray, shift: np.ndarray, decay: np.ndarray, t_max: float, dt: float,
+                         store_every: int | None = None) -> list[TrajectoryRecord]:
+    """``evolve_lindblad`` from one rho0 under each of B generators.
 
-    Takes the arguments of ``evolve_lindblad``, with a sequence of
-    coefficient sets of one atom count in place of one set, and returns one
-    record per set; the validation, the checks and the first failure raised
-    are those of calling ``evolve_lindblad`` on each set in turn.  The B
-    sets advance together on the kept blocks: up to D = 8 by one ``_expm``
-    of the (B, D**2, D**2) superoperator stack per distinct stored gap and
-    one matrix product per interval, above by ``_taylor_steps``.  One check
-    and one concurrence pass run over the set-major stack of stored states,
-    and the records' states are views into one (B, T, d, d) array.
+    Takes the arguments of ``evolve_lindblad``, with (B, M, M) stacks of
+    shift matrices (Lamb shifts on the diagonal, exchange off it) and of
+    decay matrices in place of one coefficient set, and returns one record
+    per generator; the validation, the checks and the first failure raised
+    are those of calling ``evolve_lindblad`` on each pair in turn.  The B
+    generators advance together on the kept blocks: up to D = 8 by one
+    ``_expm`` of the (B, D**2, D**2) superoperator stack per distinct
+    stored gap and one matrix product per interval, above by
+    ``_taylor_steps``.  One check and one concurrence pass run over the
+    generator-major stack of stored states, and the records' states are
+    views into one (B, T, d, d) array.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -471,13 +459,12 @@ def evolve_lindblad_many(
         raise ValueError("t_max must be nonnegative")
     if not (math.isfinite(t_max) and math.isfinite(dt)):
         raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
-    coeff_sets = list(coeff_sets)
-    if not coeff_sets:
-        raise ValueError("need at least one coefficient set")
-    m = coeff_sets[0].n_atoms
-    if any(c.n_atoms != m for c in coeff_sets):
-        raise ValueError("all coefficient sets must have the same number of atoms")
-    channels = _decay_channels(coeff_sets)
+    if not (shift.ndim == 3 and len(shift) and shift.shape[1] == shift.shape[2]
+            and shift.shape == decay.shape):
+        raise ValueError(f"shift and decay must be (B, M, M) stacks of one shape with B >= 1, "
+                         f"got {shift.shape} and {decay.shape}")
+    m = shift.shape[1]
+    channels = _decay_channels(decay)
     validate_density_matrix(rho0)
     if m > MAX_ATOMS_DENSE:
         raise ValueError(f"density-matrix evolution accepts at most {MAX_ATOMS_DENSE} atoms, got {m}")
@@ -505,8 +492,8 @@ def evolve_lindblad_many(
     steps = np.arange(0, n_steps + 1, store_every)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
-    n_sets, d = len(coeff_sets), len(keep)
-    ops = _operators(coeff_sets, keep, channels)
+    n_sets, d = len(shift), len(keep)
+    ops = _operators(shift, decay, keep, channels)
     gaps = np.diff(steps).tolist()
     vecs = np.empty((len(steps), n_sets, d * d, 1), dtype=complex)
     vecs[0] = rho0[np.ix_(keep, keep)].reshape(-1, 1)
@@ -519,7 +506,7 @@ def evolve_lindblad_many(
     else:
         _taylor_steps(vecs.reshape(len(steps), n_sets, d, d), ops, dt, gaps, t_max)
     blocks = vecs.reshape(len(steps), n_sets, d, d).swapaxes(0, 1)
-    # set-major, so the first failure is the one set-by-set calls raise;
+    # generator-major, so the first failure is the one calls pair by pair raise;
     # the entries outside the block are exactly 0: they add nothing to
     # the trace or the Hermiticity residue, and 0 >= EIG_FLOOR
     _check_states(blocks[:, 1:], steps[1:], excitations[keep])
@@ -559,21 +546,11 @@ def _taylor_steps(rows: np.ndarray, ops, dt: float, gaps, t_max: float) -> None:
         rows[i + 1] = rho
 
 
-def effective_hamiltonian(coeffs: MasterEqCoefficients) -> np.ndarray:
-    """Non-Hermitian 2x2 generator on the {|eg>, |ge>} block.
-
-    Diagonal dw_j - i G_j / 2, off-diagonal g - i Gc / 2.  Dropping the
-    jump terms is exact for concurrence as long as the |ee> population
-    stays zero.
-    """
-    if coeffs.n_atoms != 2:
-        raise ValueError("effective Hamiltonian is defined for exactly two atoms")
-    return _effective_hamiltonians(np.diag(coeffs.lamb_shifts) + coeffs.exchange, coeffs.decay_matrix())
-
-
 def _effective_hamiltonians(shift: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """H_eff = shift - (i/2) decay for stacks (..., 2, 2) of the shift matrix
-    (Lamb shifts on the diagonal, exchange off it) and the decay matrix."""
+    (Lamb shifts on the diagonal, exchange off it) and the decay matrix: the
+    non-Hermitian generator on the {|eg>, |ge>} block.  Dropping the jump
+    terms is exact for concurrence as long as the |ee> population stays zero."""
     return shift - 0.5j * decay
 
 
@@ -657,8 +634,11 @@ def amplitude_trajectory(
     """
     times = _checked_amplitude_inputs(initial, times)
     decay = coeffs.decay_matrix()[None]
-    _check_decay_physical(decay, np.linalg.eigvalsh(decay))
-    states = _amplitude_solution(initial, effective_hamiltonian(coeffs)[None], times)[0]
+    _decay_channels(decay)  # the decay-matrix check of the Lindblad path
+    if coeffs.n_atoms != 2:
+        raise ValueError("effective Hamiltonian is defined for exactly two atoms")
+    h = _effective_hamiltonians(coeffs.shift_matrix()[None], decay)
+    states = _amplitude_solution(initial, h, times)[0]
     return TrajectoryRecord(times, states, _pair_concurrence(states), kind="amplitudes")
 
 

@@ -209,6 +209,19 @@ def build_custom(atoms) -> WaveguideLayout:
     return WaveguideLayout(tuple(atoms))
 
 
+def _json_number(obj: dict, key: str, where: str, kind=float):
+    """obj[key] as ``kind`` once it is a JSON integer (int) or number (float),
+    not a boolean; else ``LayoutError`` naming the field."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "integer" if kind is int else "number"
+        raise LayoutError(f"layout JSON {where}.{key} must be a JSON {noun}, got {json.dumps(value)}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise LayoutError(f"layout JSON {where}.{key} is too large for a float") from None
+
+
 def layout_from_json(text: str) -> WaveguideLayout:
     """Parse a layout from its JSON representation.
 
@@ -218,22 +231,27 @@ def layout_from_json(text: str) -> WaveguideLayout:
                     "points": [{"phi": 0.5, "gamma": 1.0}, ...]}, ...]}
 
     Phases are in radians, rates in units of the reference rate; ``omega``
-    is optional and defaults to 0.
+    is optional and defaults to 0.  Any other JSON type of a field raises
+    ``LayoutError`` naming it.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise LayoutError(f"invalid layout JSON: {exc}") from exc
     if not isinstance(doc, dict) or "atoms" not in doc:
         raise LayoutError('layout JSON must be an object with an "atoms" array')
+    if not isinstance(doc["atoms"], list):
+        raise LayoutError(f"layout JSON atoms must be an array, got {json.dumps(doc['atoms'])}")
     atoms = []
-    for entry in doc["atoms"]:
+    for i, entry in enumerate(doc["atoms"]):
+        where = f"atoms[{i}]"
         try:
-            atom_id = int(entry["id"])
-            omega = float(entry.get("omega", 0.0))
+            atom_id = _json_number(entry, "id", where, int)
+            omega = _json_number(entry, "omega", where) if "omega" in entry else 0.0
             pts = tuple(
-                ConnectionPoint(atom_id, float(p["phi"]), float(p["gamma"]))
-                for p in entry["points"]
+                ConnectionPoint(atom_id, _json_number(p, "phi", f"{where}.points[{n}]"),
+                                _json_number(p, "gamma", f"{where}.points[{n}]"))
+                for n, p in enumerate(entry["points"])
             )
         except (KeyError, TypeError) as exc:
             raise LayoutError(f"malformed atom entry in layout JSON: {entry!r}") from exc

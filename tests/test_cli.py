@@ -403,6 +403,31 @@ def test_coeffs_layout_non_finite_value_exits_one(tmp_path, capsys, field, name,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("atoms,message", [
+    ("5", "atoms must be an array, got 5"),
+    ("null", "atoms must be an array, got null"),
+    ('[{"id": "x", "points": [{"phi": 0.5, "gamma": 1.0}]}]', 'atoms[0].id must be a JSON integer, got "x"'),
+    ('[{"id": 0.7, "points": [{"phi": 0.5, "gamma": 1.0}]}]', "atoms[0].id must be a JSON integer, got 0.7"),
+    ('[{"id": false, "points": [{"phi": 0.5, "gamma": 1.0}]}]', "atoms[0].id must be a JSON integer, got false"),
+    ('[{"id": 0, "omega": "abc", "points": [{"phi": 0.5, "gamma": 1.0}]}]',
+     'atoms[0].omega must be a JSON number, got "abc"'),
+    ('[{"id": 0, "points": [{"phi": 0.5, "gamma": 1.0}, {"phi": "0.5", "gamma": 1.0}]}]',
+     'atoms[0].points[1].phi must be a JSON number, got "0.5"'),
+    ('[{"id": 0, "points": [{"phi": 0.5, "gamma": true}]}]',
+     "atoms[0].points[0].gamma must be a JSON number, got true"),
+    ('[{"id": 0, "points": [{"phi": 1%s, "gamma": 1.0}]}]' % ("0" * 400),
+     "atoms[0].points[0].phi is too large for a float"),
+], ids=["atoms-number", "atoms-null", "id-string", "id-fraction", "id-bool", "omega-string", "phi-string",
+        "gamma-bool", "phi-huge-integer"])
+def test_layout_json_type_errors_exit_one_naming_the_field(tmp_path, capsys, atoms, message):
+    layout = tmp_path / "layout.json"
+    layout.write_text('{"atoms": %s}' % atoms)
+    out = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--layout", str(layout), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: layout JSON {message}\n"
+    assert not out.exists()
+
+
 def test_evolve_lindblad_step_budget_exits_one(tmp_path, capsys):
     out = tmp_path / "x.csv"
     argv = ["evolve", "--config", "braided", "--theta", "0", "--method", "lindblad",
@@ -763,7 +788,12 @@ def test_lindblad_evolve_runs_the_unit_rate_step_on_gamma_t(tmp_path, gamma):
     ["evolve", "--config", "braided", "--theta", "1e308"],
     ["coeffs", "--config", "braided", "--theta-max", "1.7e308"],
     ["sweep", "--config", "braided", "--theta-max", "1.7e308", "--theta-steps", "3", "--t-steps", "3"],
-], ids=["evolve", "coeffs", "sweep"])
+    # the closed form reads theta alone; the sweep's canonical sums check it
+    ["sweep", "--config", "braided", "--method", "analytic", "--theta-max", "1e308", "--theta-steps", "3",
+     "--t-steps", "3"],
+    ["sweep", "--config", "braided", "--method", "lindblad", "--theta-max", "1e308", "--theta-steps", "3",
+     "--t-steps", "3"],
+], ids=["evolve", "coeffs", "sweep", "sweep-analytic", "sweep-lindblad"])
 def test_overflowing_theta_exits_one_naming_theta(tmp_path, capsys, argv):
     out = tmp_path / "x.out"
     with warnings.catch_warnings():
@@ -873,7 +903,9 @@ def test_coeffs_rows_are_the_text_of_single_theta_coefficients(tmp_path, kind):
     for gamma in ("0.8", "1.7"):
         for row in _coeffs_rows(tmp_path, kind, gamma, "--theta-steps", "1000"):
             coeffs = canonical_coefficients(kind, float(gamma), float(row[0]))
-            assert row[1:] == [format(v, ".17g") for v in cli._coeff_vector(coeffs).tolist()], (gamma, row[0])
+            values = [coeffs.lamb_shifts[0], coeffs.lamb_shifts[1], coeffs.exchange[0, 1],
+                      coeffs.individual_decay[0], coeffs.individual_decay[1], coeffs.collective_decay[0, 1]]
+            assert row[1:] == [format(v, ".17g") for v in values], (gamma, row[0])
 
 
 @pytest.mark.parametrize("kind", ["braided", "separate", "nested"])
@@ -931,14 +963,43 @@ def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block
     calls = []
     many = dynamics.evolve_lindblad_many
 
-    def counted(rho0, sets, *args, **kwargs):
-        calls.append(len(sets))
-        return many(rho0, sets, *args, **kwargs)
+    def counted(rho0, shift, decay, *args, **kwargs):
+        calls.append(len(shift))
+        return many(rho0, shift, decay, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "evolve_lindblad_many", counted)
     out = tmp_path / "blocked.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert calls == {"theta": [1] * 9, 7: [2, 2, 2, 2, 1], "grid": [9]}[block_rows]
+    assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [4, 22])
+@pytest.mark.parametrize("method", ["analytic", "effective", "lindblad"])
+def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, method, block_rows):
+    # 3 theta x 11 t: at 4 cells a block an amplitude or closed-form block is
+    # one theta over at most 4 times and a Lindblad block one whole theta
+    # column; at 22 cells every method takes two columns, then one
+    argv = ["sweep", "--config", "braided", "--method", method, "--theta-steps", "3", "--t-steps", "11"]
+    reference = tmp_path / "reference.csv"
+    assert main([*argv, "--out", str(reference)]) == 0
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
+    calls = []
+    sums = cli.canonical_sums
+
+    def counted(kind, gamma, theta):
+        calls.append(len(theta))
+        return sums(kind, gamma, theta)
+
+    def never(*args):
+        raise AssertionError("a sweep built a coefficient set")
+
+    monkeypatch.setattr(cli, "canonical_sums", counted)
+    monkeypatch.setattr(cli, "canonical_coefficients", never)
+    out = tmp_path / "blocked.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    split = [1] * 3 if method == "lindblad" else [1] * 9
+    assert calls == {4: split, 22: [2, 1]}[block_rows]
     assert out.read_bytes() == reference.read_bytes()
 
 

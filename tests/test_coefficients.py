@@ -294,6 +294,36 @@ def test_symmetry_check_rejects_asymmetric_and_nan(bad, field):
     MasterEqCoefficients(**args)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("lamb_shifts", np.zeros((2, 1)), r"^lamb_shifts must have shape \(2,\), got \(2, 1\)$"),
+    ("lamb_shifts", np.array(0.0), r"^lamb_shifts must have shape \(1,\), got \(\)$"),
+    ("individual_decay", np.array([1.0]), r"^individual_decay must have shape \(2,\), got \(1,\)$"),
+    ("individual_decay", np.ones(3), r"^individual_decay must have shape \(2,\), got \(3,\)$"),
+    ("exchange", np.array([[3.0, 0.5], [0.5, 0.0]]), r"^exchange must have a zero diagonal, got \[3\.0, 0\.0\]$"),
+    ("collective_decay", np.array([[0.0, 0.5], [0.5, -1e-300]]),
+     r"^collective_decay must have a zero diagonal, got \[0\.0, -1e-300\]$"),
+], ids=["lamb-2d", "lamb-0d", "decay-short", "decay-long", "exchange-diagonal", "collective-diagonal"])
+def test_coefficient_set_rejects_misshapen_vectors_and_nonzero_diagonals(field, value, message):
+    # a short decay vector used to be repeated onto the diagonal, and a diagonal
+    # entry was dropped (collective) or read differently by the two dynamics paths
+    args = {"lamb_shifts": np.zeros(2), "exchange": np.zeros((2, 2)),
+            "individual_decay": np.zeros(2), "collective_decay": np.zeros((2, 2))}
+    args[field] = value
+    with pytest.raises(ValueError, match=message):
+        MasterEqCoefficients(**args)
+
+
+@pytest.mark.parametrize("kind", CONFIGS)
+def test_coefficient_matrices_are_the_canonical_sums(kind):
+    # the shift and decay matrices of a coefficient set are the kernel's
+    # (shift, 2 v v^T) bit for bit, so the Lindblad sweep may take either
+    for theta in (0.0, 0.3, math.pi / 4, 2.1, -0.7):
+        coeffs = canonical_coefficients(kind, 0.8, theta)
+        shift, v = canonical_sums(kind, 0.8, np.array([theta]))
+        assert np.array_equal(coeffs.shift_matrix(), shift[0])
+        assert np.array_equal(coeffs.decay_matrix(), (2.0 * v[:, :, None] * v[:, None, :])[0])
+
+
 def test_kernel_rejects_overflowing_rates():
     # the unit-rate sums stay finite, but scaled by gamma the shifts and 2 v v^T overflow
     with warnings.catch_warnings():

@@ -21,7 +21,6 @@ from gawsim.dynamics import (
     amplitude_trajectory,
     concurrence_from_amplitudes,
     density_from_amplitudes,
-    effective_hamiltonian,
     evolve_amplitudes,
     evolve_lindblad,
     lindblad_rhs,
@@ -42,6 +41,16 @@ def zero_coeffs():
     z = np.zeros(2)
     m = np.zeros((2, 2))
     return MasterEqCoefficients(z, m, z.copy(), m.copy())
+
+
+def effective_hamiltonian(coeffs):
+    """H_eff of one coefficient set."""
+    return dyn._effective_hamiltonians(coeffs.shift_matrix(), coeffs.decay_matrix())
+
+
+def _stacks(sets):
+    """(B, M, M) shift and decay stacks of B coefficient sets."""
+    return np.array([c.shift_matrix() for c in sets]), np.array([c.decay_matrix() for c in sets])
 
 
 # ---------------------------------------------------------------- effective
@@ -394,7 +403,7 @@ def test_rho0_invariants_rejected_by_name(make, message):
     with pytest.raises(NumericalFailure, match=message):
         evolve_lindblad(rho0, sets[0], 0.1, 1e-3)
     with pytest.raises(NumericalFailure, match=message):
-        dyn.evolve_lindblad_many(rho0, sets, 0.1, 1e-3)
+        dyn.evolve_lindblad_many(rho0, *_stacks(sets), 0.1, 1e-3)
 
 
 @pytest.mark.filterwarnings("error")
@@ -487,7 +496,7 @@ def test_rhs_matches_pairwise_oracle_on_mirror_layouts(m):
     rng = np.random.default_rng(100 + m)
     for _ in range(3):
         coeffs = _mirror_coeffs(rng, m)
-        assert dyn._operators([coeffs])[2].shape[1] == 1  # rank-one decay: one jump term
+        assert dyn._operators(*_stacks([coeffs]))[2].shape[1] == 1  # rank-one decay: one jump term
         rho = _mixed_state(rng, 2 ** m)
         np.testing.assert_allclose(
             lindblad_rhs(rho, coeffs), pairwise_lindblad_rhs(rho, coeffs), atol=1e-12, rtol=0
@@ -498,7 +507,7 @@ def test_rhs_matches_pairwise_oracle_full_rank_decay():
     rng = np.random.default_rng(21)
     b = rng.normal(size=(3, 3))
     coeffs = _coeffs_with_decay(rng, b @ b.T)
-    assert dyn._operators([coeffs])[2].shape[1] == 3
+    assert dyn._operators(*_stacks([coeffs]))[2].shape[1] == 3
     for _ in range(3):
         rho = _mixed_state(rng, 8)
         np.testing.assert_allclose(
@@ -511,7 +520,7 @@ def test_rhs_keeps_tolerated_negative_decay_eigenvalue():
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     decay = u @ np.diag([2.0, 1.0, -5e-10]) @ u.T
     coeffs = _coeffs_with_decay(rng, 0.5 * (decay + decay.T))
-    lams = sorted(dyn._operators([coeffs])[1][0])
+    lams = sorted(dyn._operators(*_stacks([coeffs]))[1][0])
     assert lams[0] == pytest.approx(-5e-10, rel=1e-5)
     rho = _mixed_state(rng, 8)
     np.testing.assert_allclose(
@@ -1055,7 +1064,7 @@ def test_many_sets_match_one_call_per_set(config):
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[1:, 1:] = _mixed_state(np.random.default_rng(90), 3)
     for start in (rho_eg(), rho0):
-        batch = dyn.evolve_lindblad_many(start, sets, t_max=2.0, dt=0.01, store_every=3)
+        batch = dyn.evolve_lindblad_many(start, *_stacks(sets), t_max=2.0, dt=0.01, store_every=3)
         assert len(batch) == len(sets)
         for coeffs, record in zip(sets, batch):
             single = evolve_lindblad(start, coeffs, t_max=2.0, dt=0.01, store_every=3)
@@ -1071,13 +1080,13 @@ def test_many_sets_match_one_call_per_set_at_three_atoms(monkeypatch, cap):
     rng = np.random.default_rng(92)
     sets = [_mirror_coeffs(rng, 3), _coeffs_with_decay(rng, _random_psd(rng, 3)), _mirror_coeffs(rng, 3)]
     # the rank-one sets have rate 0 in two of the full-rank set's three channels
-    rates = dyn._decay_channels(sets)[0]
+    rates = dyn._decay_channels(_stacks(sets)[1])[0]
     assert rates.shape == (3, 3) and (rates[[0, 2]] == 0).sum() == 4 and rates[1].all()
     # over a stored gap of 0.05 the Taylor action takes two substeps for the
     # full-rank set and one for the others, which then take substeps of 0
-    assert np.ceil(0.05 * dyn._generator_rates(*dyn._operators(sets))).tolist() == [1, 2, 1]
+    assert np.ceil(0.05 * dyn._generator_rates(*dyn._operators(*_stacks(sets)))).tolist() == [1, 2, 1]
     rho0 = _mixed_state(rng, 8)
-    batch = dyn.evolve_lindblad_many(rho0, sets, t_max=0.2, dt=2e-3, store_every=25)
+    batch = dyn.evolve_lindblad_many(rho0, *_stacks(sets), t_max=0.2, dt=2e-3, store_every=25)
     for coeffs, record in zip(sets, batch):
         single = evolve_lindblad(rho0, coeffs, t_max=0.2, dt=2e-3, store_every=25)
         assert record.concurrence is None
@@ -1099,7 +1108,7 @@ def test_many_sets_raise_the_failure_of_the_first_failing_set(monkeypatch):
         messages.append(str(exc.value))
     assert messages[0].endswith("at step 9") and messages[1].endswith("at step 1")
     with pytest.raises(NumericalFailure) as exc:
-        dyn.evolve_lindblad_many(rho0, sets, t_max=1.0, dt=0.05, store_every=1)
+        dyn.evolve_lindblad_many(rho0, *_stacks(sets), t_max=1.0, dt=0.05, store_every=1)
     assert str(exc.value) == messages[0]
 
 
@@ -1110,15 +1119,19 @@ def test_many_sets_report_the_first_unphysical_decay_matrix():
 
     sets = [closed_form_braided(1.0, 0.5), with_negative_eigenvalue(-1.0), with_negative_eigenvalue(-2.0)]
     with pytest.raises(NumericalFailure, match=r"eigenvalue -1\.000e\+00 is negative"):
-        dyn.evolve_lindblad_many(rho_eg(), sets, t_max=0.1, dt=0.01)
+        dyn.evolve_lindblad_many(rho_eg(), *_stacks(sets), t_max=0.1, dt=0.01)
 
 
 def test_many_sets_need_sets_of_one_atom_count():
-    with pytest.raises(ValueError, match="at least one coefficient set"):
-        dyn.evolve_lindblad_many(rho_eg(), [], t_max=0.1, dt=0.01)
-    three = _mirror_coeffs(np.random.default_rng(93), 3)
-    with pytest.raises(ValueError, match="same number of atoms"):
-        dyn.evolve_lindblad_many(rho_eg(), [closed_form_braided(1.0, 0.5), three], t_max=0.1, dt=0.01)
+    two = _stacks([closed_form_braided(1.0, 0.5)])
+    three = _stacks([_mirror_coeffs(np.random.default_rng(93), 3)])
+    message = r"shift and decay must be \(B, M, M\) stacks of one shape with B >= 1, got "
+    for shift, decay, shapes in [(two[0][:0], two[1][:0], r"\(0, 2, 2\) and \(0, 2, 2\)"),
+                                 (two[0], three[1], r"\(1, 2, 2\) and \(1, 3, 3\)"),
+                                 (two[0][0], two[1][0], r"\(2, 2\) and \(2, 2\)"),
+                                 (two[0][:, :1], two[1][:, :1], r"\(1, 1, 2\) and \(1, 1, 2\)")]:
+        with pytest.raises(ValueError, match=message + shapes + "$"):
+            dyn.evolve_lindblad_many(rho_eg(), shift, decay, t_max=0.1, dt=0.01)
 
 
 @pytest.mark.parametrize("cap", [16, 1])

@@ -128,6 +128,9 @@ def test_json_malformed_rejected():
         layout_from_json("not json")
     with pytest.raises(LayoutError):
         layout_from_json('{"atoms": [{"id": 0}]}')
+    # an integer literal past Python's digit limit fails in the parser
+    with pytest.raises(LayoutError, match="^invalid layout JSON: Exceeds the limit"):
+        layout_from_json('{"atoms": [{"id": 1%s}]}' % ("0" * 5000))
 
 
 _NON_FINITE = ("NaN", "Infinity", "-Infinity")
