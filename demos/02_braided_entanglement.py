@@ -41,7 +41,7 @@ def run_theta(theta, label, marks):
     times = record.times[1:]
     lind = record.concurrence[1:]
     amp = amplitude_trajectory(EG, coeffs, times).concurrence
-    closed = closed_form_concurrence_braided(theta, 1.0, times)
+    closed = closed_form_concurrence_braided(theta, times)
     print(f"\ntheta = {label}")
     print(f"{'gamma*t':>8} {'C (master eq)':>14} {'C (amplitudes)':>15} {'C (closed)':>11}")
     for mark in marks:

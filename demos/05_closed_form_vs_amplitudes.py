@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Closed-form braided concurrence against the exact amplitude evolution.
 
-The closed form packs the whole time dependence into a handful of
-phase-dependent radicals and exponentials; the amplitude path solves the
+The closed form packs the whole time dependence into one phase-dependent
+radical, two polynomials and a few exponentials; the amplitude path solves the
 2x2 non-Hermitian generator exactly.  They agree to near machine precision
 over the full (theta, t) plane, including the two textbook reductions
 
@@ -32,7 +32,7 @@ def main():
     for theta in thetas:
         coeffs = canonical_coefficients("braided", 1.0, float(theta))
         amplitudes = amplitude_trajectory(EG, coeffs, times).concurrence
-        closed = closed_form_concurrence_braided(float(theta), 1.0, times)
+        closed = closed_form_concurrence_braided(float(theta), times)
         err = float(np.abs(amplitudes - closed).max())
         if err > worst:
             worst, worst_theta = err, float(theta)
@@ -44,10 +44,10 @@ def main():
 
     print("\nreduction checks")
     for gt in (0.1, 0.25, 1.0):
-        c0 = closed_form_concurrence_braided(0.0, 1.0, gt)
+        c0 = closed_form_concurrence_braided(0.0, gt)
         print(f"  theta=0,    gamma*t={gt:<5} closed={c0:.10f}  target={(1 - np.exp(-16 * gt)) / 2:.10f}")
     for gt in (0.3, np.pi / 4, 1.2):
-        c1 = closed_form_concurrence_braided(np.pi / 2, 1.0, gt)
+        c1 = closed_form_concurrence_braided(np.pi / 2, gt)
         print(f"  theta=pi/2, gamma*t={gt:<17} closed={c1:.10f}  target={abs(np.sin(2 * gt)):.10f}")
 
 

@@ -13,7 +13,6 @@ from .analytic import ConcurrenceTerms, closed_form_concurrence_braided, concurr
 from .coefficients import (
     MasterEqCoefficients,
     canonical_coefficients,
-    decay_amplitudes,
     general_coefficients,
 )
 from .dfi import DfiReport, check_dfi, scan_dfi
@@ -25,7 +24,6 @@ from .dynamics import (
     evolve_amplitudes,
     evolve_lindblad,
     evolve_lindblad_many,
-    lindblad_rhs,
     wootters_concurrence,
 )
 from .errors import LayoutError, NumericalFailure
@@ -40,7 +38,7 @@ from .model import (
     layout_from_json,
     layout_to_json,
 )
-from .slh import SLHTriplet, build_network, extract_coefficients, series_product
+from .slh import SLHTriplet, build_network, extract_coefficients
 
 __all__ = [
     "AmplitudeState",
@@ -65,7 +63,6 @@ __all__ = [
     "closed_form_concurrence_braided",
     "concurrence_from_amplitudes",
     "concurrence_terms",
-    "decay_amplitudes",
     "evolve_amplitudes",
     "evolve_lindblad",
     "evolve_lindblad_many",
@@ -73,8 +70,6 @@ __all__ = [
     "general_coefficients",
     "layout_from_json",
     "layout_to_json",
-    "lindblad_rhs",
     "scan_dfi",
-    "series_product",
     "wootters_concurrence",
 ]

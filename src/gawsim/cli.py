@@ -37,6 +37,7 @@ from .model import (
     Configuration,
     WaveguideLayout,
     build_canonical,
+    canonical_phases,
     layout_from_json,
 )
 
@@ -555,7 +556,7 @@ def run_evolve(spec: RunSpec) -> int:
                 raise SpecError(f"{flag} does not apply to evolve --method analytic, "
                                 "whose closed form starts from |eg>")
         times = _time_grid(spec)
-        values = analytic.closed_form_concurrence_braided(spec.theta, 1.0, spec.gamma * times)
+        values = analytic.closed_form_concurrence_braided(spec.theta, spec.gamma * times)
         _write_csv(spec.out, spec, ["t", "concurrence"], times, values)
     else:
         if spec.t_steps is not None:
@@ -590,21 +591,25 @@ def _sweep_blocks(n_thetas: int, n_times: int):
 
 def _sweep_columns(config: Configuration, thetas: np.ndarray, times: np.ndarray, method: str) -> np.ndarray:
     """Concurrence over the theta x time grid, one row per theta, at unit
-    rate: ``times`` are gamma * t.  Each block takes one ``canonical_sums``
-    call, which also checks theta for the closed form (it reads theta
-    alone); a Lindblad block is whole theta columns (at least one)."""
+    rate: ``times`` are gamma * t.  Each amplitude or Lindblad block takes
+    one ``canonical_sums`` call; the closed form reads theta alone, so its
+    thetas are checked once, by ``canonical_phases``.  A Lindblad block is
+    whole theta columns (at least one)."""
+    if method == "analytic":
+        canonical_phases(thetas)
     values = np.empty((len(thetas), len(times)))
     initial = dynamics.AmplitudeState(1.0, 0.0)
     per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
     blocks = ([(slice(first, first + per_block), slice(None)) for first in range(0, len(thetas), per_block)]
               if method == "lindblad" else _sweep_blocks(len(thetas), len(times)))
     for rows, cols in blocks:
-        shift, v = canonical_sums(config, 1.0, thetas[rows])
         if method == "analytic":
-            block = analytic.closed_form_concurrence_braided(thetas[rows], 1.0, times[cols])
+            block = analytic.closed_form_concurrence_braided(thetas[rows], times[cols])
         elif method == "effective":
-            block = dynamics.amplitude_concurrences(initial, shift, v, times[cols])
+            block = dynamics.amplitude_concurrences(initial, *canonical_sums(config, 1.0, thetas[rows]),
+                                                    times[cols])
         else:
+            shift, v = canonical_sums(config, 1.0, thetas[rows])
             # no name holds the records, so a block's states are freed before the next one
             block = [record.concurrence for record in dynamics.evolve_lindblad_many(
                 dynamics.density_from_amplitudes(initial), shift, 2.0 * v[:, :, None] * v[:, None, :],

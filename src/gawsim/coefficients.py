@@ -165,18 +165,6 @@ def _layout_points(layout: WaveguideLayout) -> tuple:
                                                   layout.n_atoms)
 
 
-def decay_amplitudes(layout: WaveguideLayout) -> np.ndarray:
-    """Per-atom emission amplitudes v_j = sum_n sqrt(gamma_jn) cos(phi_jn).
-
-    The mirror makes the decay matrix rank one: G_j = 2 v_j**2 and
-    Gc_jk = 2 v_j v_k, so every decay channel closes exactly where all v_j
-    vanish.  Unlike the rates, the amplitudes cross zero linearly, which is
-    what the DFI scanner exploits.
-    """
-    phases, weights = _layout_points(layout)
-    return np.cos(phases) @ weights
-
-
 def general_coefficients(layout: WaveguideLayout) -> MasterEqCoefficients:
     """Evaluate the coefficient sums for an arbitrary validated layout."""
     return _coefficients_from_sums(*coefficient_sums(*_layout_points(layout)))

@@ -17,8 +17,8 @@ Two routes from coefficients to dynamics:
     The mirror makes G rank one (G = 2 v v^T), so mirror layouts have one
     jump term.  ``_operators`` is the one place that builds K and the jump
     terms, from (B, M, M) stacks of shift and decay matrices; the
-    superoperators and the operator form ``_apply_generator`` (behind
-    ``lindblad_rhs`` and the Taylor substeps) take them from there.
+    superoperators and the operator form ``_apply_generator`` (behind the
+    Taylor substeps) take them from there.
 
     The generator does not depend on time.  K keeps the excitation number
     and every L_r lowers it, so rho never leaves the D basis states with at
@@ -132,7 +132,6 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray
     concurrence: np.ndarray | None
-    kind: str = "amplitudes"
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -224,19 +223,6 @@ def _apply_generator(rho: np.ndarray, k_op: np.ndarray, lam: np.ndarray, jumps: 
         l_op = jumps[:, r]
         out += lam[:, r, None, None] * (l_op @ rho @ l_op.conj().swapaxes(1, 2))
     return out
-
-
-def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
-    """Right-hand side drho/dt of the master equation.
-
-    Trace of the result is zero up to roundoff.  Raises on an unphysical
-    decay matrix (negative eigenvalue beyond tolerance).
-    """
-    ops = _operators(coeffs.shift_matrix()[None], coeffs.decay_matrix()[None])
-    m = coeffs.n_atoms
-    if rho.shape != (2 ** m, 2 ** m):
-        raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
-    return _apply_generator(rho[None], *ops)[0]
 
 
 def _excitation_numbers(n_atoms: int) -> np.ndarray:
@@ -515,7 +501,7 @@ def evolve_lindblad_many(rho0: np.ndarray, shift: np.ndarray, decay: np.ndarray,
 
     times = steps * dt
     conc = _wootters_concurrences(states.reshape(-1, dim, dim)).reshape(n_sets, -1) if m == 2 else None
-    return [TrajectoryRecord(times, states[b], None if conc is None else conc[b], kind="density")
+    return [TrajectoryRecord(times, states[b], None if conc is None else conc[b])
             for b in range(n_sets)]
 
 
@@ -639,7 +625,7 @@ def amplitude_trajectory(
         raise ValueError("effective Hamiltonian is defined for exactly two atoms")
     h = _effective_hamiltonians(coeffs.shift_matrix()[None], decay)
     states = _amplitude_solution(initial, h, times)[0]
-    return TrajectoryRecord(times, states, _pair_concurrence(states), kind="amplitudes")
+    return TrajectoryRecord(times, states, _pair_concurrence(states))
 
 
 def amplitude_concurrences(initial: AmplitudeState, shift: np.ndarray, v: np.ndarray, times) -> np.ndarray:

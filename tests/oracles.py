@@ -5,9 +5,12 @@ composition (two passes through four points with arbitrary per-point rates
 g1..g4, inter-point phases t1..t3, and mirror round trip th) and is kept
 separate from the library code it checks.
 
-``pairwise_lindblad_rhs`` is the master-equation right-hand side written
-term by term over atom pairs (j, k) of the decay matrix (its Hamiltonian
-from ``hamiltonian_matrix``), ``pairwise_superoperator`` the same generator
+``lindblad_rhs`` is the library's generator applied to one state (its
+``_operators`` plus ``_apply_generator``), the function the pairwise
+oracles check.  ``pairwise_lindblad_rhs`` is the master-equation
+right-hand side written term by term over atom pairs (j, k) of the decay
+matrix (its Hamiltonian from ``hamiltonian_matrix``),
+``pairwise_superoperator`` the same generator
 as a matrix on vec(rho), ``eigen_states`` the exact solution
 V e^{Lambda t} V^-1 vec(rho0) under a diagonalisable generator,
 ``single_excitation_states`` the exact master-equation solution for a state
@@ -221,6 +224,14 @@ def pairwise_drift_operator(coeffs: MasterEqCoefficients) -> np.ndarray:
             if dec[j, k] != 0.0:
                 k_op -= 0.5 * dec[j, k] * (slh.sigma_plus(k, m) @ slh.sigma_minus(j, m))
     return k_op
+
+
+def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
+    """The library's drho/dt of one state under one coefficient set:
+    ``_operators`` on one-set stacks, then ``_apply_generator``.  Raises on
+    an unphysical decay matrix."""
+    ops = dynamics._operators(coeffs.shift_matrix()[None], coeffs.decay_matrix()[None])
+    return dynamics._apply_generator(rho[None], *ops)[0]
 
 
 def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:

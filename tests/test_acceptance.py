@@ -196,15 +196,15 @@ def test_criterion_7_closed_form_vs_ode():
         for theta in thetas:
             coeffs = canonical_coefficients("braided", 1.0, float(theta))
             ode = amplitude_trajectory(EG, coeffs, times).concurrence
-            closed = closed_form_concurrence_braided(float(theta), 1.0, times)
+            closed = closed_form_concurrence_braided(float(theta), times)
             worst = max(worst, float(np.abs(ode - closed).max()))
         assert worst < 1e-6, f"closed form vs ODE worst error {worst:.2e}"
 
         red0 = float(np.abs(
-            closed_form_concurrence_braided(0.0, 1.0, times) - 0.5 * (1 - np.exp(-16 * times))
+            closed_form_concurrence_braided(0.0, times) - 0.5 * (1 - np.exp(-16 * times))
         ).max())
         red_half = float(np.abs(
-            closed_form_concurrence_braided(PI / 2, 1.0, times) - np.abs(np.sin(2 * times))
+            closed_form_concurrence_braided(PI / 2, times) - np.abs(np.sin(2 * times))
         ).max())
         assert red0 < 1e-10, f"theta=0 reduction error {red0:.2e}"
         assert red_half < 1e-10, f"theta=pi/2 reduction error {red_half:.2e}"

@@ -662,7 +662,7 @@ def test_analytic_sweep_evaluates_terms_once_per_theta(tmp_path, monkeypatch):
     terms = analytic.concurrence_terms
     monkeypatch.setattr(analytic, "concurrence_terms",
                         lambda theta: calls.extend(np.ravel(theta)) or terms(theta))
-    analytic.closed_form_concurrence_braided(0.7, 1.0, np.linspace(0.0, 1.0, 4))
+    analytic.closed_form_concurrence_braided(0.7, np.linspace(0.0, 1.0, 4))
     assert calls == [0.7]
     calls.clear()
     assert main(["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "7",
@@ -788,7 +788,7 @@ def test_lindblad_evolve_runs_the_unit_rate_step_on_gamma_t(tmp_path, gamma):
     ["evolve", "--config", "braided", "--theta", "1e308"],
     ["coeffs", "--config", "braided", "--theta-max", "1.7e308"],
     ["sweep", "--config", "braided", "--theta-max", "1.7e308", "--theta-steps", "3", "--t-steps", "3"],
-    # the closed form reads theta alone; the sweep's canonical sums check it
+    # the closed form reads theta alone; the sweep checks it once by canonical_phases
     ["sweep", "--config", "braided", "--method", "analytic", "--theta-max", "1e308", "--theta-steps", "3",
      "--t-steps", "3"],
     ["sweep", "--config", "braided", "--method", "lindblad", "--theta-max", "1e308", "--theta-steps", "3",
@@ -841,9 +841,9 @@ def test_sweep_blocks_stay_within_the_cell_bound(tmp_path, monkeypatch, method, 
     if method == "analytic":
         closed_form = analytic.closed_form_concurrence_braided
 
-        def counted(theta, gamma, t):
+        def counted(theta, t):
             calls.append((len(theta), len(t)))
-            return closed_form(theta, gamma, t)
+            return closed_form(theta, t)
 
         monkeypatch.setattr(analytic, "closed_form_concurrence_braided", counted)
     else:
@@ -928,7 +928,7 @@ def test_analytic_sweep_rows_equal_single_theta_calls(tmp_path):
     grid = data.reshape(37, 50, 3)
     times = grid[0, :, 1]
     for row in grid:
-        assert np.array_equal(row[:, 2], analytic.closed_form_concurrence_braided(row[0, 0], 1.3, times))
+        assert np.array_equal(row[:, 2], analytic.closed_form_concurrence_braided(row[0, 0], 1.3 * times))
 
 
 @pytest.mark.parametrize("argv", [
@@ -977,9 +977,10 @@ def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block
 @pytest.mark.parametrize("block_rows", [4, 22])
 @pytest.mark.parametrize("method", ["analytic", "effective", "lindblad"])
 def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, method, block_rows):
-    # 3 theta x 11 t: at 4 cells a block an amplitude or closed-form block is
-    # one theta over at most 4 times and a Lindblad block one whole theta
-    # column; at 22 cells every method takes two columns, then one
+    # 3 theta x 11 t: at 4 cells a block an amplitude block is one theta over
+    # at most 4 times and a Lindblad block one whole theta column; at 22 cells
+    # both take two columns, then one.  The closed form reads theta alone and
+    # takes no sums
     argv = ["sweep", "--config", "braided", "--method", method, "--theta-steps", "3", "--t-steps", "11"]
     reference = tmp_path / "reference.csv"
     assert main([*argv, "--out", str(reference)]) == 0
@@ -999,7 +1000,7 @@ def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, me
     out = tmp_path / "blocked.csv"
     assert main([*argv, "--out", str(out)]) == 0
     split = [1] * 3 if method == "lindblad" else [1] * 9
-    assert calls == {4: split, 22: [2, 1]}[block_rows]
+    assert calls == ([] if method == "analytic" else {4: split, 22: [2, 1]}[block_rows])
     assert out.read_bytes() == reference.read_bytes()
 
 

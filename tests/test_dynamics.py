@@ -8,6 +8,7 @@ from oracles import (
     eigen_concurrence,
     eigen_states,
     first_check_failure,
+    lindblad_rhs,
     pairwise_lindblad_rhs,
     pairwise_superoperator,
     single_excitation_propagators,
@@ -23,7 +24,6 @@ from gawsim.dynamics import (
     density_from_amplitudes,
     evolve_amplitudes,
     evolve_lindblad,
-    lindblad_rhs,
     recommended_timestep,
     wootters_concurrence,
 )

@@ -4,12 +4,14 @@
 reads it.  Each bound is about twice the largest error over the three
 configurations that an earlier version gave on the table, rounded up,
 measured on a 2-vCPU x86-64 VM with numpy 2.4.6: the parent commit of the
-unit-rate change (a6530c3) for the effective and analytic sweeps, the
-parent of the coefficient-stack change (994dfd6) for the Lindblad one.
-A Lindblad run from |eg> never leaves the one-excitation sector, where
-dropping the jump terms is exact, so the table's effective concurrence is
-exact for it too.  At gamma = 1000 the time reaches gamma t = 4000, where
-the problem's conditioning, not a path, sets errors of about 1e-12.
+unit-rate change (a6530c3) for the effective sweep, the parent of the
+coefficient-stack change (994dfd6) for the Lindblad one, and the closed
+form with one radical and Horner polynomials (its first version with them)
+for the analytic one.  A Lindblad run from |eg> never leaves the
+one-excitation sector, where dropping the jump terms is exact, so the
+table's effective concurrence is exact for it too.  At gamma = 1000 the
+time reaches gamma t = 4000, where the problem's conditioning, not a path,
+sets errors of about 1e-12.
 """
 
 import csv
@@ -23,12 +25,12 @@ from gawsim.cli import main
 TABLE = Path(__file__).with_name("data") / "effective_reference.csv"
 THETA_STEPS, T_STEPS = 400, 40
 
-#: (method, gamma): bound; the parent's largest error in the comment
+#: (method, gamma): bound; the measured largest error in the comment
 BOUNDS = {
     ("effective", "1"): 7e-15,  # 3.386e-15 (nested)
     ("effective", "1000"): 2.2e-12,  # 1.056e-12 (nested)
-    ("analytic", "1"): 1e-13,  # 4.866e-14
-    ("analytic", "1000"): 1.2e-11,  # 5.730e-12
+    ("analytic", "1"): 1e-14,  # 4.607e-15
+    ("analytic", "1000"): 4e-12,  # 1.947e-12
     ("lindblad", "1"): 6e-14,  # 2.597e-14 (braided)
     ("lindblad", "1000"): 3e-11,  # 1.355e-11 (braided)
 }
