@@ -504,13 +504,12 @@ def run_coeffs(spec: RunSpec) -> int:
         raise SpecError("coeffs requires --out")
     if kind == "config":
         thetas = _theta_grid(spec)
-        shift, v = canonical_sums(source, spec.gamma, thetas)
-        cols = (thetas, *_coeff_columns(shift, 2.0 * v[:, :, None] * v[:, None, :]))
+        cols = (thetas, *_coeff_columns(*canonical_sums(source, spec.gamma, thetas)))
     else:
         if source.n_atoms != 2:
             raise SpecError("the coefficient table schema covers exactly two atoms")
         coeffs = general_coefficients(source)
-        cols = (math.nan, *_coeff_columns(coeffs.shift_matrix(), coeffs.decay_matrix()))
+        cols = (math.nan, *_coeff_columns(coeffs.shift, coeffs.decay))
     _write_csv(spec.out, spec, ["theta", *_COEFF_NAMES], *cols)
     return 0
 
@@ -563,7 +562,8 @@ def run_evolve(spec: RunSpec) -> int:
             raise SpecError("--t-steps does not apply to evolve --method lindblad; "
                             "give --dt or leave both out for the recommended step")
         # a density matrix has unit trace; the amplitude paths accept any norm up to 1
-        norm_err = abs(abs(initial.c_eg) ** 2 + abs(initial.c_ge) ** 2 - 1.0)
+        norm = initial.norm()
+        norm_err = abs(norm * norm - 1.0)
         if norm_err > dynamics.TRACE_TOL:
             raise SpecError(f"--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 = 1 for --method "
                             f"lindblad, off by {norm_err:.3e}")
@@ -609,10 +609,9 @@ def _sweep_columns(config: Configuration, thetas: np.ndarray, times: np.ndarray,
             block = dynamics.amplitude_concurrences(initial, *canonical_sums(config, 1.0, thetas[rows]),
                                                     times[cols])
         else:
-            shift, v = canonical_sums(config, 1.0, thetas[rows])
             # no name holds the records, so a block's states are freed before the next one
             block = [record.concurrence for record in dynamics.evolve_lindblad_many(
-                dynamics.density_from_amplitudes(initial), shift, 2.0 * v[:, :, None] * v[:, None, :],
+                dynamics.density_from_amplitudes(initial), *canonical_sums(config, 1.0, thetas[rows]),
                 t_max=float(times[-1]), dt=times[1] - times[0], store_every=1)]
         values[rows, cols] = block
     return values
@@ -689,12 +688,12 @@ def run_verify_slh(spec: RunSpec) -> int:
 
     max_diff = 0.0
     for ref in reference.values():
-        for attr in ("lamb_shifts", "exchange", "individual_decay", "collective_decay"):
-            max_diff = max(max_diff, float(np.abs(getattr(ref, attr) - getattr(extracted, attr)).max()))
+        for name in ("shift", "decay"):
+            max_diff = max(max_diff, float(np.abs(getattr(ref, name) - getattr(extracted, name)).max()))
     if layout.n_atoms == 2:
         for label, c in [*((f"{name}: ", ref) for name, ref in reference.items()),
                          ("slh:         ", extracted)]:
-            values = _coeff_columns(c.shift_matrix(), c.decay_matrix())
+            values = _coeff_columns(c.shift, c.decay)
             print(label + "  ".join(f"{n}={v:.17g}" for n, v in zip(_COEFF_NAMES, values)))
     print(f"max_abs_diff={max_diff:.17g} tol={tol:.17g}")
     within_tol = bool(max_diff <= tol * max(p.gamma for p in layout.all_points))

@@ -17,6 +17,8 @@ One numpy kernel, ``coefficient_sums``, evaluates them for raw phase
 arrays of shape (..., P), so a whole theta grid is one call.  The mirror
 factors the cos sums, cos|a - b| + cos(a + b) = 2 cos(a) cos(b), so the
 decay matrix is 2 v v^T (symmetric, rank one) with per-atom amplitudes v.
+The kernel returns the (shift, decay) matrix pair, the one representation
+that ``MasterEqCoefficients`` holds and every consumer takes.
 All arithmetic is real.  The wrappers cover validated layouts and the three
 canonical two-atom setups, which stay defined at theta = 0; the hand-expanded
 polynomials for those setups remain only as test oracles.  A canonical setup
@@ -46,60 +48,62 @@ class MasterEqCoefficients:
 
     Attributes
     ----------
-    lamb_shifts : (M,) ndarray
-        Frequency shifts dw_j.
-    exchange : (M, M) ndarray
-        Symmetric exchange couplings g_jk, zero diagonal.
-    individual_decay : (M,) ndarray
-        Individual decay rates G_j.
-    collective_decay : (M, M) ndarray
-        Symmetric collective decay rates Gc_jk, zero diagonal.
+    shift : (M, M) ndarray
+        Lamb shifts dw_j on the diagonal, exchange couplings g_jk off it.
+    decay : (M, M) ndarray
+        Individual decay rates G_j on the diagonal, collective rates Gc_jk
+        off it.  A physical Lindblad generator requires it to be positive
+        semidefinite; for mirror-terminated layouts it is 2 v v^T, rank one.
+
+    Both are symmetric off the diagonal, to 1e-12, and read-only.  The four
+    families are views of them: ``lamb_shifts``, ``exchange``,
+    ``individual_decay`` and ``collective_decay``.
     """
 
-    lamb_shifts: np.ndarray
-    exchange: np.ndarray
-    individual_decay: np.ndarray
-    collective_decay: np.ndarray
+    shift: np.ndarray
+    decay: np.ndarray
 
     def __post_init__(self):
-        m = self.lamb_shifts.size
-        for name, shape in (("lamb_shifts", (m,)), ("individual_decay", (m,)),
-                            ("exchange", (m, m)), ("collective_decay", (m, m))):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
-        for name in ("exchange", "collective_decay"):
+        if not (self.shift.ndim == 2 and self.shift.shape == self.shift.shape[::-1] == self.decay.shape):
+            raise ValueError(f"shift and decay must be square matrices of one shape, "
+                             f"got {self.shift.shape} and {self.decay.shape}")
+        for name in ("shift", "decay"):
             mat = getattr(self, name)
-            if not (np.abs(mat - mat.T) <= 1e-12).all():
+            if not (np.abs(np.triu(mat, 1) - np.tril(mat, -1).T) <= 1e-12).all():
                 raise ValueError(f"{name} matrix must be symmetric")
-            if np.diagonal(mat).any():
-                raise ValueError(f"{name} must have a zero diagonal, got {np.diagonal(mat).tolist()}")
-        for arr in (self.lamb_shifts, self.exchange, self.individual_decay, self.collective_decay):
-            arr.setflags(write=False)
+            mat.setflags(write=False)
 
     @property
     def n_atoms(self) -> int:
-        return len(self.lamb_shifts)
+        return len(self.shift)
+
+    @property
+    def lamb_shifts(self) -> np.ndarray:
+        """Frequency shifts dw_j (M,), the diagonal of ``shift``."""
+        return np.diagonal(self.shift)
+
+    @property
+    def exchange(self) -> np.ndarray:
+        """Exchange couplings g_jk (M, M): ``shift`` with a zero diagonal."""
+        return _off_diagonal(self.shift)
+
+    @property
+    def individual_decay(self) -> np.ndarray:
+        """Individual decay rates G_j (M,), the diagonal of ``decay``."""
+        return np.diagonal(self.decay)
+
+    @property
+    def collective_decay(self) -> np.ndarray:
+        """Collective decay rates Gc_jk (M, M): ``decay`` with a zero diagonal."""
+        return _off_diagonal(self.decay)
 
     def max_abs_decay(self) -> float:
         """Largest |decay| over individual and collective entries."""
-        return float(np.abs(self.decay_matrix()).max())
+        return float(np.abs(self.decay).max())
 
-    def shift_matrix(self) -> np.ndarray:
-        """The M x M shift matrix (dw_j on the diagonal, g_jk off it)."""
-        mat = self.exchange.copy()
-        np.fill_diagonal(mat, self.lamb_shifts)
-        return mat
 
-    def decay_matrix(self) -> np.ndarray:
-        """The M x M decay matrix (G_j on the diagonal, Gc_jk off it).
-
-        A physical Lindblad generator requires this matrix to be positive
-        semidefinite; for mirror-terminated layouts it is rank one by
-        construction.
-        """
-        mat = self.collective_decay.copy()
-        np.fill_diagonal(mat, self.individual_decay)
-        return mat
+def _off_diagonal(mat: np.ndarray) -> np.ndarray:
+    return np.where(np.eye(len(mat), dtype=bool), 0.0, mat)
 
 
 def _point_weights(rates, owners, n_atoms: int) -> np.ndarray:
@@ -119,11 +123,13 @@ def coefficient_sums(phases, weights, gamma: float = 1.0) -> tuple[np.ndarray, n
     owns it and 0 elsewhere (``_point_weights``).  ``gamma`` then scales
     the sums: the shifts by gamma, the amplitudes by sqrt(gamma).
 
-    Returns ``shift`` (..., M, M), symmetric, with the Lamb shifts dw_j on
-    the diagonal and the exchange g_jk off it, and the amplitudes
-    v_j = sum_n sqrt(gamma gamma_jn) cos(phi_jn) (..., M); decay is 2 v v^T.
-    Raises ``LayoutError`` naming gamma when a shift, an amplitude or an
-    entry of 2 v v^T is not finite (rates near the float maximum overflow).
+    Returns the matrix pair ``(shift, decay)``, each (..., M, M) and
+    symmetric: ``shift`` has the Lamb shifts dw_j on the diagonal and the
+    exchange g_jk off it, and ``decay`` = 2 v v^T, with the amplitudes
+    v_j = sum_n sqrt(gamma gamma_jn) cos(phi_jn), has the individual rates
+    G_j on the diagonal and the collective Gc_jk off it.  Raises
+    ``LayoutError`` naming gamma when an entry of either is not finite
+    (rates near the float maximum overflow).
     """
     phases = np.asarray(phases, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,23 +145,11 @@ def coefficient_sums(phases, weights, gamma: float = 1.0) -> tuple[np.ndarray, n
         y = sin_w @ signed + (sin @ weights)[..., :, None] * v[..., None, :]
         shift = gamma * (0.5 * (y + np.swapaxes(y, -1, -2)))
         v = np.sqrt(gamma) * v
-        # the largest entry of the decay matrix 2 v v^T that callers form
-        peak_decay = 2.0 * np.abs(v).max(initial=0.0) ** 2
-    if not (np.isfinite(shift).all() and np.isfinite(peak_decay)):
+        decay = 2.0 * v[..., :, None] * v[..., None, :]
+    if not (np.isfinite(shift).all() and np.isfinite(decay).all()):
         raise LayoutError(f"coefficients are not finite for decay rates gamma up to "
                           f"{gamma * float(np.max(weights)) ** 2:g} (phases up to {np.abs(phases).max():g})")
-    return shift, v
-
-
-def _coefficients_from_sums(shift: np.ndarray, v: np.ndarray) -> MasterEqCoefficients:
-    decay = 2.0 * np.outer(v, v)
-    off = ~np.eye(len(v), dtype=bool)
-    return MasterEqCoefficients(
-        lamb_shifts=np.diagonal(shift).copy(),
-        exchange=np.where(off, shift, 0.0),
-        individual_decay=np.diagonal(decay).copy(),
-        collective_decay=np.where(off, decay, 0.0),
-    )
+    return shift, decay
 
 
 def _layout_points(layout: WaveguideLayout) -> tuple:
@@ -167,7 +161,7 @@ def _layout_points(layout: WaveguideLayout) -> tuple:
 
 def general_coefficients(layout: WaveguideLayout) -> MasterEqCoefficients:
     """Evaluate the coefficient sums for an arbitrary validated layout."""
-    return _coefficients_from_sums(*coefficient_sums(*_layout_points(layout)))
+    return MasterEqCoefficients(*coefficient_sums(*_layout_points(layout)))
 
 
 #: (4, 2) 0/1 owner matrix of each canonical configuration, its point weights
@@ -189,13 +183,13 @@ def canonical_decay_amplitudes(kind, gamma: float, theta) -> np.ndarray:
     """Decay amplitudes of a canonical configuration, defined for all theta.
 
     Shape (2,) for a scalar theta, theta.shape + (2,) for an array: the
-    amplitudes of ``canonical_sums``, bit for bit, without its shifts.
-    Each is sqrt(gamma) times the sum of the cosines of its atom's two
-    points, one rounded addition however the product is blocked.
+    amplitudes v of ``canonical_sums``, bit for bit, whose decay matrix is
+    2 v v^T.  Each is sqrt(gamma) times the sum of the cosines of its atom's
+    two points, one rounded addition however the product is blocked.
     """
     return np.sqrt(gamma) * (np.cos(canonical_phases(theta)) @ _CANONICAL_OWNERS[Configuration(kind)])
 
 
 def canonical_coefficients(kind, gamma: float, theta: float) -> MasterEqCoefficients:
     """Coefficients of a canonical configuration at one theta, defined for all theta."""
-    return _coefficients_from_sums(*canonical_sums(kind, gamma, theta))
+    return MasterEqCoefficients(*canonical_sums(kind, gamma, theta))

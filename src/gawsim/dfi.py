@@ -76,12 +76,13 @@ def check_dfi(
 
 
 def _golden_section(objective, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to width tol."""
+    """Minimize a unimodal scalar function on [lo, hi] to width tol, or to
+    two adjacent doubles where their spacing is wider (|x| > 8192 at 1e-12)."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1 = objective(x1)
     f2 = objective(x2)
-    while hi - lo > tol:
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
@@ -155,7 +156,7 @@ def scan_dfi(
         coeffs = canonical_coefficients(kind, gamma, theta_star)
         if check_dfi(coeffs, tol_decay, tol_exchange):
             points.append(
-                (theta_star, coeffs.max_abs_decay(), float(coeffs.exchange[0, 1]))
+                (theta_star, coeffs.max_abs_decay(), float(coeffs.shift[0, 1]))
             )
 
     points.sort(key=lambda p: p[0])

@@ -117,7 +117,8 @@ class AmplitudeState:
     c_ge: complex
 
     def norm(self) -> float:
-        return math.sqrt(abs(self.c_eg) ** 2 + abs(self.c_ge) ** 2)
+        """sqrt(|c_eg|**2 + |c_ge|**2), without overflow: inf only where it exceeds the float range."""
+        return math.hypot(self.c_eg.real, self.c_eg.imag, self.c_ge.real, self.c_ge.imag)
 
 
 @dataclass(frozen=True)
@@ -375,7 +376,7 @@ def _min_eigenvalues(stack: np.ndarray, excitations: np.ndarray | None) -> np.nd
 
 def recommended_timestep(coeffs: MasterEqCoefficients) -> float:
     """Default ``evolve_lindblad`` grid step: 1e-3 over the largest rate present or the unit rate 1."""
-    rates = np.abs(coeffs.individual_decay).sum(), np.abs(coeffs.shift_matrix()).max(), 1.0
+    rates = np.abs(coeffs.individual_decay).sum(), np.abs(coeffs.shift).max(), 1.0
     return 1e-3 / float(max(rates))
 
 
@@ -395,7 +396,7 @@ def evolve_lindblad(
     of the generator when D <= ``_SUPEROP_DIM_CAP`` = 8, by its Taylor
     action on rho above, so ``dt`` only spaces the rows.  The 2**M x 2**M
     states are exactly zero outside the D states.  This is
-    ``evolve_lindblad_many`` with the shift and decay matrices of ``coeffs``.
+    ``evolve_lindblad_many`` with the matrix pair of ``coeffs``.
 
     Parameters
     ----------
@@ -419,8 +420,7 @@ def evolve_lindblad(
     TrajectoryRecord
         Stored density matrices and (for two atoms) Wootters concurrence.
     """
-    return evolve_lindblad_many(rho0, coeffs.shift_matrix()[None], coeffs.decay_matrix()[None],
-                                t_max, dt, store_every)[0]
+    return evolve_lindblad_many(rho0, coeffs.shift[None], coeffs.decay[None], t_max, dt, store_every)[0]
 
 
 def evolve_lindblad_many(rho0: np.ndarray, shift: np.ndarray, decay: np.ndarray, t_max: float, dt: float,
@@ -428,16 +428,15 @@ def evolve_lindblad_many(rho0: np.ndarray, shift: np.ndarray, decay: np.ndarray,
     """``evolve_lindblad`` from one rho0 under each of B generators.
 
     Takes the arguments of ``evolve_lindblad``, with (B, M, M) stacks of
-    shift matrices (Lamb shifts on the diagonal, exchange off it) and of
-    decay matrices in place of one coefficient set, and returns one record
-    per generator; the validation, the checks and the first failure raised
-    are those of calling ``evolve_lindblad`` on each pair in turn.  The B
-    generators advance together on the kept blocks: up to D = 8 by one
-    ``_expm`` of the (B, D**2, D**2) superoperator stack per distinct
-    stored gap and one matrix product per interval, above by
-    ``_taylor_steps``.  One check and one concurrence pass run over the
-    generator-major stack of stored states, and the records' states are
-    views into one (B, T, d, d) array.
+    the shift and decay matrices of ``coefficient_sums`` in place of one
+    coefficient set, and returns one record per generator; the validation,
+    the checks and the first failure raised are those of calling
+    ``evolve_lindblad`` on each pair in turn.  The B generators advance
+    together on the kept blocks: up to D = 8 by one ``_expm`` of the
+    (B, D**2, D**2) superoperator stack per distinct stored gap and one
+    matrix product per interval, above by ``_taylor_steps``.  One check and
+    one concurrence pass run over the generator-major stack of stored
+    states, and the records' states are views into one (B, T, d, d) array.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -555,8 +554,10 @@ def _amplitude_solution(initial: AmplitudeState, h: np.ndarray, times: np.ndarra
     Im <= 0, so every factor stays bounded at any t: nothing grows and
     then cancels (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).  At an
     exceptional point (s = 0, N nilpotent) phi = 1 gives the first-order
-    form I - i t N.  A non-finite amplitude raises ``NumericalFailure`` at
-    the first time it occurs under the first Hamiltonian that has one.
+    form I - i t N; phi = 1 is also taken below the smallest normal |z|,
+    where the division would overflow.  A non-finite amplitude raises
+    ``NumericalFailure`` at the first time it occurs under the first
+    Hamiltonian that has one.
     """
     mbar = 0.5 * (h[:, 0, 0] + h[:, 1, 1])[:, None]
     d = 0.5 * (h[:, 0, 0] - h[:, 1, 1])[:, None]
@@ -574,7 +575,7 @@ def _amplitude_solution(initial: AmplitudeState, h: np.ndarray, times: np.ndarra
 
     z = 2j * s * times
     em1 = np.expm1(z)
-    phi = np.divide(em1, z, out=np.ones_like(z), where=z != 0)
+    phi = np.divide(em1, z, out=np.ones_like(z), where=np.abs(z) >= np.finfo(float).tiny)
     phase = np.exp(-1j * (mbar + s) * times)
     out = phase[..., None] * ((1.0 + 0.5 * em1)[..., None] * c0 - 1j * (times * phi)[..., None] * n_c0)
     bad = ~np.isfinite(out).all(axis=-1)
@@ -619,26 +620,26 @@ def amplitude_trajectory(
     ``times`` is a non-empty 1-D finite increasing sequence starting at t >= 0.
     """
     times = _checked_amplitude_inputs(initial, times)
-    decay = coeffs.decay_matrix()[None]
+    decay = coeffs.decay[None]
     _decay_channels(decay)  # the decay-matrix check of the Lindblad path
     if coeffs.n_atoms != 2:
         raise ValueError("effective Hamiltonian is defined for exactly two atoms")
-    h = _effective_hamiltonians(coeffs.shift_matrix()[None], decay)
+    h = _effective_hamiltonians(coeffs.shift[None], decay)
     states = _amplitude_solution(initial, h, times)[0]
     return TrajectoryRecord(times, states, _pair_concurrence(states))
 
 
-def amplitude_concurrences(initial: AmplitudeState, shift: np.ndarray, v: np.ndarray, times) -> np.ndarray:
+def amplitude_concurrences(initial: AmplitudeState, shift: np.ndarray, decay: np.ndarray, times) -> np.ndarray:
     """Concurrence (K, T) of the exact amplitudes from ``initial`` under K
     two-atom coefficient sets, at the times (T,).
 
-    The sets are ``coefficient_sums`` output, ``shift`` (K, 2, 2) and the
-    amplitudes ``v`` (K, 2) of the decay matrix 2 v v^T, which is positive
-    semidefinite by construction.  Row k is the concurrence that
-    ``amplitude_trajectory`` gives under set k; ``times`` as there.
+    The sets are ``coefficient_sums`` output, (K, 2, 2) stacks of shift and
+    decay matrices; each decay matrix is 2 v v^T, positive semidefinite by
+    construction.  Row k is the concurrence that ``amplitude_trajectory``
+    gives under set k; ``times`` as there.
     """
     times = _checked_amplitude_inputs(initial, times)
-    h = _effective_hamiltonians(shift, 2.0 * v[:, :, None] * v[:, None, :])
+    h = _effective_hamiltonians(shift, decay)
     return _pair_concurrence(_amplitude_solution(initial, h, times))
 
 

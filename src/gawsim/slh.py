@@ -171,11 +171,13 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
 
     The collapse operator is resolved as L = sum_j alpha_j sigma_minus^j;
     after normalizing away the irrelevant global phase the amplitudes are
-    real, giving G_j = alpha_j**2 and Gc_jk = alpha_j * alpha_k.  The
-    Hamiltonian is projected onto {identity, number ops, exchange ops} by
-    Hilbert-Schmidt inner products (the diagonal family is not orthogonal,
-    so its Gram system is solved explicitly), and the bare omega_j are
-    subtracted to land in the interaction picture.
+    real, and the decay matrix is their outer product: G_j = alpha_j**2 and
+    Gc_jk = alpha_j * alpha_k.  The Hamiltonian is projected onto
+    {identity, number ops, exchange ops} by Hilbert-Schmidt inner products
+    (the diagonal family is not orthogonal, so its Gram system is solved
+    explicitly), and the bare omega_j are subtracted to land in the
+    interaction picture; the Lamb shifts fill the diagonal of the exchange
+    matrix to give the shift matrix.
     """
     m = layout.n_atoms
     dim = 2 ** m
@@ -199,11 +201,6 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
         alpha = alpha * np.conj(ref / abs(ref))
     if float(np.abs(alpha.imag).max()) > COMPOSITION_TOL * scale:
         raise NumericalFailure("collapse amplitudes are not collinear in phase")
-    amp = alpha.real
-
-    decay = amp ** 2
-    coll = np.outer(amp, amp)
-    np.fill_diagonal(coll, 0.0)
 
     # diagonal block: solve the Gram system for {I, n_0..n_{m-1}}
     basis = [np.eye(dim, dtype=complex)] + [number_op(j, m) for j in range(m)]
@@ -221,8 +218,6 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
             pairs[j, k] = x
             exch[j, k] = exch[k, j] = (np.vdot(x, triplet.hamiltonian) / np.vdot(x, x)).real
 
-    coeffs = MasterEqCoefficients(lamb, exch, decay, coll)
-
     # everything extracted must reconstruct H_tot exactly (up to roundoff)
     h_rec = sum(diag_coef[1 + j] * number_op(j, m) for j in range(m))
     h_rec = h_rec + diag_coef[0] * np.eye(dim)
@@ -230,4 +225,5 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
         h_rec = h_rec + exch[j, k] * x
     if float(np.abs(h_rec - triplet.hamiltonian).max()) > COMPOSITION_TOL * scale:
         raise NumericalFailure("H_tot contains terms outside the number/exchange span")
-    return coeffs
+    np.fill_diagonal(exch, lamb)
+    return MasterEqCoefficients(exch, np.outer(alpha.real, alpha.real))

@@ -123,28 +123,31 @@ def pair_sums(points_a, points_b, half: bool) -> tuple[float, float]:
 def pair_sum_coefficients(layout) -> MasterEqCoefficients:
     """Coefficients of a layout from the scalar pair loop, atom block by block."""
     m = layout.n_atoms
-    lamb = np.zeros(m)
-    decay = np.zeros(m)
-    exch = np.zeros((m, m))
-    coll = np.zeros((m, m))
+    shift = np.zeros((m, m))
+    decay = np.zeros((m, m))
     for j, atom_j in enumerate(layout.atoms):
-        s, c = pair_sums(atom_j.points, atom_j.points, half=True)
-        lamb[j] = s
-        decay[j] = c
+        shift[j, j], decay[j, j] = pair_sums(atom_j.points, atom_j.points, half=True)
         for k in range(j + 1, m):
             s, c = pair_sums(atom_j.points, layout.atoms[k].points, half=True)
-            exch[j, k] = exch[k, j] = s
-            coll[j, k] = coll[k, j] = c
-    return MasterEqCoefficients(lamb, exch, decay, coll)
+            shift[j, k] = shift[k, j] = s
+            decay[j, k] = decay[k, j] = c
+    return MasterEqCoefficients(shift, decay)
+
+
+def coefficient_set(lamb, exch, decay, coll) -> MasterEqCoefficients:
+    """A coefficient set from the four families: Lamb shifts (M,), exchange
+    (M, M), individual decay rates (M,) and collective rates (M, M), whose
+    diagonals are ignored."""
+    shift = np.array(exch, dtype=float)
+    dec = np.array(coll, dtype=float)
+    np.fill_diagonal(shift, lamb)
+    np.fill_diagonal(dec, decay)
+    return MasterEqCoefficients(shift, dec)
 
 
 def _two_atom(gamma, dwa, dwb, gab, ga, gb, gc) -> MasterEqCoefficients:
-    return MasterEqCoefficients(
-        lamb_shifts=gamma * np.array([dwa, dwb]),
-        exchange=gamma * np.array([[0.0, gab], [gab, 0.0]]),
-        individual_decay=gamma * np.array([ga, gb]),
-        collective_decay=gamma * np.array([[0.0, gc], [gc, 0.0]]),
-    )
+    return MasterEqCoefficients(gamma * np.array([[dwa, gab], [gab, dwb]]),
+                                gamma * np.array([[ga, gc], [gc, gb]]))
 
 
 def closed_form_braided(gamma: float, theta: float) -> MasterEqCoefficients:
@@ -218,7 +221,7 @@ def pairwise_drift_operator(coeffs: MasterEqCoefficients) -> np.ndarray:
     """K = -iH - (1/2) sum_jk decay_jk sp_k sm_j; rhs = K rho + rho K^dag + jumps."""
     m = coeffs.n_atoms
     k_op = -1j * hamiltonian_matrix(coeffs)
-    dec = coeffs.decay_matrix()
+    dec = coeffs.decay
     for j in range(m):
         for k in range(m):
             if dec[j, k] != 0.0:
@@ -230,7 +233,7 @@ def lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.ndarray:
     """The library's drho/dt of one state under one coefficient set:
     ``_operators`` on one-set stacks, then ``_apply_generator``.  Raises on
     an unphysical decay matrix."""
-    ops = dynamics._operators(coeffs.shift_matrix()[None], coeffs.decay_matrix()[None])
+    ops = dynamics._operators(coeffs.shift[None], coeffs.decay[None])
     return dynamics._apply_generator(rho[None], *ops)[0]
 
 
@@ -240,13 +243,13 @@ def pairwise_lindblad_rhs(rho: np.ndarray, coeffs: MasterEqCoefficients) -> np.n
     Trace of the result is zero up to roundoff.  Raises on an unphysical
     decay matrix (negative eigenvalue beyond tolerance).
     """
-    dynamics._decay_channels(coeffs.decay_matrix()[None])
+    dynamics._decay_channels(coeffs.decay[None])
     m = coeffs.n_atoms
     if rho.shape != (2 ** m, 2 ** m):
         raise ValueError(f"rho shape {rho.shape} does not match {m} atoms")
     k_op = pairwise_drift_operator(coeffs)
     out = k_op @ rho + rho @ k_op.conj().T
-    dec = coeffs.decay_matrix()
+    dec = coeffs.decay
     for j in range(m):
         for k in range(m):
             if dec[j, k] != 0.0:
@@ -265,7 +268,7 @@ def pairwise_superoperator(coeffs: MasterEqCoefficients) -> np.ndarray:
     k_op = pairwise_drift_operator(coeffs)
     eye = np.eye(2 ** m)
     sup = np.kron(k_op, eye) + np.kron(eye, k_op.conj())
-    dec = coeffs.decay_matrix()
+    dec = coeffs.decay
     for j in range(m):
         for k in range(m):
             if dec[j, k] != 0.0:
@@ -286,13 +289,12 @@ def eigen_states(generator: np.ndarray, rho0: np.ndarray, times) -> np.ndarray:
 def single_excitation_propagators(coeffs: MasterEqCoefficients, times) -> np.ndarray:
     """exp(-i H_eff t) at each time, shape (T, M, M), atom j excited in row j.
 
-    H_eff = diag(dw) + g - (i/2) decay_matrix, exponentiated through its
-    eigendecomposition.  A 2x2 H_eff at an exceptional point, mbar I + N
-    with N @ N = 0, has no eigenbasis; there the series ends after the
-    linear term, exp(-i H_eff t) = e^{-i mbar t} (I - i t N).
+    H_eff = shift - (i/2) decay, exponentiated through its eigendecomposition.
+    A 2x2 H_eff at an exceptional point, mbar I + N with N @ N = 0, has no
+    eigenbasis; there the series ends after the linear term,
+    exp(-i H_eff t) = e^{-i mbar t} (I - i t N).
     """
-    exch = coeffs.exchange - np.diag(np.diag(coeffs.exchange))
-    h_eff = np.diag(coeffs.lamb_shifts) + exch - 0.5j * coeffs.decay_matrix()
+    h_eff = coeffs.shift - 0.5j * coeffs.decay
     times = np.asarray(times, dtype=float)
     m = len(h_eff)
     mbar = np.trace(h_eff) / m

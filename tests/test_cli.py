@@ -618,6 +618,37 @@ def test_evolve_lindblad_under_normalised_amplitudes_exit_one(tmp_path, capsys):
     assert main([*argv, "--method", "effective"]) == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--c-ge", "1e308"], "initial amplitude norm 1e+308 exceeds 1"),
+    (["--c-eg", "1e155"], "initial amplitude norm 1e+155 exceeds 1"),
+    (["--c-ge", "1.7e308+1.7e308j"], "initial amplitude norm inf exceeds 1"),
+    (["--method", "lindblad", "--c-ge", "1e200"], "--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 = 1"),
+], ids=["c-ge-1e308", "c-eg-1e155", "complex-overflow", "lindblad-1e200"])
+def test_evolve_huge_amplitudes_exit_one(tmp_path, capsys, argv, message):
+    # the norms are taken without squaring a float, so no OverflowError escapes
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", "braided", "--theta", "0.3", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "separate", "--theta", "0.3", "--t-max", "1e-320", "--t-steps", "3"],
+    ["sweep", "--config", "nested", "--t-max", "1e-320", "--theta-steps", "3", "--t-steps", "3"],
+], ids=["evolve", "sweep"])
+def test_subnormal_unit_rate_times_give_finite_rows(tmp_path, argv):
+    # expm1(z) / z overflowed for a subnormal z = 2i s t; phi = 1 there
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 0
+    data = read_table(out)[2]
+    assert data.shape[0] in (3, 9) and np.isfinite(data).all()
+    assert ((0.0 <= data[:, -1]) & (data[:, -1] <= 1.0)).all()
+
+
 @pytest.mark.parametrize("steps", ["5", "10000000000000"])
 def test_evolve_lindblad_rejects_t_steps(tmp_path, capsys, steps):
     out = tmp_path / "x.csv"
@@ -814,9 +845,9 @@ def test_effective_sweep_time_blocks_give_identical_bytes(tmp_path, monkeypatch)
         monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
         calls = []
 
-        def counted(initial, shift, v, times):
+        def counted(initial, shift, decay, times):
             calls.append((len(shift), len(times)))
-            return concurrences(initial, shift, v, times)
+            return concurrences(initial, shift, decay, times)
 
         monkeypatch.setattr(dynamics, "amplitude_concurrences", counted)
         outputs[block_rows] = tmp_path / f"blocked-{block_rows}.csv"
@@ -849,9 +880,9 @@ def test_sweep_blocks_stay_within_the_cell_bound(tmp_path, monkeypatch, method, 
     else:
         concurrences = dynamics.amplitude_concurrences
 
-        def counted(initial, shift, v, times):
+        def counted(initial, shift, decay, times):
             calls.append((len(shift), len(times)))
-            return concurrences(initial, shift, v, times)
+            return concurrences(initial, shift, decay, times)
 
         monkeypatch.setattr(dynamics, "amplitude_concurrences", counted)
     out = tmp_path / "s.csv"
@@ -974,14 +1005,10 @@ def test_lindblad_sweep_blocks_give_identical_bytes(tmp_path, monkeypatch, block
     assert out.read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("block_rows", [4, 22])
-@pytest.mark.parametrize("method", ["analytic", "effective", "lindblad"])
-def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, method, block_rows):
-    # 3 theta x 11 t: at 4 cells a block an amplitude block is one theta over
-    # at most 4 times and a Lindblad block one whole theta column; at 22 cells
-    # both take two columns, then one.  The closed form reads theta alone and
-    # takes no sums
-    argv = ["sweep", "--config", "braided", "--method", method, "--theta-steps", "3", "--t-steps", "11"]
+def _count_sweep_sums(tmp_path, monkeypatch, argv, block_rows):
+    """Sizes of the ``canonical_sums`` theta arrays of a sweep at ``block_rows``
+    cells a block, whose bytes must equal the unblocked run's; a sweep that
+    built a coefficient set fails."""
     reference = tmp_path / "reference.csv"
     assert main([*argv, "--out", str(reference)]) == 0
     monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
@@ -999,9 +1026,26 @@ def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, me
     monkeypatch.setattr(cli, "canonical_coefficients", never)
     out = tmp_path / "blocked.csv"
     assert main([*argv, "--out", str(out)]) == 0
-    split = [1] * 3 if method == "lindblad" else [1] * 9
-    assert calls == ([] if method == "analytic" else {4: split, 22: [2, 1]}[block_rows])
     assert out.read_bytes() == reference.read_bytes()
+    return calls
+
+
+@pytest.mark.parametrize("block_rows", [4, 22])
+@pytest.mark.parametrize("method", ["effective", "lindblad"])
+def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, method, block_rows):
+    # 3 theta x 11 t: at 4 cells a block an amplitude block is one theta over
+    # at most 4 times and a Lindblad block one whole theta column; at 22 cells
+    # both take two columns, then one
+    argv = ["sweep", "--config", "braided", "--method", method, "--theta-steps", "3", "--t-steps", "11"]
+    split = [1] * 3 if method == "lindblad" else [1] * 9
+    assert _count_sweep_sums(tmp_path, monkeypatch, argv, block_rows) == {4: split, 22: [2, 1]}[block_rows]
+
+
+@pytest.mark.parametrize("block_rows", [4, 22])
+def test_analytic_sweep_takes_no_canonical_sums_call(tmp_path, monkeypatch, block_rows):
+    # the closed form reads theta alone
+    argv = ["sweep", "--config", "braided", "--method", "analytic", "--theta-steps", "3", "--t-steps", "11"]
+    assert _count_sweep_sums(tmp_path, monkeypatch, argv, block_rows) == []
 
 
 @pytest.mark.parametrize("argv,name,spec", [

@@ -8,17 +8,16 @@ from oracles import (
     closed_form_coefficients,
     closed_form_nested,
     closed_form_separate,
+    coefficient_set,
     pair_sum_coefficients,
 )
 
 from gawsim.cli import main as cli_main
 from gawsim.coefficients import (
     MasterEqCoefficients,
-    _layout_points,
     canonical_coefficients,
     canonical_decay_amplitudes,
     canonical_sums,
-    coefficient_sums,
     general_coefficients,
 )
 from gawsim.errors import LayoutError
@@ -151,7 +150,7 @@ def test_reflection_identities(kind):
 def test_decay_matrix_positive_semidefinite(kind):
     for theta in np.linspace(0.0, 2 * math.pi, 400):
         c = canonical_coefficients(kind, 1.0, float(theta))
-        lo = np.linalg.eigvalsh(c.decay_matrix()).min()
+        lo = np.linalg.eigvalsh(c.decay).min()
         assert lo >= -1e-9
 
 
@@ -162,7 +161,7 @@ def test_decay_matrix_is_rank_one_in_amplitudes(kind):
         gamma = float(rng.uniform(0.2, 2.0))
         c = canonical_coefficients(kind, gamma, float(theta))
         v = canonical_decay_amplitudes(kind, gamma, float(theta))
-        np.testing.assert_allclose(c.decay_matrix(), 2.0 * np.outer(v, v), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(c.decay, 2.0 * np.outer(v, v), atol=1e-12, rtol=0)
 
 
 def test_layout_decay_amplitudes_match_rates():
@@ -171,8 +170,9 @@ def test_layout_decay_amplitudes_match_rates():
     points1 = tuple(ConnectionPoint(1, float(p), float(g)) for p, g in zip(rng.uniform(5.1, 9, 2), rng.uniform(0.1, 2, 2)))
     layout = build_custom([GiantAtomSpec(0, points0), GiantAtomSpec(1, points1)])
     c = general_coefficients(layout)
-    v = coefficient_sums(*_layout_points(layout))[1]
-    np.testing.assert_allclose(c.decay_matrix(), 2.0 * np.outer(v, v), atol=1e-12, rtol=0)
+    # v_j = sum over atom j's points of sqrt(gamma_n) cos(phi_n)
+    v = [sum(math.sqrt(p.gamma) * math.cos(p.phase) for p in atom.points) for atom in layout.atoms]
+    np.testing.assert_allclose(c.decay, 2.0 * np.outer(v, v), atol=1e-12, rtol=0)
 
 
 def test_gamma_scales_linearly():
@@ -190,14 +190,14 @@ def test_three_atom_general_path():
     assert c.n_atoms == 3
     np.testing.assert_allclose(c.exchange, c.exchange.T, atol=1e-15)
     np.testing.assert_allclose(c.collective_decay, c.collective_decay.T, atol=1e-15)
-    assert np.linalg.eigvalsh(c.decay_matrix()).min() >= -1e-12
+    assert np.linalg.eigvalsh(c.decay).min() >= -1e-12
 
 
-def _table(shift, v):
+def _table(shift, decay):
     """Kernel output as (N, 6) rows: dw_a, dw_b, g_ab, G_a, G_b, G_coll."""
     return np.column_stack([
         shift[:, 0, 0], shift[:, 1, 1], shift[:, 0, 1],
-        2.0 * v[:, 0] ** 2, 2.0 * v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1],
+        decay[:, 0, 0], decay[:, 1, 1], decay[:, 0, 1],
     ])
 
 
@@ -263,12 +263,15 @@ def test_canonical_sums_of_an_array_are_the_single_theta_sums(kind):
     # unit-rate sums scaled by gamma: exactly, at any gamma and batch size
     thetas = np.linspace(-1.0, 13.0, 97)
     for gamma in (0.8, 1.7):
-        shift, v = canonical_sums(kind, gamma, thetas)
-        for theta, shift_row, v_row in zip(thetas, shift, v):
-            one_shift, one_v = canonical_sums(kind, gamma, float(theta))
-            assert np.array_equal(shift_row, one_shift) and np.array_equal(v_row, one_v)
-        assert np.array_equal(canonical_decay_amplitudes(kind, gamma, thetas), v)
-        assert np.array_equal(canonical_decay_amplitudes(kind, gamma, 0.3), canonical_sums(kind, gamma, 0.3)[1])
+        shift, decay = canonical_sums(kind, gamma, thetas)
+        for theta, shift_row, decay_row in zip(thetas, shift, decay):
+            one_shift, one_decay = canonical_sums(kind, gamma, float(theta))
+            assert np.array_equal(shift_row, one_shift) and np.array_equal(decay_row, one_decay)
+        # the DFI objective's amplitudes are the kernel's, bit for bit: decay = 2 v v^T
+        v = canonical_decay_amplitudes(kind, gamma, thetas)
+        assert np.array_equal(2.0 * v[:, :, None] * v[:, None, :], decay)
+        v = canonical_decay_amplitudes(kind, gamma, 0.3)
+        assert np.array_equal(2.0 * v[:, None] * v[None, :], canonical_sums(kind, gamma, 0.3)[1])
 
 
 def test_canonical_layout_points_are_the_canonical_phases():
@@ -285,44 +288,55 @@ def test_canonical_layout_points_are_the_canonical_phases():
 ])
 @pytest.mark.parametrize("field", ["exchange", "collective_decay"])
 def test_symmetry_check_rejects_asymmetric_and_nan(bad, field):
-    args = {"lamb_shifts": np.zeros(2), "exchange": np.zeros((2, 2)),
-            "individual_decay": np.zeros(2), "collective_decay": np.zeros((2, 2))}
-    args[field] = bad
+    # the off-diagonal families: exchange in the shift matrix, collective decay in the decay matrix
+    args = {"lamb": np.zeros(2), "exch": np.zeros((2, 2)), "decay": np.zeros(2), "coll": np.zeros((2, 2))}
+    family = {"exchange": "exch", "collective_decay": "coll"}[field]
+    args[family] = bad
     with pytest.raises(ValueError, match="symmetric"):
-        MasterEqCoefficients(**args)
+        coefficient_set(**args)
     # an asymmetry within the 1e-12 tolerance is still accepted
-    args[field] = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
-    MasterEqCoefficients(**args)
+    args[family] = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
+    coefficient_set(**args)
 
 
-@pytest.mark.parametrize("field,value,message", [
-    ("lamb_shifts", np.zeros((2, 1)), r"^lamb_shifts must have shape \(2,\), got \(2, 1\)$"),
-    ("lamb_shifts", np.array(0.0), r"^lamb_shifts must have shape \(1,\), got \(\)$"),
-    ("individual_decay", np.array([1.0]), r"^individual_decay must have shape \(2,\), got \(1,\)$"),
-    ("individual_decay", np.ones(3), r"^individual_decay must have shape \(2,\), got \(3,\)$"),
-    ("exchange", np.array([[3.0, 0.5], [0.5, 0.0]]), r"^exchange must have a zero diagonal, got \[3\.0, 0\.0\]$"),
-    ("collective_decay", np.array([[0.0, 0.5], [0.5, -1e-300]]),
-     r"^collective_decay must have a zero diagonal, got \[0\.0, -1e-300\]$"),
-], ids=["lamb-2d", "lamb-0d", "decay-short", "decay-long", "exchange-diagonal", "collective-diagonal"])
-def test_coefficient_set_rejects_misshapen_vectors_and_nonzero_diagonals(field, value, message):
-    # a short decay vector used to be repeated onto the diagonal, and a diagonal
-    # entry was dropped (collective) or read differently by the two dynamics paths
-    args = {"lamb_shifts": np.zeros(2), "exchange": np.zeros((2, 2)),
-            "individual_decay": np.zeros(2), "collective_decay": np.zeros((2, 2))}
-    args[field] = value
-    with pytest.raises(ValueError, match=message):
-        MasterEqCoefficients(**args)
+def test_coefficient_set_keeps_a_non_finite_diagonal():
+    # the symmetry check reads the off-diagonal entries only, so a NaN or inf
+    # Lamb shift or decay rate stays constructible and reaches the dynamics checks
+    c = MasterEqCoefficients(np.array([[np.nan, 1.0], [1.0, 0.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    assert np.isnan(c.lamb_shifts[0]) and c.individual_decay[0] == np.inf
+    assert c.exchange.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("shift,decay,message", [
+    (np.zeros((2, 1)), np.zeros((2, 1)), r"got \(2, 1\) and \(2, 1\)$"),
+    (np.array(0.0), np.array(0.0), r"got \(\) and \(\)$"),
+    (np.zeros(2), np.zeros(2), r"got \(2,\) and \(2,\)$"),
+    (np.zeros((2, 2)), np.zeros((1, 1)), r"got \(2, 2\) and \(1, 1\)$"),
+    (np.zeros((2, 2)), np.zeros((3, 3)), r"got \(2, 2\) and \(3, 3\)$"),
+], ids=["shift-2x1", "0d", "vectors", "decay-short", "decay-long"])
+def test_coefficient_set_rejects_misshapen_matrices(shift, decay, message):
+    with pytest.raises(ValueError, match=r"^shift and decay must be square matrices of one shape, " + message):
+        MasterEqCoefficients(shift, decay)
+
+
+def test_coefficient_set_is_read_only():
+    c = canonical_coefficients("nested", 0.8, 0.3)
+    for mat in (c.shift, c.decay, c.lamb_shifts, c.individual_decay):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0] = 1.0
+    with pytest.raises(AttributeError):
+        c.exchange = np.zeros((2, 2))
 
 
 @pytest.mark.parametrize("kind", CONFIGS)
 def test_coefficient_matrices_are_the_canonical_sums(kind):
-    # the shift and decay matrices of a coefficient set are the kernel's
-    # (shift, 2 v v^T) bit for bit, so the Lindblad sweep may take either
+    # a coefficient set holds the kernel's (shift, decay) pair bit for bit, so
+    # the Lindblad sweep and evolve take the same matrices
     for theta in (0.0, 0.3, math.pi / 4, 2.1, -0.7):
         coeffs = canonical_coefficients(kind, 0.8, theta)
-        shift, v = canonical_sums(kind, 0.8, np.array([theta]))
-        assert np.array_equal(coeffs.shift_matrix(), shift[0])
-        assert np.array_equal(coeffs.decay_matrix(), (2.0 * v[:, :, None] * v[:, None, :])[0])
+        shift, decay = canonical_sums(kind, 0.8, np.array([theta]))
+        assert np.array_equal(coeffs.shift, shift[0])
+        assert np.array_equal(coeffs.decay, decay[0])
 
 
 def test_kernel_rejects_overflowing_rates():
@@ -335,8 +349,8 @@ def test_kernel_rejects_overflowing_rates():
             general_coefficients(build_custom([
                 GiantAtomSpec(0, (ConnectionPoint(0, 0.5, 1e308), ConnectionPoint(0, 1.1, 1e308))),
             ]))
-        shift, v = canonical_sums(Configuration.BRAIDED, 1e300, 0.3)
-    assert np.isfinite(shift).all() and np.isfinite(2 * v * v).all()
+        shift, decay = canonical_sums(Configuration.BRAIDED, 1e300, 0.3)
+    assert np.isfinite(shift).all() and np.isfinite(decay).all()
 
 
 def test_canonical_theta_limit_is_where_phases_overflow():

@@ -5,7 +5,7 @@ import pytest
 from oracles import closed_form_braided, closed_form_separate
 
 from gawsim.coefficients import canonical_coefficients
-from gawsim.dfi import check_dfi, scan_dfi
+from gawsim.dfi import _golden_section, check_dfi, scan_dfi
 from gawsim.dynamics import AmplitudeState, evolve_amplitudes
 from gawsim.model import Configuration
 
@@ -79,6 +79,30 @@ def test_nested_points_over_six_periods():
     targets = sorted((n + (2 * k + 1) / 4) * PI for n in range(6) for k in (0, 1))
     for got, want in zip(report.theta_points, targets):
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("start,tol", [(2e4, 5e-11), (1e8, 5e-7)])
+def test_scan_ends_where_one_ulp_of_theta_exceeds_the_refinement_width(start, tol):
+    # above |theta| = 8192 one ulp of theta is wider than the 1e-12 at which the
+    # golden section stops: it stops at adjacent doubles instead of cycling there
+    report = scan_dfi("nested", theta_min=start, theta_max=start + 10.0, grid=100)
+    first = math.ceil((start - PI / 4) / (PI / 2))
+    targets = [PI / 4 + k * PI / 2 for k in range(first, first + 7)]
+    assert start <= targets[0] and targets[-1] + PI / 2 > start + 10.0
+    assert len(report) == 7
+    for got, want in zip(report.theta_points, targets):
+        assert got == pytest.approx(want, abs=tol)
+
+
+@pytest.mark.parametrize("lo", [2e4, 1e8, 1e300, -1e300])
+@pytest.mark.parametrize("ulps", [1, 2, 5, 1000])
+def test_golden_section_ends_on_every_bracket(lo, ulps):
+    # an objective falling toward hi used to cycle once lo and hi were adjacent
+    hi = lo
+    for _ in range(ulps):
+        hi = math.nextafter(hi, math.inf)
+    for objective in (lambda x: -x, lambda x: x, lambda x: 1.0):
+        assert lo <= _golden_section(objective, lo, hi) <= hi
 
 
 def test_norm_conserved_at_every_reported_point():
