@@ -544,6 +544,10 @@ def run_evolve(spec: RunSpec) -> int:
     initial = _initial_amplitudes(spec)
 
     if method == "effective":
+        norm = initial.norm()
+        if not norm <= 1.0 + dynamics.NORM_TOL:
+            raise SpecError(f"--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 <= 1 for --method "
+                            f"effective, got sqrt(|c_eg|^2 + |c_ge|^2) = {norm}")
         times = _time_grid(spec)
         record = dynamics.amplitude_trajectory(initial, coeffs, spec.gamma * times)
         c_eg, c_ge = record.states.T

@@ -55,9 +55,10 @@ class MasterEqCoefficients:
         off it.  A physical Lindblad generator requires it to be positive
         semidefinite; for mirror-terminated layouts it is 2 v v^T, rank one.
 
-    Both are symmetric off the diagonal, to 1e-12, and read-only.  The four
-    families are views of them: ``lamb_shifts``, ``exchange``,
-    ``individual_decay`` and ``collective_decay``.
+    Both are symmetric off the diagonal, to 1e-12, and held as read-only
+    copies of the arrays given.  The four families are views of them:
+    ``lamb_shifts``, ``exchange``, ``individual_decay`` and
+    ``collective_decay``.
     """
 
     shift: np.ndarray
@@ -68,10 +69,12 @@ class MasterEqCoefficients:
             raise ValueError(f"shift and decay must be square matrices of one shape, "
                              f"got {self.shift.shape} and {self.decay.shape}")
         for name in ("shift", "decay"):
-            mat = getattr(self, name)
+            # a read-only copy: the caller's array stays writable and cannot change the set
+            mat = np.array(getattr(self, name))
             if not (np.abs(np.triu(mat, 1) - np.tril(mat, -1).T) <= 1e-12).all():
                 raise ValueError(f"{name} matrix must be symmetric")
             mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     @property
     def n_atoms(self) -> int:

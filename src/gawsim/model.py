@@ -102,23 +102,15 @@ class ConnectionPoint:
 
 @dataclass(frozen=True)
 class GiantAtomSpec:
-    """A two-level atom with one or more connection points.
-
-    ``omega`` is the bare transition frequency.  It only enters the network
-    Hamiltonian before moving to the interaction picture; all coefficient
-    formulas are frame-independent, so 0.0 is a fine default.
-    """
+    """A two-level atom with one or more connection points."""
 
     atom_id: int
     points: tuple[ConnectionPoint, ...]
-    omega: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise LayoutError(f"atom {self.atom_id} has no connection points")
-        if not math.isfinite(self.omega):
-            raise LayoutError(f"atom {self.atom_id} omega must be finite, got {self.omega}")
         for p in self.points:
             if p.atom_id != self.atom_id:
                 raise LayoutError(
@@ -161,10 +153,6 @@ class WaveguideLayout:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    @property
-    def omegas(self) -> tuple[float, ...]:
-        return tuple(atom.omega for atom in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -227,12 +215,11 @@ def layout_from_json(text: str) -> WaveguideLayout:
 
     Schema::
 
-        {"atoms": [{"id": 0, "omega": 1.0,
-                    "points": [{"phi": 0.5, "gamma": 1.0}, ...]}, ...]}
+        {"atoms": [{"id": 0, "points": [{"phi": 0.5, "gamma": 1.0}, ...]}, ...]}
 
-    Phases are in radians, rates in units of the reference rate; ``omega``
-    is optional and defaults to 0.  Any other JSON type of a field raises
-    ``LayoutError`` naming it.
+    Phases are in radians, rates in units of the reference rate.  Any other
+    JSON type of a field raises ``LayoutError`` naming it; keys outside the
+    schema are ignored.
     """
     try:
         doc = json.loads(text)
@@ -247,7 +234,6 @@ def layout_from_json(text: str) -> WaveguideLayout:
         where = f"atoms[{i}]"
         try:
             atom_id = _json_number(entry, "id", where, int)
-            omega = _json_number(entry, "omega", where) if "omega" in entry else 0.0
             pts = tuple(
                 ConnectionPoint(atom_id, _json_number(p, "phi", f"{where}.points[{n}]"),
                                 _json_number(p, "gamma", f"{where}.points[{n}]"))
@@ -255,7 +241,7 @@ def layout_from_json(text: str) -> WaveguideLayout:
             )
         except (KeyError, TypeError) as exc:
             raise LayoutError(f"malformed atom entry in layout JSON: {entry!r}") from exc
-        atoms.append(GiantAtomSpec(atom_id, pts, omega))
+        atoms.append(GiantAtomSpec(atom_id, pts))
     return build_custom(atoms)
 
 
@@ -265,7 +251,6 @@ def layout_to_json(layout: WaveguideLayout) -> str:
         "atoms": [
             {
                 "id": atom.atom_id,
-                "omega": atom.omega,
                 "points": [{"phi": p.phase, "gamma": p.gamma} for p in atom.points],
             }
             for atom in layout.atoms

@@ -2,9 +2,9 @@
 
 An independent derivation of the master-equation coefficients.  Each
 connection point is a single-port component with unit scattering, collapse
-operator sqrt(gamma/2) * sigma_minus, and (on the first right-moving pass
-through an atom) the bare Hamiltonian omega * sigma_z / 2.  Propagation
-between neighbouring points is a pure phase component (e^{i*dphi}, 0, 0);
+operator sqrt(gamma/2) * sigma_minus, and no Hamiltonian: the interaction
+picture drops the bare atomic frequencies.  Propagation between
+neighbouring points is a pure phase component (e^{i*dphi}, 0, 0);
 ``build_network`` folds each one into the scattering of the pass after it,
 since point << (e^{i*dphi}, 0, 0) << G equals (e^{i*dphi}, L, H) << G.
 
@@ -38,7 +38,6 @@ from .errors import LayoutError, NumericalFailure
 from .model import MAX_ATOMS_DENSE, ConnectionPoint, WaveguideLayout
 
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: Residues above this in a composed network signal a composition bug.
 COMPOSITION_TOL = 1e-10
@@ -68,13 +67,6 @@ def sigma_plus(atom: int, n_atoms: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def sigma_z(atom: int, n_atoms: int) -> np.ndarray:
-    m = _kron_at(_SIGMA_Z, atom, n_atoms)
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=None)
 def number_op(atom: int, n_atoms: int) -> np.ndarray:
     """Excited-state projector sigma_plus @ sigma_minus of ``atom``."""
     m = sigma_plus(atom, n_atoms) @ sigma_minus(atom, n_atoms)
@@ -99,19 +91,10 @@ class SLHTriplet:
         return self.collapse.shape[0]
 
 
-def point_triplet(point: ConnectionPoint, n_atoms: int, omega: float = 0.0) -> SLHTriplet:
-    """Component for one directional pass through a connection point.
-
-    ``omega`` attaches the bare atomic Hamiltonian omega * sigma_z / 2 and
-    should be nonzero for exactly one pass per atom.
-    """
-    dim = 2 ** n_atoms
+def point_triplet(point: ConnectionPoint, n_atoms: int) -> SLHTriplet:
+    """Component for one directional pass through a connection point."""
     collapse = np.sqrt(point.gamma / 2.0) * sigma_minus(point.atom_id, n_atoms)
-    if omega:
-        ham = omega * sigma_z(point.atom_id, n_atoms) / 2.0
-    else:
-        ham = np.zeros((dim, dim), dtype=complex)
-    return SLHTriplet(1.0 + 0.0j, collapse.astype(complex), ham)
+    return SLHTriplet(1.0 + 0.0j, collapse, np.zeros_like(collapse))
 
 
 def series_product(g2: SLHTriplet, g1: SLHTriplet) -> SLHTriplet:
@@ -134,34 +117,24 @@ def build_network(layout: WaveguideLayout) -> SLHTriplet:
     Each phase is folded into the scattering of the pass that follows it
     (the composed S, L and H are those of the chain with separate pure
     phase components (e^{i*dphi}, 0, 0), up to rounding).
-    The bare omega * sigma_z / 2 term attaches at each atom's first
-    right-moving point; after moving to the interaction picture the choice
-    of pass is irrelevant (covered by tests).
     """
     m = layout.n_atoms
     if m > MAX_ATOMS_DENSE:
         raise LayoutError(f"dense network paths accept at most {MAX_ATOMS_DENSE} atoms, got {m}")
     pts = layout.all_points
-    omegas = layout.omegas
 
     phis = [p.phase for p in pts]
-    # (pass, propagation phase since the previous pass, omega): a phase only
-    # rotates what reaches the next component, (e^{i dphi}, L, H) << G equals
+    # (pass, propagation phase since the previous pass): a phase only rotates
+    # what reaches the next component, (e^{i dphi}, L, H) << G equals
     # point << (e^{i dphi}, 0, 0) << G, so each pass carries the phase before
     # it as its scattering and the chain holds no phase elements
-    passes = [(pts[i], phis[i + 1] - phis[i] if i + 1 < len(pts) else 0.0, 0.0)
+    passes = [(pts[i], phis[i + 1] - phis[i] if i + 1 < len(pts) else 0.0)
               for i in range(len(pts) - 1, -1, -1)]
-    carried: set[int] = set()
-    for i, p in enumerate(pts):
-        omega = 0.0
-        if p.atom_id not in carried:
-            carried.add(p.atom_id)
-            omega = omegas[p.atom_id]
-        passes.append((p, phis[i] - phis[i - 1] if i else 2.0 * phis[0], omega))
+    passes += [(p, phis[i] - phis[i - 1] if i else 2.0 * phis[0]) for i, p in enumerate(pts)]
 
     total = None
-    for p, dphi, omega in passes:
-        component = replace(point_triplet(p, m, omega), scattering=np.exp(1j * dphi))
+    for p, dphi in passes:
+        component = replace(point_triplet(p, m), scattering=np.exp(1j * dphi))
         total = component if total is None else series_product(component, total)
     return total
 
@@ -175,9 +148,8 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
     Gc_jk = alpha_j * alpha_k.  The Hamiltonian is projected onto
     {identity, number ops, exchange ops} by Hilbert-Schmidt inner products
     (the diagonal family is not orthogonal, so its Gram system is solved
-    explicitly), and the bare omega_j are subtracted to land in the
-    interaction picture; the Lamb shifts fill the diagonal of the exchange
-    matrix to give the shift matrix.
+    explicitly); the Lamb shifts fill the diagonal of the exchange matrix to
+    give the shift matrix.
     """
     m = layout.n_atoms
     dim = 2 ** m
@@ -207,7 +179,6 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
     gram = np.array([[np.vdot(a, b).real for b in basis] for a in basis])
     rhs = np.array([np.vdot(b, triplet.hamiltonian).real for b in basis])
     diag_coef = np.linalg.solve(gram, rhs)
-    lamb = diag_coef[1:] - np.asarray(layout.omegas)
 
     exch = np.zeros((m, m))
     pairs = {}
@@ -225,5 +196,5 @@ def extract_coefficients(triplet: SLHTriplet, layout: WaveguideLayout) -> Master
         h_rec = h_rec + exch[j, k] * x
     if float(np.abs(h_rec - triplet.hamiltonian).max()) > COMPOSITION_TOL * scale:
         raise NumericalFailure("H_tot contains terms outside the number/exchange span")
-    np.fill_diagonal(exch, lamb)
+    np.fill_diagonal(exch, diag_coef[1:])
     return MasterEqCoefficients(exch, np.outer(alpha.real, alpha.real))

@@ -54,14 +54,14 @@ from gawsim.coefficients import MasterEqCoefficients
 from gawsim.model import Configuration, ConnectionPoint, GiantAtomSpec, build_custom
 
 
-def general_braided_layout(g1, g2, g3, g4, t1, t2, t3, theta, omega=0.0):
+def general_braided_layout(g1, g2, g3, g4, t1, t2, t3, theta):
     """Layout with points a1, b1, a2, b2 at cumulative phases from theta/2."""
     p1 = theta / 2
     p2, p3, p4 = p1 + t1, p1 + t1 + t2, p1 + t1 + t2 + t3
     return build_custom(
         [
-            GiantAtomSpec(0, (ConnectionPoint(0, p1, g1), ConnectionPoint(0, p3, g3)), omega),
-            GiantAtomSpec(1, (ConnectionPoint(1, p2, g2), ConnectionPoint(1, p4, g4)), omega),
+            GiantAtomSpec(0, (ConnectionPoint(0, p1, g1), ConnectionPoint(0, p3, g3))),
+            GiantAtomSpec(1, (ConnectionPoint(1, p2, g2), ConnectionPoint(1, p4, g4))),
         ]
     )
 

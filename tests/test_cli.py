@@ -290,6 +290,28 @@ def test_verify_slh_custom_layout(tmp_path):
     assert doc["max_abs_diff"] < 1e-10
 
 
+#: The README's example layout, each atom's entry open for an extra key.
+_README_LAYOUT = ('{"atoms": [{"id": 0, %s"points": [{"phi": 0.35, "gamma": 1.0}, {"phi": 1.75, "gamma": 1.0}]},'
+                  ' {"id": 1, %s"points": [{"phi": 1.05, "gamma": 1.0}, {"phi": 2.45, "gamma": 1.0}]}]}')
+
+
+def test_layout_omega_keys_change_no_output(tmp_path, capsys):
+    # a bare frequency "omega" is ignored like any key outside the schema, so it
+    # costs verify-slh no digits however large it is
+    path, out = tmp_path / "layout.json", tmp_path / "out.csv"
+    outputs = []
+    for omega in ("", '"omega": 1e8, ', '"omega": "abc", '):
+        path.write_text(_README_LAYOUT % (omega, omega))
+        assert main(["verify-slh", "--layout", str(path)]) == 0
+        files = [capsys.readouterr().out]
+        for argv in (["coeffs"], ["evolve"], ["evolve", "--method", "lindblad"]):
+            assert main([*argv, "--layout", str(path), "--out", str(out)]) == 0
+            files.append(out.read_text())
+        outputs.append(files)
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert "max_abs_diff=4.4408920985006262e-16 " in outputs[1][0]
+
+
 def test_invalid_specs_exit_one(tmp_path):
     assert main(["coeffs", "--config", "braided"]) == 1  # no --out
     assert main(["coeffs", "--out", str(tmp_path / "x.csv")]) == 1  # no source
@@ -389,12 +411,12 @@ def test_identical_specs_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("field,name", [("phi", "phase"), ("gamma", "gamma"), ("omega", "omega")])
+@pytest.mark.parametrize("field,name", [("phi", "phase"), ("gamma", "gamma")])
 def test_coeffs_layout_non_finite_value_exits_one(tmp_path, capsys, field, name, value):
-    values = {"phi": "0.5", "gamma": "1.0", "omega": "0.0", field: value}
+    values = {"phi": "0.5", "gamma": "1.0", field: value}
     layout = tmp_path / "layout.json"
     layout.write_text(
-        '{"atoms": [{"id": 0, "omega": %(omega)s, "points": [{"phi": %(phi)s, "gamma": 1.0}]},'
+        '{"atoms": [{"id": 0, "points": [{"phi": %(phi)s, "gamma": 1.0}]},'
         ' {"id": 1, "points": [{"phi": 1.5, "gamma": %(gamma)s}]}]}' % values
     )
     out = tmp_path / "coeffs.csv"
@@ -409,15 +431,13 @@ def test_coeffs_layout_non_finite_value_exits_one(tmp_path, capsys, field, name,
     ('[{"id": "x", "points": [{"phi": 0.5, "gamma": 1.0}]}]', 'atoms[0].id must be a JSON integer, got "x"'),
     ('[{"id": 0.7, "points": [{"phi": 0.5, "gamma": 1.0}]}]', "atoms[0].id must be a JSON integer, got 0.7"),
     ('[{"id": false, "points": [{"phi": 0.5, "gamma": 1.0}]}]', "atoms[0].id must be a JSON integer, got false"),
-    ('[{"id": 0, "omega": "abc", "points": [{"phi": 0.5, "gamma": 1.0}]}]',
-     'atoms[0].omega must be a JSON number, got "abc"'),
     ('[{"id": 0, "points": [{"phi": 0.5, "gamma": 1.0}, {"phi": "0.5", "gamma": 1.0}]}]',
      'atoms[0].points[1].phi must be a JSON number, got "0.5"'),
     ('[{"id": 0, "points": [{"phi": 0.5, "gamma": true}]}]',
      "atoms[0].points[0].gamma must be a JSON number, got true"),
     ('[{"id": 0, "points": [{"phi": 1%s, "gamma": 1.0}]}]' % ("0" * 400),
      "atoms[0].points[0].phi is too large for a float"),
-], ids=["atoms-number", "atoms-null", "id-string", "id-fraction", "id-bool", "omega-string", "phi-string",
+], ids=["atoms-number", "atoms-null", "id-string", "id-fraction", "id-bool", "phi-string",
         "gamma-bool", "phi-huge-integer"])
 def test_layout_json_type_errors_exit_one_naming_the_field(tmp_path, capsys, atoms, message):
     layout = tmp_path / "layout.json"
@@ -618,10 +638,23 @@ def test_evolve_lindblad_under_normalised_amplitudes_exit_one(tmp_path, capsys):
     assert main([*argv, "--method", "effective"]) == 0
 
 
+_OVER_NORMALISED = ("--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 <= 1 for --method effective, "
+                    "got sqrt(|c_eg|^2 + |c_ge|^2) = ")
+
+
+def test_evolve_effective_over_normalised_amplitudes_exit_one_naming_the_flags(tmp_path, capsys):
+    # as --method lindblad does, --method effective names both flags
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", "braided", "--theta", "0.3", "--c-eg", "0.9", "--c-ge", "0.9",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {_OVER_NORMALISED}1.2727922061357855\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["--c-ge", "1e308"], "initial amplitude norm 1e+308 exceeds 1"),
-    (["--c-eg", "1e155"], "initial amplitude norm 1e+155 exceeds 1"),
-    (["--c-ge", "1.7e308+1.7e308j"], "initial amplitude norm inf exceeds 1"),
+    (["--c-ge", "1e308"], f"{_OVER_NORMALISED}1e+308"),
+    (["--c-eg", "1e155"], f"{_OVER_NORMALISED}1e+155"),
+    (["--c-ge", "1.7e308+1.7e308j"], f"{_OVER_NORMALISED}inf"),
     (["--method", "lindblad", "--c-ge", "1e200"], "--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 = 1"),
 ], ids=["c-ge-1e308", "c-eg-1e155", "complex-overflow", "lindblad-1e200"])
 def test_evolve_huge_amplitudes_exit_one(tmp_path, capsys, argv, message):

@@ -328,6 +328,17 @@ def test_coefficient_set_is_read_only():
         c.exchange = np.zeros((2, 2))
 
 
+def test_coefficient_set_leaves_the_callers_arrays_writable():
+    # the set holds read-only copies: the arrays given stay writable, and a
+    # later write to them does not reach the set
+    shift, decay = np.zeros((2, 2)), np.eye(2)
+    c = MasterEqCoefficients(shift, decay)
+    shift[0, 0] = decay[0, 1] = decay[1, 0] = 1.0
+    assert c.shift.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert c.decay.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert not (c.shift.flags.writeable or c.decay.flags.writeable)
+
+
 @pytest.mark.parametrize("kind", CONFIGS)
 def test_coefficient_matrices_are_the_canonical_sums(kind):
     # a coefficient set holds the kernel's (shift, decay) pair bit for bit, so

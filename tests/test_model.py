@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -107,20 +109,26 @@ def test_all_points_sorted_strictly():
 
 def test_json_round_trip():
     layout = build_canonical(CanonicalConfig("braided", 1.5, 0.8))
-    again = layout_from_json(layout_to_json(layout))
-    assert again == layout
+    text = layout_to_json(layout)
+    assert layout_from_json(text) == layout
+    assert [sorted(atom) for atom in json.loads(text)["atoms"]] == [["id", "points"]] * 2
 
 
 def test_json_schema_fields():
-    text = '{"atoms": [{"id": 0, "omega": 1.0, "points": [{"phi": 0.5, "gamma": 1.0}]}]}'
+    text = '{"atoms": [{"id": 0, "points": [{"phi": 0.5, "gamma": 2.0}]}]}'
     layout = layout_from_json(text)
-    assert layout.atoms[0].omega == 1.0
-    assert layout.atoms[0].points[0].phase == 0.5
+    assert layout.atoms[0].atom_id == 0
+    assert layout.atoms[0].points[0] == ConnectionPoint(0, 0.5, 2.0)
 
 
 def test_json_omega_optional():
-    text = '{"atoms": [{"id": 0, "points": [{"phi": 0.5, "gamma": 1.0}]}]}'
-    assert layout_from_json(text).atoms[0].omega == 0.0
+    # layout files once carried a bare frequency "omega" per atom; like every
+    # key outside the schema it is ignored, so such files load unchanged
+    text = '{"atoms": [{"id": 0, %s"points": [{"phi": 0.5, "gamma": 1.0}]}]}'
+    bare = layout_from_json(text % "")
+    for omega in ("0.0", "1e8", '"abc"', "NaN"):
+        assert layout_from_json(text % f'"omega": {omega}, ') == bare
+    assert [f.name for f in fields(GiantAtomSpec)] == ["atom_id", "points"]
 
 
 def test_json_malformed_rejected():
@@ -136,24 +144,22 @@ def test_json_malformed_rejected():
 _NON_FINITE = ("NaN", "Infinity", "-Infinity")
 
 
-def _layout_text(phi="0.5", gamma="1.0", omega="0.0"):
+def _layout_text(phi="0.5", gamma="1.0"):
     return (
-        '{"atoms": [{"id": 0, "omega": %s, "points": [{"phi": %s, "gamma": 1.0}]},'
-        ' {"id": 1, "points": [{"phi": 1.5, "gamma": %s}]}]}' % (omega, phi, gamma)
+        '{"atoms": [{"id": 0, "points": [{"phi": %s, "gamma": 1.0}]},'
+        ' {"id": 1, "points": [{"phi": 1.5, "gamma": %s}]}]}' % (phi, gamma)
     )
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)
-@pytest.mark.parametrize("field,name", [("phi", "phase"), ("gamma", "gamma"), ("omega", "omega")])
+@pytest.mark.parametrize("field,name", [("phi", "phase"), ("gamma", "gamma")])
 def test_json_non_finite_value_rejected(field, name, value):
     with pytest.raises(LayoutError, match=f"{name} must be finite"):
         layout_from_json(_layout_text(**{field: value}))
 
 
-def test_non_finite_point_and_omega_rejected_directly():
+def test_non_finite_point_rejected_directly():
     with pytest.raises(LayoutError, match="phase must be finite"):
         ConnectionPoint(0, math.nan, 1.0)
     with pytest.raises(LayoutError, match="gamma must be finite"):
         ConnectionPoint(0, 0.5, math.inf)
-    with pytest.raises(LayoutError, match="omega must be finite"):
-        GiantAtomSpec(0, (ConnectionPoint(0, 0.5, 1.0),), -math.inf)

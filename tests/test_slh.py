@@ -23,7 +23,6 @@ from gawsim.slh import (
     series_product,
     sigma_minus,
     sigma_plus,
-    sigma_z,
 )
 
 
@@ -51,8 +50,6 @@ def test_operator_constructors_place_blocks():
     sm1 = sigma_minus(1, 2)
     assert sm1[1, 0] == 1.0 and sm1[3, 2] == 1.0
     np.testing.assert_allclose(sigma_plus(0, 2), sm.conj().T)
-    sz = sigma_z(0, 2)
-    np.testing.assert_allclose(np.diag(sz), [1, 1, -1, -1])
 
 
 def test_series_identity_element():
@@ -144,41 +141,6 @@ def test_nested_dfi_point_through_network():
     assert got.exchange[0, 1] == pytest.approx((2 + math.sqrt(2)) / 2, abs=1e-12)
 
 
-def test_omega_attachment_pass_is_irrelevant():
-    """Attaching the bare sigma_z term on the mirror-bound pass instead of the
-    outbound one must not change the interaction-picture coefficients."""
-    layout = general_braided_layout(1.0, 0.7, 1.2, 0.5, 0.6, 0.5, 0.8, 1.3, omega=1.7)
-    m, dim = 2, 4
-    pts = layout.all_points
-    omegas = layout.omegas
-
-    chain = []
-    carried = set()
-    for i in range(len(pts) - 1, -1, -1):
-        omega = 0.0
-        if pts[i].atom_id not in carried:
-            carried.add(pts[i].atom_id)
-            omega = omegas[pts[i].atom_id]
-        chain.append(point_triplet(pts[i], m, omega))
-        if i > 0:
-            chain.append(phase_element(pts[i].phase - pts[i - 1].phase, dim))
-    chain.append(phase_element(2.0 * pts[0].phase, dim))
-    for i, p in enumerate(pts):
-        chain.append(point_triplet(p, m))
-        if i < len(pts) - 1:
-            chain.append(phase_element(pts[i + 1].phase - p.phase, dim))
-    alt = chain[0]
-    for component in chain[1:]:
-        alt = series_product(component, alt)
-
-    got_default = extract_coefficients(build_network(layout), layout)
-    got_alt = extract_coefficients(alt, layout)
-    np.testing.assert_allclose(got_alt.lamb_shifts, got_default.lamb_shifts, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(got_alt.exchange, got_default.exchange, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(got_alt.individual_decay, got_default.individual_decay, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(got_alt.collective_decay, got_default.collective_decay, atol=1e-12, rtol=0)
-
-
 def test_three_atom_network_matches_general_formula():
     pts = [
         GiantAtomSpec(0, (ConnectionPoint(0, 0.4, 1.0), ConnectionPoint(0, 2.0, 0.8))),
@@ -215,7 +177,7 @@ def _hand_triplet(m, fault=None):
     if fault == "hermitian":
         ham = ham + 1j * hop
     if fault == "span":
-        ham = ham + sigma_z(0, m) @ sigma_z(1, m)
+        ham = ham + number_op(0, m) @ number_op(1, m)
     return SLHTriplet(scattering, collapse, ham)
 
 
@@ -254,10 +216,8 @@ def _unfolded_network(layout):
         if i > 0:
             chain.append(phase_element(pts[i].phase - pts[i - 1].phase, dim))
     chain.append(phase_element(2.0 * pts[0].phase, dim))
-    carried = set()
     for i, p in enumerate(pts):
-        chain.append(point_triplet(p, m, 0.0 if p.atom_id in carried else layout.omegas[p.atom_id]))
-        carried.add(p.atom_id)
+        chain.append(point_triplet(p, m))
         if i < len(pts) - 1:
             chain.append(phase_element(pts[i + 1].phase - p.phase, dim))
     total = chain[0]
@@ -274,7 +234,7 @@ def test_folded_phases_match_unfolded_chain(m):
     owner = rng.permutation(np.repeat(np.arange(m), 2))
     layout = build_custom([
         GiantAtomSpec(j, tuple(ConnectionPoint(j, float(phases[i]), float(rng.uniform(0.3, 1.5)))
-                               for i in range(n) if owner[i] == j), omega=float(rng.normal()))
+                               for i in range(n) if owner[i] == j))
         for j in range(m)
     ])
     assert triplets_close(build_network(layout), _unfolded_network(layout))
