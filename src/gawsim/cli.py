@@ -24,6 +24,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from functools import cache
 
@@ -32,14 +33,7 @@ import numpy as np
 from . import __version__, analytic, dfi, dynamics, slh
 from .coefficients import ZERO_DECAY_TOL, canonical_coefficients, canonical_sums, general_coefficients
 from .errors import NumericalFailure
-from .model import (
-    CanonicalConfig,
-    Configuration,
-    WaveguideLayout,
-    build_canonical,
-    canonical_phases,
-    layout_from_json,
-)
+from .model import CanonicalConfig, Configuration, build_canonical, canonical_phases, layout_from_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,13 +55,11 @@ MAX_GAMMA_T = np.finfo(float).max / 256
 #: README 400 x 400 sweep (2-vCPU VM).
 _CSV_BLOCK_CELLS = 1 << 12
 
-#: Grid cells (theta x t) a sweep computes together: ``--method lindblad``
-#: propagates whole theta columns of at most this many cells (at least one
-#: column); ``--method analytic`` and ``effective`` evaluate blocks of at
-#: most this many cells, whole theta columns or one column's times split
-#: (``_sweep_blocks``).  A 400 x 400 Lindblad sweep in a fresh process peaks
-#: at 42.4 MB RSS with it, 35.1 MB with one theta at a time, 64.8 MB at
-#: 2**16 cells and 102.5 MB with the grid in one block (2-vCPU VM).
+#: Grid cells (theta x t) every evolve and sweep method computes together:
+#: blocks of at most this many cells, whole theta columns or one column's
+#: times split (``_sweep_blocks``).  A 400 x 400 Lindblad sweep in a fresh
+#: process peaks at 42.4 MB RSS with it, 35.1 MB with one theta at a time,
+#: 64.8 MB at 2**16 cells and 102.5 MB with the grid in one block (2-vCPU VM).
 _SWEEP_BLOCK_ROWS = 1 << 14
 
 
@@ -87,7 +79,8 @@ _TIMES = ("evolve", "sweep")
 _FLAGS = (
     ("--config", "configuration", _ALL,
      dict(choices=[c.value for c in Configuration], help="canonical two-atom configuration")),
-    ("--layout", "layout_path", _ALL, dict(metavar="JSON", help="path to a custom layout file")),
+    ("--layout", "layout_path", ("coeffs", "evolve", "verify-slh"),
+     dict(metavar="JSON", help="path to a custom layout file")),
     ("--gamma", "gamma", _ALL,
      dict(type=float, help="reference decay rate (default 1)")),
     ("--theta-over-pi", "theta_over_pi", _ALL,
@@ -99,9 +92,8 @@ _FLAGS = (
     ("--theta-steps", "theta_steps", ("coeffs", "sweep"),
      dict(type=int, help="grid points (default 400)")),
     ("--t-max", "t_max", _TIMES, dict(type=float, help="time horizon in 1/gamma (default 4)")),
-    ("--dt", "dt", _TIMES, dict(type=float, help="time step (default: method-dependent)")),
-    ("--t-steps", "t_steps", _TIMES,
-     dict(type=int, help="time grid points (default 400; not with --dt or for evolve lindblad)")),
+    ("--dt", "dt", _TIMES, dict(type=float, help="time step (default: from --t-steps)")),
+    ("--t-steps", "t_steps", _TIMES, dict(type=int, help="time grid points (default 400; not with --dt)")),
     ("--method", "method", _TIMES,
      dict(choices=["lindblad", "effective", "analytic"], default="effective",
           help="evolution method (default effective)")),
@@ -385,28 +377,24 @@ def _write_json(path: str, spec: RunSpec, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_layout(spec: RunSpec) -> WaveguideLayout:
-    if spec.layout_path is None:
-        raise SpecError("this command requires --layout or --config")
-    try:
-        with open(spec.layout_path) as fh:
-            return layout_from_json(fh.read())
-    except OSError as exc:
-        raise SpecError(f"cannot read layout file: {exc}") from exc
-
-
 def _resolve_source(spec: RunSpec):
     """Return ('config', Configuration) or ('layout', WaveguideLayout)."""
     if spec.configuration is not None and spec.layout_path is not None:
         raise SpecError("give either --config or --layout, not both")
     if spec.configuration is not None:
         return "config", Configuration(spec.configuration)
+    if spec.layout_path is None:
+        raise SpecError("this command requires --layout or --config")
     # the layout file fixes every phase; a theta flag would be recorded, not used
     for name in ("theta", "theta_min", "theta_max", "theta_steps"):
         if getattr(spec, name) is not None:
             raise SpecError(f"--{name.replace('_', '-')} does not apply with --layout, "
                             "whose file fixes the phases")
-    return "layout", _load_layout(spec)
+    try:
+        with open(spec.layout_path) as fh:
+            return "layout", layout_from_json(fh.read())
+    except OSError as exc:
+        raise SpecError(f"cannot read layout file: {exc}") from exc
 
 
 def _check_size(n: int, flags: str) -> None:
@@ -440,34 +428,22 @@ def _horizon(spec: RunSpec) -> float:
     return t_max
 
 
-def _step_count(t_max: float, dt: float, given: bool) -> int:
-    """Whole steps of ``dt`` up to ``t_max`` (evolve_lindblad's rule), at least
-    one and fewer than ``MAX_GRID_POINTS``.
-
-    Too few or too many name --dt when it was ``given``, otherwise --t-max,
-    and too many also --gamma, which scales the recommended step.
-    """
-    if dt <= 0:
-        raise SpecError("dt must be positive")
-    steps = t_max / dt + 1e-9
-    if steps < 1:
-        if given:
-            raise SpecError(f"--dt {dt} leaves fewer than 2 time points up to t-max {t_max}")
-        raise SpecError(f"--t-max {t_max} leaves fewer than 2 time points at the recommended "
-                        f"step dt = {dt:g}")
-    # compared before int(): t_max / dt overflows to inf for extreme flags
-    if steps >= MAX_GRID_POINTS:
-        raise SpecError(f"{'--dt gives' if given else '--gamma and --t-max give'} {steps + 1:.4g} "
-                        f"time points (t-max {t_max:g}, dt {dt:g}), above the limit of {MAX_GRID_POINTS}")
-    return int(steps)
-
-
 def _time_grid(spec: RunSpec) -> np.ndarray:
+    """The t grid of every method: whole steps of --dt up to --t-max, or --t-steps points."""
     t_max = _horizon(spec)
     if spec.dt is not None:
         if spec.t_steps is not None:
             raise SpecError("--t-steps does not apply with --dt, which sets the time grid; give one of them")
-        return np.arange(_step_count(t_max, spec.dt, given=True) + 1) * spec.dt
+        if spec.dt <= 0:
+            raise SpecError("dt must be positive")
+        steps = t_max / spec.dt + 1e-9
+        if steps < 1:
+            raise SpecError(f"--dt {spec.dt} leaves fewer than 2 time points up to t-max {t_max}")
+        # compared before int(): t_max / dt overflows to inf for extreme flags
+        if steps >= MAX_GRID_POINTS:
+            raise SpecError(f"--dt gives {steps + 1:.4g} time points (t-max {t_max:g}, dt {spec.dt:g}), "
+                            f"above the limit of {MAX_GRID_POINTS}")
+        return np.arange(int(steps) + 1) * spec.dt
     steps = 400 if spec.t_steps is None else spec.t_steps
     if steps < 2:
         raise SpecError("time grid needs at least 2 steps")
@@ -562,23 +538,23 @@ def run_evolve(spec: RunSpec) -> int:
         values = analytic.closed_form_concurrence_braided(spec.theta, spec.gamma * times)
         _write_csv(spec.out, spec, ["t", "concurrence"], times, values)
     else:
-        if spec.t_steps is not None:
-            raise SpecError("--t-steps does not apply to evolve --method lindblad; "
-                            "give --dt or leave both out for the recommended step")
         # a density matrix has unit trace; the amplitude paths accept any norm up to 1
         norm = initial.norm()
         norm_err = abs(norm * norm - 1.0)
         if norm_err > dynamics.TRACE_TOL:
             raise SpecError(f"--c-eg and --c-ge must have |c_eg|^2 + |c_ge|^2 = 1 for --method "
                             f"lindblad, off by {norm_err:.3e}")
-        t_max = _horizon(spec)
-        step = spec.gamma * spec.dt if spec.dt is not None else dynamics.recommended_timestep(coeffs)
-        _step_count(t_max, step / spec.gamma, given=spec.dt is not None)
-        rho0 = dynamics.density_from_amplitudes(initial)
-        record = dynamics.evolve_lindblad(rho0, coeffs, spec.gamma * t_max, step)
-        populations = np.diagonal(record.states, axis1=1, axis2=2).real
-        _write_csv(spec.out, spec, ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"],
-                   record.times / spec.gamma, *populations.T, record.concurrence)
+        times = _time_grid(spec)
+        unit_times = spec.gamma * times
+        rho = dynamics.density_from_amplitudes(initial)
+        table = np.empty((len(times), 5))  # p_ee, p_eg, p_ge, p_gg, concurrence
+        for _, cols in _sweep_blocks(1, len(times)):
+            [(states, concurrence)] = _lindblad_rows(rho, coeffs.shift[None], coeffs.decay[None],
+                                                     unit_times, cols)
+            table[cols, :4] = np.diagonal(states, axis1=1, axis2=2).real
+            table[cols, 4] = concurrence
+            rho = states[-1]
+        _write_csv(spec.out, spec, ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"], times, *table.T)
     return 0
 
 
@@ -593,41 +569,60 @@ def _sweep_blocks(n_thetas: int, n_times: int):
             yield slice(first, first + per_block), slice(start, start + step)
 
 
+def _lindblad_rows(rho0: np.ndarray, shift: np.ndarray, decay: np.ndarray, times: np.ndarray, cols: slice):
+    """(states, concurrence) on the grid rows ``cols`` of each generator of the
+    (B, M, M) stacks, by ``evolve_lindblad_many`` on the uniform unit-rate grid
+    ``times`` from ``rho0``: the state at row 0 or, for a later block of a column
+    split over t, at the row before ``cols``, which a failure then names."""
+    skip = min(cols.start, 1)
+    dt = times[1] - times[0]
+    steps = len(times[cols]) - 1 + skip
+    try:
+        records = dynamics.evolve_lindblad_many(rho0, shift, decay, t_max=steps * dt, dt=dt, store_every=1)
+    except NumericalFailure as exc:
+        if not skip:
+            raise
+        raise NumericalFailure(f"{exc} of the block from grid row {cols.start - 1}") from exc
+    return [(record.states[skip:], record.concurrence[skip:]) for record in records]
+
+
 def _sweep_columns(config: Configuration, thetas: np.ndarray, times: np.ndarray, method: str) -> np.ndarray:
     """Concurrence over the theta x time grid, one row per theta, at unit
     rate: ``times`` are gamma * t.  Each amplitude or Lindblad block takes
     one ``canonical_sums`` call; the closed form reads theta alone, so its
-    thetas are checked once, by ``canonical_phases``.  A Lindblad block is
-    whole theta columns (at least one)."""
+    thetas are checked once, by ``canonical_phases``."""
     if method == "analytic":
         canonical_phases(thetas)
     values = np.empty((len(thetas), len(times)))
     initial = dynamics.AmplitudeState(1.0, 0.0)
-    per_block = max(1, _SWEEP_BLOCK_ROWS // len(times))
-    blocks = ([(slice(first, first + per_block), slice(None)) for first in range(0, len(thetas), per_block)]
-              if method == "lindblad" else _sweep_blocks(len(thetas), len(times)))
-    for rows, cols in blocks:
+    rho0 = dynamics.density_from_amplitudes(initial)
+    for rows, cols in _sweep_blocks(len(thetas), len(times)):
         if method == "analytic":
             block = analytic.closed_form_concurrence_braided(thetas[rows], times[cols])
         elif method == "effective":
             block = dynamics.amplitude_concurrences(initial, *canonical_sums(config, 1.0, thetas[rows]),
                                                     times[cols])
         else:
-            # no name holds the records, so a block's states are freed before the next one
-            block = [record.concurrence for record in dynamics.evolve_lindblad_many(
-                dynamics.density_from_amplitudes(initial), *canonical_sums(config, 1.0, thetas[rows]),
-                t_max=float(times[-1]), dt=times[1] - times[0], store_every=1)]
+            # a column's later blocks continue from the last state of the block before
+            pairs = _lindblad_rows(rho0 if cols.start == 0 else pairs[0][0][-1],
+                                   *canonical_sums(config, 1.0, thetas[rows]), times, cols)
+            block = [concurrence for _, concurrence in pairs]
         values[rows, cols] = block
     return values
+
+
+def _config(spec: RunSpec) -> Configuration:
+    """The canonical configuration of a command that reads only ``--config``."""
+    if spec.configuration is None:
+        raise SpecError(f"{spec.command} requires --config")
+    return Configuration(spec.configuration)
 
 
 def run_sweep(spec: RunSpec) -> int:
     """Write concurrence over a theta x time grid, one row per cell."""
     if spec.out is None:
         raise SpecError("sweep requires --out")
-    kind, source = _resolve_source(spec)
-    if kind != "config":
-        raise SpecError("sweep ranges over theta and needs a canonical --config")
+    source = _config(spec)
     method = _method(spec, source)
     thetas = _theta_grid(spec)
     times = _time_grid(spec)
@@ -639,9 +634,7 @@ def run_sweep(spec: RunSpec) -> int:
 
 def run_dfi_scan(spec: RunSpec) -> int:
     """Scan a canonical configuration for DFI points and write a JSON report."""
-    kind, source = _resolve_source(spec)
-    if kind != "config":
-        raise SpecError("dfi-scan supports the canonical configurations only")
+    source = _config(spec)
     grid = 10_000 if spec.grid is None else spec.grid
     if grid < dfi.MIN_GRID:
         raise SpecError(f"--grid must be at least {dfi.MIN_GRID} points, got {grid}")
@@ -707,6 +700,12 @@ def run_verify_slh(spec: RunSpec) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only "-1" and "-0.5" for values; no option starts
+        # with -<digit>, so "-1e-3", "-.5" and "-0.8j" are values too
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with 2 on usage errors; the exit-code contract reserves
     # 2 for numerical failures, so route usage errors through SpecError
     def error(self, message):

@@ -375,7 +375,7 @@ def _min_eigenvalues(stack: np.ndarray, excitations: np.ndarray | None) -> np.nd
 
 
 def recommended_timestep(coeffs: MasterEqCoefficients) -> float:
-    """Default ``evolve_lindblad`` grid step: 1e-3 over the largest rate present or the unit rate 1."""
+    """An ``evolve_lindblad`` step, not the CLI's: 1e-3 over the largest rate present or the unit rate 1."""
     rates = np.abs(coeffs.individual_decay).sum(), np.abs(coeffs.shift).max(), 1.0
     return 1e-3 / float(max(rates))
 

@@ -489,9 +489,8 @@ def test_dt_grid_matches_multiples_of_dt(tmp_path):
     (["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad", "--dt", "1e-300",
       "--t-max", "1e300"], "--dt"),
     (["sweep", "--config", "braided", "--dt", "1e-300", "--t-max", "1e300"], "--dt"),
-    # the recommended Lindblad step is the unit-rate step over gamma
-    (["evolve", "--config", "nested", "--theta", "0.3", "--method", "lindblad", "--gamma", "1000"],
-     "error: --gamma and --t-max give 3.898e+07 time points"),
+    (["evolve", "--config", "braided", "--theta", "0.5", "--method", "lindblad", "--t-steps", "10000000000000"],
+     "--t-steps"),
 ])
 def test_oversized_grid_exits_one(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -588,7 +587,8 @@ def _per_row_bodies():
     source = ["--config", "nested", "--gamma", "0.8"]
     times = np.linspace(0.0, 2.0, 9)
     amp = dynamics.amplitude_trajectory(c0, coeffs, 0.8 * times)
-    lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 0.8 * 0.5, 0.8 * 0.05)
+    lind = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(c0), coeffs, 10 * (0.8 * 0.05), 0.8 * 0.05,
+                                    store_every=1)
     initial = ["--theta", "1.3", "--c-eg", "0.6+0.48j", "--c-ge=-0.64j"]
     # the sweep's values: one amplitude trajectory per theta
     thetas = np.linspace(0.2, 3.0, 4)
@@ -602,7 +602,7 @@ def _per_row_bodies():
         (["evolve", *source, *initial, "--method", "lindblad", "--t-max", "0.5", "--dt", "0.05"],
          ["t", "p_ee", "p_eg", "p_ge", "p_gg", "concurrence"],
          [(t, rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real, c)
-          for t, rho, c in zip(lind.times / 0.8, lind.states, lind.concurrence)]),
+          for t, rho, c in zip(np.arange(11) * 0.05, lind.states, lind.concurrence)]),
         (["sweep", *source, "--theta-min", "0.2", "--theta-max", "3", "--theta-steps", "4",
           "--t-max", "2", "--t-steps", "9"], ["theta", "t", "concurrence"], sweep),
     ]
@@ -682,15 +682,6 @@ def test_subnormal_unit_rate_times_give_finite_rows(tmp_path, argv):
     assert ((0.0 <= data[:, -1]) & (data[:, -1] <= 1.0)).all()
 
 
-@pytest.mark.parametrize("steps", ["5", "10000000000000"])
-def test_evolve_lindblad_rejects_t_steps(tmp_path, capsys, steps):
-    out = tmp_path / "x.csv"
-    assert main(["evolve", "--config", "braided", "--theta", "0.3", "--method", "lindblad",
-                 "--t-max", "1", "--t-steps", steps, "--out", str(out)]) == 1
-    assert "--t-steps" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["evolve", "--theta", "0.5", "--method", "effective"],
     ["evolve", "--theta", "0.5", "--method", "analytic"],
@@ -736,8 +727,7 @@ def test_analytic_sweep_evaluates_terms_once_per_theta(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flags,named", [
     (["--t-max", "1", "--dt", "2"], "--dt 2.0 leaves fewer than 2 time points"),
-    (["--t-max", "1e-9"], "--t-max 1e-09 leaves fewer than 2 time points at the recommended step"),
-], ids=["dt", "recommended-step"])
+], ids=["dt"])
 def test_evolve_lindblad_one_point_grid_exits_one(tmp_path, capsys, flags, named):
     # the same two-point rule as the effective method's --dt grid
     out = tmp_path / "x.csv"
@@ -836,15 +826,18 @@ def test_gamma_times_t_max_bound(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("gamma", [0.8, 1.7])
 def test_lindblad_evolve_runs_the_unit_rate_step_on_gamma_t(tmp_path, gamma):
-    # the recommended step, and with it the row count, does not depend on gamma
+    # every row of the t grid, propagated by the unit-rate coefficients in steps of gamma * dt
     out = tmp_path / "x.csv"
     assert main(["evolve", "--config", "nested", "--theta", "0.3", "--method", "lindblad",
-                 "--gamma", repr(gamma), "--t-max", repr(0.5 / gamma), "--out", str(out)]) == 0
+                 "--gamma", repr(gamma), "--t-max", repr(0.5 / gamma), "--t-steps", "41",
+                 "--out", str(out)]) == 0
     _, _, data = read_table(out)
-    coeffs = canonical_coefficients("nested", 1.0, 0.3)
+    times = np.linspace(0.0, 0.5 / gamma, 41)
+    step = gamma * times[1] - gamma * times[0]
     record = dynamics.evolve_lindblad(dynamics.density_from_amplitudes(dynamics.AmplitudeState(1.0, 0.0)),
-                                      coeffs, gamma * (0.5 / gamma), dynamics.recommended_timestep(coeffs))
-    assert np.array_equal(data[:, 0], record.times / gamma)
+                                      canonical_coefficients("nested", 1.0, 0.3), 40 * step, step, store_every=1)
+    assert np.array_equal(data[:, 0], times)
+    assert np.array_equal(data[:, 1:5], np.diagonal(record.states, axis1=1, axis2=2).real)
     assert np.array_equal(data[:, -1], record.concurrence)
 
 
@@ -1003,8 +996,7 @@ def test_analytic_sweep_rows_equal_single_theta_calls(tmp_path):
     ["evolve", "--method", "lindblad", "--t-max", "0.5"],
 ], ids=["coeffs", "verify-slh", "evolve-effective", "evolve-lindblad-dt", "evolve-lindblad"])
 def test_layout_rejects_gamma_nothing_reads(tmp_path, capsys, argv):
-    # the layout file fixes every rate, and the recommended Lindblad step is
-    # 1e-3 over its fastest rate or the unit rate: nothing reads --gamma
+    # the layout file fixes every rate: nothing reads --gamma
     path = tmp_path / "layout.json"
     path.write_text(layout_to_json(build_canonical(CanonicalConfig("braided", 1.0, 0.7))))
     out = tmp_path / "x.out"
@@ -1066,12 +1058,10 @@ def _count_sweep_sums(tmp_path, monkeypatch, argv, block_rows):
 @pytest.mark.parametrize("block_rows", [4, 22])
 @pytest.mark.parametrize("method", ["effective", "lindblad"])
 def test_sweep_takes_one_canonical_sums_call_per_block(tmp_path, monkeypatch, method, block_rows):
-    # 3 theta x 11 t: at 4 cells a block an amplitude block is one theta over
-    # at most 4 times and a Lindblad block one whole theta column; at 22 cells
-    # both take two columns, then one
+    # 3 theta x 11 t: at 4 cells a block is one theta over at most 4 times;
+    # at 22 cells two columns, then one
     argv = ["sweep", "--config", "braided", "--method", method, "--theta-steps", "3", "--t-steps", "11"]
-    split = [1] * 3 if method == "lindblad" else [1] * 9
-    assert _count_sweep_sums(tmp_path, monkeypatch, argv, block_rows) == {4: split, 22: [2, 1]}[block_rows]
+    assert _count_sweep_sums(tmp_path, monkeypatch, argv, block_rows) == {4: [1] * 9, 22: [2, 1]}[block_rows]
 
 
 @pytest.mark.parametrize("block_rows", [4, 22])
@@ -1153,3 +1143,101 @@ def test_run_spec_defaults_and_unknown_field():
     assert spec.meta_json() == '{"command": "evolve", "gamma": 1.0, "theta": 0.5}'
     with pytest.raises(TypeError, match="unknown RunSpec fields: tehta, theta_over_pi"):
         RunSpec(command="evolve", tehta=0.5, theta_over_pi=True)
+
+
+@pytest.mark.parametrize("flags,rows", [([], 400), (["--t-steps", "57"], 57), (["--dt", "0.013"], 308)],
+                         ids=["default", "t-steps", "dt"])
+def test_evolve_lindblad_writes_the_effective_t_grid(tmp_path, flags, rows):
+    # one time-grid rule for every method: the t column's text byte for byte,
+    # and the populations and concurrence of the amplitudes to roundoff
+    bodies = {}
+    for method in ("effective", "lindblad"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["evolve", "--config", "separate", "--theta", "0.4", "--gamma", "1.3", "--c-eg", "0.6",
+                     "--c-ge", "0.8j", "--method", method, *flags, "--out", str(out)]) == 0
+        bodies[method] = [line.split(",") for line in out.read_text().splitlines()[4:]]
+    assert len(bodies["effective"]) == len(bodies["lindblad"]) == rows
+    assert [row[0] for row in bodies["lindblad"]] == [row[0] for row in bodies["effective"]]
+    amplitudes = np.array(bodies["effective"], dtype=float)
+    populations = np.array(bodies["lindblad"], dtype=float)
+    expected = np.column_stack([amplitudes[:, 1] ** 2 + amplitudes[:, 2] ** 2,
+                                amplitudes[:, 3] ** 2 + amplitudes[:, 4] ** 2, amplitudes[:, 5]])
+    np.testing.assert_allclose(populations[:, [2, 3, 5]], expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block_rows,steps", [(3, [2, 3, 3, 2]), (7, [6, 4])], ids=["3-rows", "7-rows"])
+def test_lindblad_runs_split_over_time_give_identical_bytes(tmp_path, monkeypatch, block_rows, steps):
+    # 11 times in blocks of 3 or 7 rows: each block after a column's first
+    # continues from the state the one before ended in, one step before its rows
+    runs = {"evolve": ["evolve", "--config", "nested", "--theta", "0.9", "--c-eg", "0.6", "--c-ge", "0.8j"],
+            "sweep": ["sweep", "--config", "nested", "--theta-steps", "2"]}
+    many = dynamics.evolve_lindblad_many
+    for name, argv in runs.items():
+        argv = [*argv, "--method", "lindblad", "--gamma", "1.7", "--t-max", "2", "--t-steps", "11"]
+        reference, out = tmp_path / f"{name}-reference.csv", tmp_path / f"{name}-blocked.csv"
+        assert main([*argv, "--out", str(reference)]) == 0
+        calls = []
+
+        def counted(rho0, shift, decay, t_max, dt, store_every):
+            calls.append((len(shift), round(t_max / dt), store_every))
+            return many(rho0, shift, decay, t_max, dt, store_every)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SWEEP_BLOCK_ROWS", block_rows)
+            patch.setattr(dynamics, "evolve_lindblad_many", counted)
+            assert main([*argv, "--out", str(out)]) == 0
+        assert calls == [(1, n, 1) for n in steps] * (1 if name == "evolve" else 2)
+        assert out.read_bytes() == reference.read_bytes(), name
+
+
+def test_lindblad_failure_in_a_later_block_names_its_first_row(tmp_path, capsys, monkeypatch):
+    # a lossless run at the nested DFI point drifts past a state check within
+    # the horizon (ROADMAP item 7); split over time, the failing state is the same
+    out = tmp_path / "x.csv"
+    argv = ["evolve", "--config", "nested", "--theta", "0.7853981633974483", "--method", "lindblad",
+            "--dt", "0.01", "--gamma", "1e6", "--out", str(out)]
+    assert main(argv) == 2
+    message, row = capsys.readouterr().err[:-1].rsplit(" at step ", 1)
+    row = int(row)
+    assert message.startswith("numerical failure: ") and row >= 2
+    rows = (row + 1) // 2  # the failing row lies in the second or a later block
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", rows)
+    assert main(argv) == 2
+    first = row // rows * rows - 1  # the state the failing block starts from
+    assert capsys.readouterr().err == f"{message} at step {row - first} of the block from grid row {first}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--theta", "0.3"], ["coeffs", "--theta-steps", "5"],
+                                  ["verify-slh", "--theta", "0.3"]], ids=["evolve", "coeffs", "verify-slh"])
+def test_missing_source_names_config(tmp_path, capsys, argv):
+    # a theta flag without --config is no theta flag "with --layout"
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: this command requires --layout or --config\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "dfi-scan"])
+def test_config_only_commands_take_no_layout(tmp_path, capsys, command):
+    # --layout is not one of their flags, so its file is never read
+    out = tmp_path / "x.out"
+    assert main([command, "--layout", os.devnull, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: --layout {os.devnull}\n"
+    assert main([command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {command} requires --config\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--c-ge", "-0.8j"), ("--theta", "-1e-3"), ("--c-eg", "-6e-1")])
+def test_negative_values_in_exponent_or_complex_form(tmp_path, capsys, flag, value):
+    # argparse alone takes only values like -1 and -0.5 after a flag; no
+    # gawsim option starts with -<digit>, so these are values too
+    flags = {"--theta": "0.3", "--c-eg": "0.6", "--c-ge": "0.8", flag: value}
+    argv = ["evolve", "--config", "braided", "--t-steps", "5"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main([*argv, *(part for item in flags.items() for part in item), "--out", str(spaced)]) == 0
+    assert main([*argv, *(f"{name}={text}" for name, text in flags.items()), "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert main([*argv, "--theta", "-x", "--out", str(spaced)]) == 1
+    assert capsys.readouterr().err == "error: argument --theta: expected one argument\n"
